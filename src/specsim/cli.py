@@ -4,8 +4,8 @@ matrix, or capture and pretty-print traces.
 Reports are line-delimited JSON with field names matching RunReport, so CI
 can assert on attack_success without parsing tables; `--table` adds a human
 layer. Exit codes: 0 run completed (attack outcome does not matter), 2
-unknown scenario or unreadable scenario file, 3 cycle-limit timeout, 4
-unwritable output path.
+unknown scenario, a mitigation the scenario has no site for, or an
+unreadable scenario file, 3 cycle-limit timeout, 4 unwritable output path.
 
 SPECSIM_CONFIG may name a key=value file applied before flags.
 """
@@ -19,10 +19,15 @@ from dataclasses import fields
 from .config import (FORWARDING_POLICIES, SimConfig, TLB_ENFORCEMENT_MODES,
                      parse_config_file)
 from .lsu import ForwardingPolicy
-from .scenarios import (BUILDERS, MATRIX_SCENARIOS, MITIGATIONS, build_scenario,
-                        run_scenario, scenario_from_file)
+from .scenarios import (ALL_MITIGATIONS, BUILDERS, MATRIX_SCENARIOS, MITIGATIONS,
+                        build_scenario, run_scenario, scenario_from_file)
 
 _CONFIG_FIELDS = [f.name for f in fields(SimConfig)]
+
+_MITIGATION_HELP = ("software mitigation, applied at the scenario's site in "
+                    "scenarios.MITIGATION_SITES; only spectre_1_1_control and "
+                    "spectre_1_1_rop accept fence_gadget, and the masks leave "
+                    "ghost and benign_spill unchanged")
 
 
 class _CliError(Exception):
@@ -75,10 +80,12 @@ def _resolve_scenario(args):
             kw["pad_uops"] = args.pad_uops
         return build_scenario(name, mitigation=args.mitigation, **kw)
     except KeyError:
-        known = ", ".join(sorted(set(BUILDERS) | {"spectre_1_1_rop"}))
+        known = ", ".join(sorted(BUILDERS))
         raise _CliError(2, f"unknown scenario {name!r} (known: {known})") from None
     except TypeError as e:
         raise _CliError(2, f"option not supported by {name!r}: {e}") from None
+    except ValueError as e:
+        raise _CliError(2, str(e)) from None
 
 
 def _policy_for(cfg: SimConfig, args) -> ForwardingPolicy:
@@ -191,8 +198,8 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run one scenario and report")
     p_run.add_argument("scenario", nargs="?")
     p_run.add_argument("--scenario-file")
-    p_run.add_argument("--mitigation", default="none",
-                       choices=MITIGATIONS + ("fence_gadget",))
+    p_run.add_argument("--mitigation", default="none", choices=ALL_MITIGATIONS,
+                       help=_MITIGATION_HELP)
     p_run.add_argument("--secret", type=lambda v: int(v, 0))
     p_run.add_argument("--amplification", type=int,
                        help="probe lines per secret value (spectre_1_0)")
@@ -215,8 +222,8 @@ def main(argv=None) -> int:
     p_tr = sub.add_parser("trace", help="run a scenario and write its event trace")
     p_tr.add_argument("scenario", nargs="?")
     p_tr.add_argument("--scenario-file")
-    p_tr.add_argument("--mitigation", default="none",
-                      choices=MITIGATIONS + ("fence_gadget",))
+    p_tr.add_argument("--mitigation", default="none", choices=ALL_MITIGATIONS,
+                      help=_MITIGATION_HELP)
     p_tr.add_argument("--secret", type=lambda v: int(v, 0))
     p_tr.add_argument("--arctic-whitelist")
     p_tr.add_argument("--out", required=True)

@@ -73,10 +73,6 @@ class TraceEvent:
     pc: int
     detail: str = ""
 
-    def line(self) -> str:
-        return (f'{{"cycle": {self.cycle}, "kind": "{self.kind}", "seq": {self.seq}, '
-                f'"pc": {self.pc}, "detail": "{self.detail}"}}')
-
 
 @dataclass
 class RunReport:

@@ -84,12 +84,6 @@ class Core:
         if self.trace is not None:
             self.trace.append(TraceEvent(self.cycle, kind, seq, pc, detail))
 
-    @property
-    def fence_active(self) -> bool:
-        """An unfinished fence is in flight: nothing younger may issue."""
-        return any(e.uop.kind == UopKind.FENCE and e.status != DONE
-                   for e in self.rob)
-
     # -- operand handling --------------------------------------------------------
 
     def _src_value(self, entry: ROBEntry, i: int) -> Optional[int]:
@@ -146,30 +140,20 @@ class Core:
                 self.rename[e.uop.dst2] = e.seq
 
     def _resolve_branch(self, entry: ROBEntry) -> None:
+        if entry.predicted == entry.actual:
+            if entry.tag is not None:
+                self._clear_tag(entry.tag)
+            return
+        self.squash_count += 1
+        self._squash_younger(entry.seq)
+        if entry.tag is not None:
+            self.live_tags.discard(entry.tag)
         uop = entry.uop
         if uop.kind == UopKind.BR_COND:
-            actual_dir = entry.actual
-            if entry.predicted == actual_dir:
-                if entry.tag is not None:
-                    self._clear_tag(entry.tag)
-                return
-            self.squash_count += 1
-            self._squash_younger(entry.seq)
-            if entry.tag is not None:
-                self.live_tags.discard(entry.tag)
-            self.fetch_pc = uop.imm if actual_dir == TAKEN else uop.parent_pc + 4
+            self.fetch_pc = uop.imm if entry.actual == TAKEN else uop.parent_pc + 4
         else:  # JR_INDIRECT
-            target = entry.actual
-            if entry.predicted == target:
-                if entry.tag is not None:
-                    self._clear_tag(entry.tag)
-                return
-            self.squash_count += 1
-            self._squash_younger(entry.seq)
-            if entry.tag is not None:
-                self.live_tags.discard(entry.tag)
-            self.fetch_pc = target
-            self._ev("resteer", entry.seq, uop.parent_pc, f"target={target:#x}")
+            self.fetch_pc = entry.actual
+            self._ev("resteer", entry.seq, uop.parent_pc, f"target={entry.actual:#x}")
 
     # -- memory micro-ops ----------------------------------------------------------
 
@@ -321,7 +305,7 @@ class Core:
         elif kind == UopKind.STA:
             addr = (vals[0] + uop.imm) & MASK64
             entry.addr = addr
-            verdict = self.mem.tlb_check("write", addr, self.cfg.tlb_enforcement)
+            verdict = self.mem.tlb_check("write", addr)
             self.sb.resolve_addr(entry.instr_id, addr, verdict)
         elif kind == UopKind.STD:
             self.sb.resolve_data(entry.instr_id, vals[0])
@@ -329,7 +313,7 @@ class Core:
             sp_val = vals[0]
             entry.result = (sp_val - 8) & MASK64
             entry.addr = entry.result
-            verdict = self.mem.tlb_check("write", entry.addr, self.cfg.tlb_enforcement)
+            verdict = self.mem.tlb_check("write", entry.addr)
             sbe = self.sb.resolve_addr(entry.instr_id, entry.addr, verdict)
             sbe.data = (uop.parent_pc + 4) & MASK64
         # FENCE and HALT carry no operands and produce no result

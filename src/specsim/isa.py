@@ -104,7 +104,6 @@ class UopKind(Enum):
     FENCE = "fence"
     CSEL = "csel"
     CALL = "call"
-    RET_MARKER = "ret_marker"  # reserved; returns decode to [LDA, JR_INDIRECT]
     HALT = "halt"
 
 
@@ -219,6 +218,16 @@ for _sz in (1, 2, 4, 8):
     _SIGNATURES[f"st.{_sz}"] = "rm"
 
 _BRANCH_CC = {"jb": "b", "jbe": "be", "jae": "ae", "ja": "a", "je": "e", "jne": "ne"}
+
+
+def operand_labels(program: Program, instr: Instruction) -> List[Optional[str]]:
+    """Per operand of `instr`, the label it names, or None. A code target names
+    the label at its address, and so does a movi immediate equal to a label's
+    address. disassemble prints these names; inserting code before a label
+    moves these operands with the labels they name."""
+    return [program.label_at(op.value)
+            if code == "l" or (code == "i" and instr.mnemonic == "movi") else None
+            for code, op in zip(_SIGNATURES[instr.mnemonic], instr.operands)]
 
 _REG_RE = re.compile(r"^(r([0-9]|[12][0-9]|3[01])|sp)$")
 _MEM_RE = re.compile(r"^\[\s*(r[0-9]+|sp)\s*(?:([+-])\s*([^\]\s]+)\s*)?\]$")
@@ -455,13 +464,8 @@ def disassemble(program: Program) -> str:
             lines.append(f"{name}:")
         mnem = instr.mnemonic + ("!" if instr.forwardable else "")
         if instr.operands:
-            rendered = []
-            for code, op in zip(_SIGNATURES[instr.mnemonic], instr.operands):
-                if code == "l" or (code == "i" and program.label_at(op.value)
-                                   and instr.mnemonic == "movi"):
-                    rendered.append(program.label_at(op.value) or str(op))
-                else:
-                    rendered.append(str(op))
+            rendered = [name or str(op) for name, op in
+                        zip(operand_labels(program, instr), instr.operands)]
             lines.append(f"    {mnem} " + ", ".join(rendered))
         else:
             lines.append(f"    {mnem}")

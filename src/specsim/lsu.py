@@ -20,6 +20,7 @@ any store.
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
+from .config import FORWARDING_POLICIES
 from .isa import MASK64
 
 
@@ -42,17 +43,13 @@ class StoreBufferEntry:
         return self.addr is not None and self.addr < addr + size and addr < self.addr + self.size
 
 
-VARIANTS = ("baseline", "slothbear_stores", "slothbear_loads", "sloth_marked",
-            "arctic_sloth")
-
-
 @dataclass
 class ForwardingPolicy:
     variant: str = "baseline"
     whitelist: Set[int] = field(default_factory=set)
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        if self.variant not in FORWARDING_POLICIES:
             raise ValueError(f"unknown forwarding policy {self.variant!r}")
 
     def learn(self, load_pc: int) -> None:
@@ -136,9 +133,6 @@ class StoreBuffer:
             if e.senior:
                 return e
         return None
-
-    def senior_pending(self) -> bool:
-        return any(e.senior for e in self.entries)
 
 
 def forward_decision(load_seq: int, load_addr: int, load_size: int,

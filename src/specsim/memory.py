@@ -14,6 +14,8 @@ from .config import SimConfig
 
 PAGE = 4096
 LINE = 64
+N_SETS = 64
+N_WAYS = 8
 
 
 class MemFault(Exception):
@@ -37,14 +39,12 @@ class MSHR:
 
 
 class MemorySystem:
-    def __init__(self, cfg: SimConfig, n_sets: int = 64, n_ways: int = 8):
+    def __init__(self, cfg: SimConfig):
         self.cfg = cfg
-        self.n_sets = n_sets
-        self.n_ways = n_ways
         self.pages: Dict[int, bytearray] = {}
         self.tlb: Dict[int, Tuple[bool, bool]] = {}   # page -> (readable, writable)
-        self.sets: List[List[int]] = [[] for _ in range(n_sets)]
-        self.rr: List[int] = [0] * n_sets
+        self.sets: List[List[int]] = [[] for _ in range(N_SETS)]
+        self.rr: List[int] = [0] * N_SETS
         self.lines: Dict[int, int] = {}               # line addr -> fill cycle
         self.mshrs: Dict[int, MSHR] = {}
         self.mshr_peak = 0
@@ -64,7 +64,7 @@ class MemorySystem:
     def is_mapped(self, addr: int) -> bool:
         return (addr & ~(PAGE - 1)) in self.tlb
 
-    def tlb_check(self, kind: str, addr: int, mode: str = "lazy") -> str:
+    def tlb_check(self, kind: str, addr: int) -> str:
         """Permission verdict; when the caller acts on it is the caller's contract."""
         perm = self.tlb.get(addr & ~(PAGE - 1))
         if perm is None:
@@ -117,7 +117,7 @@ class MemorySystem:
     # -- cache and MSHRs -----------------------------------------------------
 
     def _set_index(self, line_addr: int) -> int:
-        return (line_addr // LINE) % self.n_sets
+        return (line_addr // LINE) % N_SETS
 
     def line_present(self, addr: int) -> bool:
         return (addr & ~(LINE - 1)) in self.lines
@@ -127,9 +127,9 @@ class MemorySystem:
             self.lines[line_addr] = cycle
             return
         s = self.sets[self._set_index(line_addr)]
-        if len(s) >= self.n_ways:
+        if len(s) >= N_WAYS:
             victim_way = self.rr[self._set_index(line_addr)]
-            self.rr[self._set_index(line_addr)] = (victim_way + 1) % self.n_ways
+            self.rr[self._set_index(line_addr)] = (victim_way + 1) % N_WAYS
             evicted = s[victim_way]
             s[victim_way] = line_addr
             del self.lines[evicted]

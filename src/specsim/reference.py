@@ -9,11 +9,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .config import SimConfig
-from .isa import (MASK64, NUM_REGS, REG_FLAGS, SP, Program, alu_eval,
-                  cond_holds, flags_for)
+from .isa import (_BRANCH_CC, MASK64, NUM_REGS, REG_FLAGS, SP, Program,
+                  alu_eval, cond_holds, flags_for)
 from .memory import MemorySystem
-
-_BRANCHES = {"jb": "b", "jbe": "be", "jae": "ae", "ja": "a", "je": "e", "jne": "ne"}
 
 
 @dataclass
@@ -59,8 +57,8 @@ def run_reference(program: Program, cfg: SimConfig,
             r[REG_FLAGS] = flags_for(r[ops[0].n], r[ops[1].n])
         elif m == "cmpi":
             r[REG_FLAGS] = flags_for(r[ops[0].n], ops[1].value & MASK64)
-        elif m in _BRANCHES:
-            if cond_holds(_BRANCHES[m], r[REG_FLAGS]):
+        elif m in _BRANCH_CC:
+            if cond_holds(_BRANCH_CC[m], r[REG_FLAGS]):
                 next_pc = ops[0].value
         elif m == "jmp":
             next_pc = ops[0].value

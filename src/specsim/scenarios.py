@@ -23,12 +23,13 @@ Memory layout used by the bundled scenarios (flat, byte-addressed):
     0x100000 rw   probe array: entries * amplification lines, `stride` apart
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from .config import RunReport, SimConfig
 from .core import run_program
-from .isa import Program, assemble, disassemble
+from .isa import Imm, Program, assemble, operand_labels
 from .lsu import ForwardingPolicy
 from .memory import LINE, MemorySystem
 from .predictors import NOT_TAKEN, TAKEN, PredictorState, train_branch
@@ -49,6 +50,8 @@ SECRET_OFF = 0x1800          # beyond lenb=16 and beyond next_pow2 padding
 SECRET_ADDR = ARR_B + SECRET_OFF
 
 MITIGATIONS = ("none", "fence", "coarse_mask", "exact_mask")
+# fence_gadget guards only a transmit gadget, which spectre_1_1_control jumps over
+ALL_MITIGATIONS = MITIGATIONS + ("fence_gadget",)
 
 
 def next_pow2(n: int) -> int:
@@ -63,23 +66,26 @@ def next_pow2(n: int) -> int:
 
 def _insert_at_label(p: Program, label: str, new_lines: List[str]) -> Program:
     """Insert instructions at the position `label` names (before the
-    instruction the label points at). Labels and branch targets recompute."""
+    instruction the label points at). Labels at that position name the first
+    inserted instruction; later labels, and the operands that name them, move
+    past the insertion."""
     if label not in p.labels:
         raise ValueError(f"unknown label {label!r}")
-    target_index = p.labels[label] // 4
-    out, seen = [], 0
-    inserted = False
-    for line in disassemble(p).splitlines():
-        is_instr = line.startswith("    ")
-        if is_instr and seen == target_index and not inserted:
-            out.extend(f"    {t}" for t in new_lines)
-            inserted = True
-        out.append(line)
-        if is_instr:
-            seen += 1
-    if not inserted:      # label at end of program
-        out.extend(f"    {t}" for t in new_lines)
-    return assemble("\n".join(out) + "\n")
+    site = p.labels[label]
+    shift = 4 * len(new_lines)
+
+    def moved(addr: int) -> int:
+        return addr + shift if addr > site else addr
+
+    instructions = [
+        replace(instr, operands=tuple(
+            Imm(moved(op.value)) if name else op
+            for name, op in zip(operand_labels(p, instr), instr.operands)))
+        for instr in p.instructions]
+    instructions[site // 4:site // 4] = assemble("\n".join(new_lines)).instructions
+    return Program([replace(instr, pc=4 * i) for i, instr in enumerate(instructions)],
+                   {name: moved(addr) for name, addr in p.labels.items()},
+                   list(p.data))
 
 
 def transform_insert_fence(p: Program, after: str) -> Program:
@@ -95,17 +101,15 @@ def transform_coarse_mask(p: Program, index_reg: int, region_size: int,
     return _insert_at_label(p, at, [f"andi r{index_reg}, r{index_reg}, {hex(mask)}"])
 
 
-def transform_exact_mask(p: Program, index_reg: int, bound_reg: int, at: str,
-                         scratch: Tuple[int, int] = (25, 26)) -> Program:
+def transform_exact_mask(p: Program, index_reg: int, bound_reg: int, at: str) -> Program:
     """Branch-free data-dependent truncation: index becomes 0 whenever it is
-    not below the bound, even on speculative paths."""
-    s1, s2 = scratch
+    not below the bound, even on speculative paths. Clobbers r25 and r26."""
     seq = [
-        f"movi r{s1}, 0",
-        f"subi r{s2}, r{s1}, 1",
+        "movi r25, 0",
+        "subi r26, r25, 1",
         f"cmp r{index_reg}, r{bound_reg}",
-        f"csel.b r{s2}, r{s2}, r{s1}",
-        f"and r{index_reg}, r{index_reg}, r{s2}",
+        "csel.b r26, r26, r25",
+        f"and r{index_reg}, r{index_reg}, r26",
     ]
     return _insert_at_label(p, at, seq)
 
@@ -120,7 +124,6 @@ class ProbeSpec:
     stride: int = 512
     entries: int = 256
     amplification: int = 1
-    timer_granularity_cycles: Optional[int] = None   # None: use the config's
 
     def __post_init__(self):
         if self.stride < LINE:
@@ -156,11 +159,12 @@ class Scenario:
     is_attack: bool = True
 
     def __post_init__(self):
-        if self.is_attack:
-            # the secret must sit outside every region the victim's checks
-            # declare reachable (the arrays' checked lengths)
-            assert self.secret_addr not in range(ARR_B, ARR_B + 16)
-            assert self.secret_addr not in range(ARR_C, ARR_C + 16)
+        # the secret must sit outside every region the victim's checks declare
+        # reachable (the arrays' checked lengths)
+        if self.is_attack and (self.secret_addr in range(ARR_B, ARR_B + 16)
+                               or self.secret_addr in range(ARR_C, ARR_C + 16)):
+            raise ValueError(f"secret_addr {self.secret_addr:#x} lies inside a "
+                             "checked array region")
 
 
 def _saturate(pred: PredictorState, pc: int, direction: str) -> None:
@@ -172,7 +176,7 @@ def probe_receive(mem: MemorySystem, spec: ProbeSpec, cfg: SimConfig) -> Optiona
     """Time every probe entry (amplification lines each, summed, coarsened to
     the timer granularity) and return the unique fastest entry, or None when
     no entry reads below the hit/miss midpoint or the minimum is not unique."""
-    gran = spec.timer_granularity_cycles or cfg.timer_granularity_cycles
+    gran = cfg.timer_granularity_cycles
     readings = []
     for i in range(spec.entries):
         total = 0
@@ -191,11 +195,9 @@ def flush_probe(mem: MemorySystem, spec: ProbeSpec) -> None:
         mem.flush_line(line)
 
 
-def run_scenario(s: Scenario, cfg: SimConfig,
-                 policy: Optional[ForwardingPolicy] = None,
-                 collect_trace: bool = False) -> RunReport:
-    """Prime, flush, attack (possibly repeatedly), then probe."""
-    report = RunReport(s.name, cfg.digest())
+def _setup_memory(s: Scenario, cfg: SimConfig) -> MemorySystem:
+    """The memory image before the first run: the victim's data, its regions
+    and probe array mapped, the secret planted and the benign inputs written."""
     mem = MemorySystem(cfg)
     mem.load_program_data(s.victim)
     for base, size, perm in s.regions:
@@ -203,6 +205,17 @@ def run_scenario(s: Scenario, cfg: SimConfig,
     if s.probe:
         mem.map_region(s.probe.base, s.probe.span, "rw")
     mem.write_int(s.secret_addr, 1, s.secret_value)
+    for addr, size, value in s.benign_mem:
+        mem.write_int(addr, size, value)
+    return mem
+
+
+def run_scenario(s: Scenario, cfg: SimConfig,
+                 policy: Optional[ForwardingPolicy] = None,
+                 collect_trace: bool = False) -> RunReport:
+    """Prime, flush, attack (possibly repeatedly), then probe."""
+    report = RunReport(s.name, cfg.digest())
+    mem = _setup_memory(s, cfg)
     pred = PredictorState(cfg.bht_size, cfg.rsb_depth)
     if policy is None:
         policy = ForwardingPolicy(cfg.forwarding_policy)
@@ -222,8 +235,6 @@ def run_scenario(s: Scenario, cfg: SimConfig,
                              set(r.core.squashed_store_seqs)))
         return r.fault is None and not r.timed_out
 
-    for addr, size, value in s.benign_mem:
-        mem.write_int(addr, size, value)
     for _ in range(s.priming):
         r = run_program(s.victim, cfg, mem=mem, pred=pred, policy=policy,
                         regs=s.benign_regs, start_cycle=report.cycles)
@@ -252,7 +263,6 @@ def run_scenario(s: Scenario, cfg: SimConfig,
             report.attack_success = report.inferred_secret == s.secret_value
     report.trace = trace
     report.mem = mem
-    report.policy = policy
     report.security_log = security_log
     return report
 
@@ -260,29 +270,24 @@ def run_scenario(s: Scenario, cfg: SimConfig,
 def no_attack_state(s: Scenario, cfg: SimConfig):
     """Architectural state of the in-order reference on the attack inputs:
     what the machine must commit when speculation leaves no trace."""
-    mem = MemorySystem(cfg)
-    mem.load_program_data(s.victim)
-    for base, size, perm in s.regions:
-        mem.map_region(base, size, perm)
-    if s.probe:
-        mem.map_region(s.probe.base, s.probe.span, "rw")
-    mem.write_int(s.secret_addr, 1, s.secret_value)
-    for addr, size, value in s.benign_mem:
-        mem.write_int(addr, size, value)
-    regs = s.benign_regs
-    if s.is_attack:
-        for _ in range(s.priming):
-            ref = run_reference(s.victim, cfg, mem=mem, regs=s.benign_regs)
-            assert ref.fault is None, ref.fault
-        for addr, size, value in s.attack_mem:
-            mem.write_int(addr, size, value)
-        regs = s.attack_regs
-        for _ in range(s.attempts):
-            ref = run_reference(s.victim, cfg, mem=mem, regs=regs)
-    else:
+    mem = _setup_memory(s, cfg)
+
+    def run(regs):
+        ref = run_reference(s.victim, cfg, mem=mem, regs=regs)
+        if ref.fault is not None:
+            raise RuntimeError(f"{s.name}: the in-order reference faulted: {ref.fault}")
+        return ref
+
+    if not s.is_attack:
         for _ in range(max(s.priming, 1)):
-            ref = run_reference(s.victim, cfg, mem=mem, regs=regs)
-    assert ref.fault is None, ref.fault
+            ref = run(s.benign_regs)
+        return arch_state(ref.regs, mem)
+    for _ in range(s.priming):
+        run(s.benign_regs)
+    for addr, size, value in s.attack_mem:
+        mem.write_int(addr, size, value)
+    for _ in range(s.attempts):
+        ref = run(s.attack_regs)
     return arch_state(ref.regs, mem)
 
 
@@ -297,13 +302,81 @@ _COMMON_REGIONS = [
 ]
 
 
-def _transmit(pr: str, sec: str, shift: int = 9) -> str:
-    """The indirect-load transmit sequence: touch probe[secret << shift]."""
-    return (f"    movi r4, {hex(sec) if isinstance(sec, int) else sec}\n"
-            f"    ld.1 r5, [r4]\n"
-            f"    shli r5, r5, {shift}\n"
-            f"    add r6, {pr}, r5\n"
-            f"    ld.1 r7, [r6]\n")
+NO_INDEX = ()    # a mask site for a victim with no index to mask: it runs unchanged
+
+
+@dataclass(frozen=True)
+class MitigationSites:
+    """Where each software mitigation goes in one bundled victim.
+
+    fence and fence_gadget name the label a fence goes before; fence_gadget
+    is None where the victim has no separate transmit gadget. coarse_mask is
+    (label, index_reg, region_size), exact_mask (label, index_reg, bound_reg).
+    leaks lists the mitigations under which the attack still succeeds."""
+    fence: str
+    coarse_mask: tuple
+    exact_mask: tuple
+    leaks: Tuple[str, ...]
+    fence_gadget: Optional[str] = None
+
+
+MITIGATION_SITES = {
+    "spectre_1_0": MitigationSites(
+        "body", ("body", 10, 4096), ("body", 10, 2), leaks=("none",)),
+    "spectre_1_1_control": MitigationSites(
+        "vstore", ("vstore", 10, 0x20000), ("vstore", 10, 2),
+        leaks=("none", "coarse_mask", "fence_gadget"), fence_gadget="gbody"),
+    "spectre_1_1_rop": MitigationSites(
+        "vstore", ("vstore", 10, 0x20000), ("vstore", 10, 2),
+        leaks=("none", "coarse_mask", "fence_gadget"), fence_gadget="g1"),
+    "spectre_1_1_data": MitigationSites(
+        "astore", ("astore", 10, 0x1000), ("astore", 10, 2),
+        leaks=("none", "coarse_mask")),
+    "spectre_1_2": MitigationSites(
+        "vstore", ("vstore", 10, 0x40000), ("vstore", 10, 2),
+        leaks=("none", "coarse_mask")),
+    # the ghost store goes through a raw pointer: there is no index to mask
+    "ghost": MitigationSites(
+        "gload", NO_INDEX, NO_INDEX, leaks=("none", "coarse_mask", "exact_mask")),
+    "halo": MitigationSites(
+        "hstore", ("hclamp", 6, 0x1000), ("hclamp", 6, 30),
+        leaks=("none", "coarse_mask")),
+    "benign_spill": MitigationSites("bloop", NO_INDEX, NO_INDEX, leaks=()),
+}
+
+
+def apply_mitigation(name: str, p: Program,
+                     mitigation: str) -> Tuple[Program, str, str]:
+    """Apply `mitigation` to scenario `name`'s victim at the site
+    MITIGATION_SITES gives. Returns the victim, the scenario name (suffixed
+    with the mitigation) and the expected outcome. A mitigation the scenario
+    has no site for raises ValueError."""
+    sites = MITIGATION_SITES[name]
+    accepted = [m for m in ALL_MITIGATIONS
+                if m == "none" or getattr(sites, m) is not None]
+    if mitigation not in accepted:
+        raise ValueError(f"scenario {name!r} has no {mitigation!r} site "
+                         f"(accepts: {', '.join(accepted)})")
+    expected = "attack_succeeds" if mitigation in sites.leaks else "attack_fails"
+    if mitigation == "none":
+        return p, name, expected
+    site = getattr(sites, mitigation)
+    if mitigation in ("fence", "fence_gadget"):
+        p = transform_insert_fence(p, site)
+    elif site != NO_INDEX:
+        label, index_reg, bound = site
+        transform = (transform_coarse_mask if mitigation == "coarse_mask"
+                     else transform_exact_mask)
+        p = transform(p, index_reg, bound, label)
+    return p, f"{name}+{mitigation}", expected
+
+
+# the indirect-load transmit sequence: touch probe[secret << 9], probe in r12
+_TRANSMIT = (f"    movi r4, {hex(SECRET_ADDR)}\n"
+             "    ld.1 r5, [r4]\n"
+             "    shli r5, r5, 9\n"
+             "    add r6, r12, r5\n"
+             "    ld.1 r7, [r6]\n")
 
 
 def build_gadget_spectre_1_0(secret: int = 0x2A, mitigation: str = "none",
@@ -343,15 +416,7 @@ done:
     halt
 .data {hex(VARS)} rw 10 00 00 00 00 00 00 00
 """
-    p = assemble(src)
-    if mitigation == "fence":
-        p = transform_insert_fence(p, "body")
-    elif mitigation == "coarse_mask":
-        p = transform_coarse_mask(p, 10, 4096, "body")
-    elif mitigation == "exact_mask":
-        p = transform_exact_mask(p, 10, 2, "body")
-    expected = "attack_succeeds" if mitigation == "none" else "attack_fails"
-    name = "spectre_1_0" if mitigation == "none" else f"spectre_1_0+{mitigation}"
+    p, name, expected = apply_mitigation("spectre_1_0", assemble(src), mitigation)
     return Scenario(
         name=name, victim=p,
         attack_regs={10: SECRET_OFF, 11: ARR_B, 12: PROBE},
@@ -395,7 +460,7 @@ gadget:
 gcheck:
     jae gdone
 gbody:
-{_transmit("r12", SECRET_ADDR)}gdone:
+{_TRANSMIT}gdone:
     halt
 """
     src = f"""
@@ -415,32 +480,18 @@ vret:
     ret
 {gadget}.data {hex(VARS)} rw 10 00 00 00 00 00 00 00
 """
-    p = assemble(src)
+    p, name, expected = apply_mitigation(
+        "spectre_1_1_rop" if rop else "spectre_1_1_control", assemble(src), mitigation)
     entry_label = "g1" if rop else "gbody"
-    entry_bump = 0
-    if mitigation == "fence":
-        p = transform_insert_fence(p, "vstore")
-    elif mitigation == "fence_gadget":
-        p = transform_insert_fence(p, entry_label)
-        entry_bump = 4                      # jump over the fence
-    elif mitigation == "coarse_mask":
-        p = transform_coarse_mask(p, 10, 0x20000, "vstore")
-    elif mitigation == "exact_mask":
-        p = transform_exact_mask(p, 10, 2, "vstore")
+    entry_bump = 4 if mitigation == "fence_gadget" else 0   # jump over the fence
 
     ret_slot = SP0 - 8
     y_attack = ret_slot - ARR_C
     attack_regs = {10: y_attack, 11: ARR_C, 12: PROBE, 31: SP0,
                    13: p.labels[entry_label] + entry_bump, 2: 0}
     benign_regs = {10: 8, 11: ARR_C, 12: PROBE, 31: SP0, 13: 0}
-    expected = ("attack_succeeds" if mitigation in ("none", "coarse_mask",
-                                                    "fence_gadget")
-                else "attack_fails")
     if warm_bound:
         expected = "attack_fails"
-    name = "spectre_1_1_rop" if rop else "spectre_1_1_control"
-    if mitigation != "none":
-        name += f"+{mitigation}"
     return Scenario(
         name=name, victim=p,
         attack_regs=attack_regs, benign_regs=benign_regs,
@@ -490,21 +541,11 @@ done:
     halt
 .data {hex(VARS)} rw 10 00 00 00 00 00 00 00
 """
-    p = assemble(src)
-    if mitigation == "fence":
-        p = transform_insert_fence(p, "astore")
-    elif mitigation == "coarse_mask":
-        p = transform_coarse_mask(p, 10, 0x1000, "astore")
-    elif mitigation == "exact_mask":
-        p = transform_exact_mask(p, 10, 2, "astore")
-
+    p, name, expected = apply_mitigation("spectre_1_1_data", assemble(src), mitigation)
     y_attack = LIM_SLOT - ARR_C   # 0x800: within c's power-of-two padding
     attack_regs = {10: y_attack, 11: ARR_C, 13: 0xFFFFFFFF,
                    22: SECRET_OFF, 14: ARR_B, 12: PROBE}
     benign_regs = {10: 8, 11: ARR_C, 13: 0, 22: 2, 14: ARR_B, 12: PROBE}
-    expected = ("attack_succeeds" if mitigation in ("none", "coarse_mask")
-                else "attack_fails")
-    name = "spectre_1_1_data" + ("" if mitigation == "none" else f"+{mitigation}")
     return Scenario(
         name=name, victim=p,
         attack_regs=attack_regs, benign_regs=benign_regs,
@@ -544,24 +585,14 @@ vcall:
 fn_ok:
     halt
 gadget:
-{_transmit("r12", SECRET_ADDR)}    halt
+{_TRANSMIT}    halt
 .data {hex(VARS)} rw 10 00 00 00 00 00 00 00
 """
-    p = assemble(src)
-    if mitigation == "fence":
-        p = transform_insert_fence(p, "vstore")
-    elif mitigation == "coarse_mask":
-        p = transform_coarse_mask(p, 10, 0x40000, "vstore")
-    elif mitigation == "exact_mask":
-        p = transform_exact_mask(p, 10, 2, "vstore")
-
+    p, name, expected = apply_mitigation("spectre_1_2", assemble(src), mitigation)
     y_attack = RO_TABLE - ARR_C
     attack_regs = {10: y_attack, 11: ARR_C, 13: p.labels["gadget"],
                    12: PROBE, 31: SP0}
     benign_regs = {10: 8, 11: ARR_C, 13: 0, 12: PROBE, 31: SP0}
-    expected = ("attack_succeeds" if mitigation in ("none", "coarse_mask")
-                else "attack_fails")
-    name = "spectre_1_2" + ("" if mitigation == "none" else f"+{mitigation}")
     return Scenario(
         name=name, victim=p,
         attack_regs=attack_regs, benign_regs=benign_regs,
@@ -603,21 +634,14 @@ gstore:
 nostore:
     ret
 gadget:
-{_transmit("r12", SECRET_ADDR)}    halt
+{_TRANSMIT}    halt
 .data {hex(VARS)} rw 10 00 00 00 00 00 00 00
 """
-    p = assemble(src)
-    if mitigation == "fence":
-        p = transform_insert_fence(p, "gload")
-    # coarse/exact masking target array indices; a raw pointer write has no
-    # index to truncate, so those cells stay unprotected by construction
-
+    p, name, expected = apply_mitigation("ghost", assemble(src), mitigation)
     ret_slot = SP0 - 8
     ghost_slot = ret_slot + 16
     attack_regs = {13: p.labels["gadget"], 12: PROBE, 31: SP0}
     benign_regs = {13: 0, 12: PROBE, 31: SP0}
-    expected = ("attack_fails" if mitigation == "fence" else "attack_succeeds")
-    name = "ghost" + ("" if mitigation == "none" else f"+{mitigation}")
     return Scenario(
         name=name, victim=p,
         attack_regs=attack_regs, benign_regs=benign_regs,
@@ -673,20 +697,10 @@ done:
     halt
 .data {hex(VARS)} rw 00 00 00 00 00 00 00 00
 """
-    p = assemble(src)
-    if mitigation == "fence":
-        p = transform_insert_fence(p, "hstore")
-    elif mitigation == "coarse_mask":
-        p = transform_coarse_mask(p, 6, 0x1000, "hclamp")
-    elif mitigation == "exact_mask":
-        p = transform_exact_mask(p, 6, 30, "hclamp")
-
+    p, name, expected = apply_mitigation("halo", assemble(src), mitigation)
     attack_regs = {16: HALO_IDX, 17: ARR_C, 18: HALO_PAYLOAD,
                    19: LIM_SLOT, 21: SECRET_OFF, 14: ARR_B, 12: PROBE,
                    30: 0x100}
-    expected = ("attack_succeeds" if mitigation in ("none", "coarse_mask")
-                else "attack_fails")
-    name = "halo" + ("" if mitigation == "none" else f"+{mitigation}")
     return Scenario(
         name=name, victim=p,
         attack_regs=attack_regs, benign_regs=dict(attack_regs),
@@ -746,23 +760,21 @@ bloop:
 loopx:
     halt
 """
-    p = assemble(src)
-    if mitigation == "fence":
-        p = transform_insert_fence(p, "bloop")
+    p, name, expected = apply_mitigation("benign_spill", assemble(src), mitigation)
     regs = {31: SP0}
-    name = "benign_spill" + ("" if mitigation == "none" else f"+{mitigation}")
     return Scenario(
         name=name, victim=p,
         attack_regs=dict(regs), benign_regs=dict(regs),
         regions=[(STACK, 0x1000, "rw")],
         probe=None, priming=0, attempts=1,
-        expected="attack_fails", is_attack=True,
+        expected=expected, is_attack=True,
     )
 
 
 BUILDERS = {
     "spectre_1_0": build_gadget_spectre_1_0,
     "spectre_1_1_control": build_gadget_spectre_1_1_control,
+    "spectre_1_1_rop": partial(build_gadget_spectre_1_1_control, rop=True),
     "spectre_1_1_data": build_gadget_spectre_1_1_data,
     "spectre_1_2": build_gadget_spectre_1_2,
     "ghost": build_gadget_ghost,
@@ -775,8 +787,6 @@ MATRIX_SCENARIOS = ("spectre_1_0", "spectre_1_1_data", "spectre_1_1_control",
 
 
 def build_scenario(name: str, mitigation: str = "none", **kw) -> Scenario:
-    if name == "spectre_1_1_rop":
-        return build_gadget_spectre_1_1_control(mitigation=mitigation, rop=True, **kw)
     if name not in BUILDERS:
         raise KeyError(f"unknown scenario {name!r}")
     if name == "benign_spill":

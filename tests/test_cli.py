@@ -42,6 +42,14 @@ def test_unknown_scenario_exits_2(capsys):
     assert code == 2 and "unknown scenario" in err
 
 
+def test_mitigation_without_site_exits_2(capsys):
+    code, out, err = run_cli(capsys, "run", "spectre_1_0",
+                             "--mitigation", "fence_gadget")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "fence_gadget" in err
+
+
 def test_missing_scenario_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "run", "--scenario-file", "missing.txt")
     assert code == 2

@@ -3,7 +3,8 @@ import pytest
 from specsim import SimConfig, assemble, run_reference
 from specsim.lsu import ForwardingPolicy
 from specsim.memory import MemorySystem
-from specsim.scenarios import (MATRIX_SCENARIOS, ProbeSpec, build_benign_spill,
+from specsim.scenarios import (ARR_B, BUILDERS, MATRIX_SCENARIOS, MITIGATION_SITES,
+                               MITIGATIONS, ProbeSpec, Scenario, build_benign_spill,
                                build_gadget_spectre_1_0,
                                build_gadget_spectre_1_1_control,
                                build_scenario, flush_probe, next_pow2,
@@ -48,6 +49,20 @@ def test_mitigation_matrix_matches_expected(name, mitigation):
     r = run_scenario(s, CFG)
     assert r.fault is None
     assert r.attack_success is want
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_mitigation_without_site_raises(name):
+    with pytest.raises(ValueError, match="no 'bogus' site"):
+        build_scenario(name, mitigation="bogus")
+    if MITIGATION_SITES[name].fence_gadget is None:
+        with pytest.raises(ValueError, match="no 'fence_gadget' site"):
+            build_scenario(name, mitigation="fence_gadget")
+
+
+def test_secret_inside_checked_region_raises():
+    with pytest.raises(ValueError, match="checked array region"):
+        Scenario(name="x", victim=assemble("halt\n"), secret_addr=ARR_B + 4)
 
 
 @pytest.mark.parametrize("policy", ["slothbear_stores", "slothbear_loads",
@@ -206,6 +221,39 @@ def test_fence_transform_preserves_semantics_and_adds_cycles():
     assert r2.cycles > r1.cycles
 
 
+def test_insertion_relocates_labels_and_targets():
+    p = assemble("""
+main:
+    movi r1, tail
+    movi r2, 6
+    addi r3, r3, 20
+    jmp site
+site:
+    call tail
+tail:
+    halt
+""")
+    # the label at the site names the fence; the call target and the movi of
+    # `tail` move past it; plain immediates, even one equal to an address, stay
+    want = assemble("""
+main:
+    movi r1, tail
+    movi r2, 6
+    addi r3, r3, 20
+    jmp site
+site:
+    fence
+    call tail
+tail:
+    halt
+""")
+    got = transform_insert_fence(p, "site")
+    assert got == want
+    assert got.labels == {"main": 0, "site": 16, "tail": 24}
+    assert got.instructions[0].operands[1].value == 24
+    assert got.instructions[2].operands[2].value == 20
+
+
 def test_transform_unknown_label():
     p = assemble("main:\n    halt\n")
     with pytest.raises(ValueError, match="unknown label"):
@@ -321,9 +369,11 @@ def test_scenario_file_errors(tmp_path):
 
 def test_bundled_victims_roundtrip_through_printer():
     from specsim import disassemble
-    names = list(MATRIX_SCENARIOS) + ["spectre_1_1_rop", "benign_spill"]
-    for name in names:
-        for mitigation in ("none", "fence"):
+    for name in BUILDERS:
+        mitigations = list(MITIGATIONS)
+        if MITIGATION_SITES[name].fence_gadget is not None:
+            mitigations.append("fence_gadget")
+        for mitigation in mitigations:
             p = build_scenario(name, mitigation=mitigation).victim
             assert assemble(disassemble(p)) == p, (name, mitigation)
 
