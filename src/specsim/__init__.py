@@ -2,6 +2,8 @@
 modeling speculative-store attacks via a cache side channel and the forwarding
 policies and program transforms that defend against them."""
 
+from __future__ import annotations
+
 from .config import SimConfig, RunReport, TraceEvent
 from .isa import assemble, decode, disassemble, AsmError, Program
 from .core import Core, run_program

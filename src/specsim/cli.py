@@ -4,11 +4,15 @@ matrix, or capture and pretty-print traces.
 Reports are line-delimited JSON with field names matching RunReport, so CI
 can assert on attack_success without parsing tables; `--table` adds a human
 layer. Exit codes: 0 run completed (attack outcome does not matter), 2
-unknown scenario, a mitigation the scenario has no site for, or an
-unreadable scenario file, 3 cycle-limit timeout, 4 unwritable output path.
+unknown scenario, a mitigation the scenario has no site for, an option the
+scenario does not take, an unreadable scenario file, an invalid config value,
+an unreadable or malformed SPECSIM_CONFIG file, or an unreadable or malformed
+trace file, 3 cycle-limit timeout, 4 unwritable output path.
 
 SPECSIM_CONFIG may name a key=value file applied before flags.
 """
+
+from __future__ import annotations
 
 import argparse
 import json
@@ -51,13 +55,19 @@ def _build_config(args) -> SimConfig:
     overrides = {}
     env_path = os.environ.get("SPECSIM_CONFIG")
     if env_path:
-        with open(env_path) as f:
-            overrides.update(parse_config_file(f.read()))
+        try:
+            with open(env_path) as f:
+                overrides.update(parse_config_file(f.read()))
+        except (OSError, ValueError) as e:
+            raise _CliError(2, f"SPECSIM_CONFIG {env_path}: {e}") from None
     for name in _CONFIG_FIELDS:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    return SimConfig(**overrides)
+    try:
+        return SimConfig(**overrides)
+    except ValueError as e:
+        raise _CliError(2, f"invalid config: {e}") from None
 
 
 def _resolve_scenario(args):
@@ -176,15 +186,21 @@ def cmd_print_trace(args) -> int:
     try:
         with open(args.path) as f:
             lines = f.readlines()
-    except OSError as e:
-        print(f"error: cannot read trace: {e}", file=sys.stderr)
-        return 2
-    for line in lines:
+    except (OSError, UnicodeDecodeError) as e:
+        raise _CliError(2, f"cannot read trace: {e}") from None
+    out = []
+    for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
-        ev = json.loads(line)
-        print(f"{ev['cycle']:>8}  {ev['kind']:<10} seq={ev['seq']:<6} "
-              f"pc={ev['pc']:#06x}  {ev['detail']}")
+        try:
+            ev = json.loads(line)
+            out.append(f"{ev['cycle']:>8}  {ev['kind']:<10} seq={ev['seq']:<6} "
+                       f"pc={ev['pc']:#06x}  {ev['detail']}")
+        except (ValueError, KeyError, TypeError) as e:
+            raise _CliError(2, f"trace line {lineno} is not a trace event: "
+                               f"{e!r}") from None
+    for text in out:
+        print(text)
     return 0
 
 

@@ -1,5 +1,7 @@
 """Simulator configuration, trace records, and run reports."""
 
+from __future__ import annotations
+
 import hashlib
 from dataclasses import dataclass, fields, asdict
 from typing import Optional
@@ -103,7 +105,7 @@ class RunReport:
 def parse_config_file(text: str) -> dict:
     """key=value lines -> override dict with typed values; '#' comments allowed."""
     out = {}
-    valid = {f.name: f.type for f in fields(SimConfig)}
+    valid = {f.name for f in fields(SimConfig)}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -8,9 +8,18 @@ resolving correctly erases its tag everywhere; a misprediction removes every
 younger entry, rewinds the rename map and store buffer, and resteers fetch.
 Colored entries never retire, so the architectural register file and committed
 memory only ever reflect the correct path.
+
+The loop is event-driven but cycle-exact. A cycle in which no stage changed
+any state is followed by identical idle cycles until the next event (an
+execution finishing, an MSHR fill, a senior store's write-back becoming due,
+or the cycle limit), so `run` and `_drain` jump straight to it. Blocked
+micro-ops wait on a count of producers not yet done, which each producer
+decrements when it completes, instead of polling their operands every cycle.
 """
 
-from dataclasses import dataclass
+from __future__ import annotations
+
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from .config import RunReport, SimConfig, TraceEvent
@@ -43,6 +52,8 @@ class ROBEntry:
     forwarded_from: Optional[int] = None
     fault: Optional[str] = None
     squashed: bool = False
+    pending: int = 0                    # source operands whose producer is not DONE
+    consumers: List[ROBEntry] = field(default_factory=list)
 
 
 class Core:
@@ -57,7 +68,11 @@ class Core:
         self.pred = pred
         self.policy = policy
         self.trace = trace
-        self.decoded = [decode(i) for i in program.instructions]
+        self.decoded = []                   # per instruction: (uops, needs_sb)
+        for instr in program.instructions:
+            uops = decode(instr)
+            self.decoded.append((uops, any(u.kind in (UopKind.STA, UopKind.CALL)
+                                           for u in uops)))
 
         self.rob: List[ROBEntry] = []
         self.by_seq: Dict[int, ROBEntry] = {}
@@ -77,6 +92,7 @@ class Core:
         self.retired_instructions = 0
         self.forward_log: List[tuple] = []   # (load_seq, load_pc, store_seq, value)
         self.squashed_store_seqs: Set[int] = set()
+        self.progress = False      # set by any stage that changes state this cycle
 
     # -- tracing ---------------------------------------------------------------
 
@@ -158,12 +174,15 @@ class Core:
     # -- memory micro-ops ----------------------------------------------------------
 
     def _attempt_load(self, entry: ROBEntry) -> None:
+        """Forward, access memory, or leave the load WAITING to retry next
+        cycle. A retry that stays WAITING changes no state."""
         uop = entry.uop
         decision = forward_decision(entry.seq, entry.addr, uop.size,
                                     entry.spec_colors, uop.parent_pc,
                                     uop.forwardable, self.sb, self.policy,
                                     self.cfg.tlb_enforcement)
         if decision.kind in ("forward", "forward_zero"):
+            self.progress = True
             entry.result = decision.value
             entry.forwarded_from = decision.store_seq
             entry.status = EXECUTING
@@ -175,6 +194,8 @@ class Core:
                      f"value={decision.value:#x} from_seq={decision.store_seq}")
         elif decision.kind == "memory":
             res = self.mem.access("load", entry.addr, self.cycle, entry.seq)
+            if res.status != "mshr_full":
+                self.progress = True
             if res.status == "hit":
                 entry.status = EXECUTING
                 entry.done_cycle = self.cycle + res.latency
@@ -195,6 +216,7 @@ class Core:
 
     def _stage_complete(self) -> None:
         for line in self.mem.tick(self.cycle):
+            self.progress = True
             self._ev("fill", -1, 0, f"line={line:#x}")
         for entry in list(self.rob):
             if entry.squashed or entry.status != EXECUTING:
@@ -205,6 +227,10 @@ class Core:
                 entry.result = self.mem.read_int(entry.addr, entry.uop.size)
                 entry.mem_pending = False
             entry.status = DONE
+            self.progress = True
+            for consumer in entry.consumers:
+                consumer.pending -= 1
+            entry.consumers.clear()
             self._ev("execute", entry.seq, entry.uop.parent_pc)
             if entry.uop.kind in (UopKind.BR_COND, UopKind.JR_INDIRECT):
                 self._resolve_branch(entry)
@@ -216,6 +242,7 @@ class Core:
             if entry.status != DONE or entry.spec_colors:
                 return
             uop = entry.uop
+            self.progress = True
             if entry.fault:
                 self.fault = entry.fault
                 self._ev("fault", entry.seq, uop.parent_pc, entry.fault)
@@ -261,15 +288,20 @@ class Core:
                 self.sb.drop(e)
             elif res.status == "miss":
                 e.writeback_ready_cycle = res.ready_cycle
-            # mshr_full: retry next cycle
+            else:
+                return                      # mshr_full: retry after a fill
         elif self.cycle >= e.writeback_ready_cycle:
             self.mem.write_int(e.addr, e.size, e.data)
             self.sb.drop(e)
+        else:
+            return
+        self.progress = True
 
     def _begin_execution(self, entry: ROBEntry, vals: List[int]) -> None:
         uop = entry.uop
         kind = uop.kind
         cycle = self.cycle
+        self.progress = True
         self._ev("issue", entry.seq, uop.parent_pc)
         if kind == UopKind.ALU:
             if len(vals) == 2:
@@ -334,10 +366,11 @@ class Core:
                         e.status == DONE for e in self.rob if e.seq < entry.seq):
                     entry.status = EXECUTING
                     entry.done_cycle = self.cycle + 1
+                    self.progress = True
                     self._ev("issue", entry.seq, uop.parent_pc)
                 return
             st = entry.status
-            if st >= EXECUTING:
+            if st >= EXECUTING or entry.pending:
                 continue
             if kind == UopKind.LDA:
                 if loads >= 2:
@@ -373,15 +406,15 @@ class Core:
             instr = self.program.instr_at(self.fetch_pc)
             if instr is None:
                 return                              # fetch stalled off the map
-            uops = self.decoded[self.fetch_pc >> 2]
+            uops, needs_sb = self.decoded[self.fetch_pc >> 2]
             if len(self.rob) + len(uops) > self.cfg.rob_capacity:
                 return
-            needs_sb = any(u.kind in (UopKind.STA, UopKind.CALL) for u in uops)
             if needs_sb and self.sb.full:
                 return                              # structural stall
             pc = self.fetch_pc
             instr_id = self.instr_counter
             self.instr_counter += 1
+            self.progress = True
             self._ev("fetch", -1, pc, instr.mnemonic)
             next_pc = pc + 4
             for uop in uops:
@@ -389,6 +422,12 @@ class Core:
                 self.seq_counter += 1
                 entry = ROBEntry(seq, instr_id, uop, set(self.live_tags),
                                  [self.rename.get(r) for r in uop.srcs])
+                for bind in entry.bindings:
+                    if bind is not None:
+                        producer = self.by_seq[bind]
+                        if producer.status != DONE:
+                            entry.pending += 1
+                            producer.consumers.append(entry)
                 if uop.kind == UopKind.STA:
                     self.sb.insert(StoreBufferEntry(
                         seq, instr_id, uop.size, forwardable=uop.forwardable,
@@ -427,7 +466,8 @@ class Core:
             self.fetch_pc = next_pc
 
     def step(self) -> None:
-        """Advance one cycle."""
+        """Advance one cycle; `progress` tells whether any state changed."""
+        self.progress = False
         self._stage_complete()
         self._stage_retire()
         if self.fault:
@@ -441,11 +481,14 @@ class Core:
 
     def run(self) -> RunReport:
         report = RunReport("", self.cfg.digest())
+        limit = self.start_cycle + self.cfg.cycle_limit
         while not self.halted and self.fault is None:
-            if self.cycle - self.start_cycle >= self.cfg.cycle_limit:
+            if self.cycle >= limit:
                 report.timed_out = True
                 break
             self.step()
+            if not self.progress:
+                self._skip_idle(limit)
         if self.fault is None and not report.timed_out:
             self._drain()
         report.cycles = self.cycle - self.start_cycle
@@ -456,15 +499,30 @@ class Core:
         report.fault = self.fault
         return report
 
+    def _skip_idle(self, limit: int) -> None:
+        """After a cycle that changed nothing, every cycle up to the next event
+        is the same idle cycle: jump to the earliest of an execution finishing,
+        an MSHR fill, the oldest senior store's write-back, and `limit`."""
+        events = [e.done_cycle for e in self.rob if e.status == EXECUTING]
+        events.append(limit)
+        fill = self.mem.next_fill_cycle()
+        if fill is not None:
+            events.append(fill)
+        wb = self.sb.oldest_drainable()
+        if wb is not None and wb.writeback_ready_cycle is not None:
+            events.append(wb.writeback_ready_cycle)
+        self.cycle = max(self.cycle, min(events))
+
     def _drain(self) -> None:
         """After halt, finish senior write-backs and let pending fills land.
         Fills are never cancelled, so a squashed miss still installs its line."""
-        guard = 0
-        while (self.sb.entries or self.mem.mshrs) and guard < 10_000_000:
-            self.mem.tick(self.cycle)
+        limit = self.cycle + 10_000_000
+        while (self.sb.entries or self.mem.mshrs) and self.cycle < limit:
+            self.progress = bool(self.mem.tick(self.cycle))
             self._stage_writeback()
             self.cycle += 1
-            guard += 1
+            if not self.progress:
+                self._skip_idle(limit)
 
 
 def run_program(program: Program, cfg: SimConfig,

@@ -23,6 +23,8 @@ Registers are r0..r31 (sp is an alias for r31). `call` pushes the return
 address at [sp-8] and decrements sp; `ret` loads it back and jumps.
 """
 
+from __future__ import annotations
+
 import re
 from dataclasses import dataclass, field
 from enum import Enum

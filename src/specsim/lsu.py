@@ -17,6 +17,8 @@ this implementation keeps the simpler load-pc variant, accepting data from
 any store.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
 

@@ -7,6 +7,8 @@ setup). Fills outstanding in an MSHR are never cancelled: a squashed load's
 line still installs, which is exactly the footprint the receiver measures.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 

@@ -7,6 +7,8 @@ yields None, which the front end treats as "no prediction" (fetch stalls until
 the indirect branch executes).
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass, field
 from typing import List, Optional
 

@@ -5,6 +5,8 @@ fault-free program the out-of-order core's committed state (registers plus
 memory) must match this interpreter exactly, under every forwarding policy.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 from typing import Dict, Optional
 

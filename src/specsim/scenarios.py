@@ -23,6 +23,8 @@ Memory layout used by the bundled scenarios (flat, byte-addressed):
     0x100000 rw   probe array: entries * amplification lines, `stride` apart
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Dict, List, Optional, Tuple
@@ -789,8 +791,6 @@ MATRIX_SCENARIOS = ("spectre_1_0", "spectre_1_1_data", "spectre_1_1_control",
 def build_scenario(name: str, mitigation: str = "none", **kw) -> Scenario:
     if name not in BUILDERS:
         raise KeyError(f"unknown scenario {name!r}")
-    if name == "benign_spill":
-        return BUILDERS[name](mitigation=mitigation)
     return BUILDERS[name](mitigation=mitigation, **kw)
 
 

@@ -176,3 +176,43 @@ def test_save_and_load_whitelist(capsys, tmp_path):
 def test_run_table_output(capsys):
     code, out, _ = run_cli(capsys, "run", "spectre_1_0", "--table")
     assert "attack_success" in out and "-" * 40 in out
+
+
+def test_invalid_config_value_exits_2(capsys):
+    code, out, err = run_cli(capsys, "run", "spectre_1_0", "--rob-capacity", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "rob_capacity" in err
+
+
+@pytest.mark.parametrize("text", [None, "rob_capacity\n", "mshr_count=x\n",
+                                  "no_such_knob=1\n", "dram_latency_cycles=2\n"])
+def test_bad_env_config_exits_2(capsys, monkeypatch, tmp_path, text):
+    cfgfile = tmp_path / "specsim.conf"
+    if text is not None:
+        cfgfile.write_text(text)
+    monkeypatch.setenv("SPECSIM_CONFIG", str(cfgfile))
+    code, out, err = run_cli(capsys, "run", "spectre_1_0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_print_trace_malformed_line_exits_2(capsys, tmp_path):
+    path = tmp_path / "t.jsonl"
+    good = json.dumps({"cycle": 0, "kind": "fetch", "seq": -1, "pc": 0,
+                       "detail": "movi"})
+    for bad in ("x", "[1]", '{"cycle": 0}'):
+        path.write_text(f"{good}\n\n{bad}\n")
+        code, out, err = run_cli(capsys, "print-trace", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "line 3" in err
+    path.write_bytes(b"\xff\xfe\n")
+    code, out, err = run_cli(capsys, "print-trace", str(path))
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_benign_spill_rejects_secret(capsys):
+    code, out, err = run_cli(capsys, "run", "benign_spill", "--secret", "5")
+    assert code == 2 and out == ""
+    assert "option not supported" in err

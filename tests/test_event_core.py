@@ -1,0 +1,160 @@
+"""The event-driven core against plain per-cycle stepping.
+
+`Core.run` jumps over idle cycles and wakes blocked micro-ops when their
+producers complete. The reference below does neither: it calls `Core.step`
+once per cycle with every wakeup count cleared, so issue re-polls the operands
+of every waiting micro-op, and it drains the store buffer one cycle at a time.
+Both must leave identical traces, reports, registers, committed memory, cache
+footprint and final cycle.
+"""
+
+import random
+
+import pytest
+
+from specsim import SimConfig, assemble, run_program
+from specsim.config import FORWARDING_POLICIES, RunReport
+from specsim.core import Core
+from specsim.lsu import ForwardingPolicy
+from specsim.memory import MemorySystem
+from specsim.predictors import PredictorState
+from specsim.scenarios import BUILDERS, build_scenario, run_scenario
+from randprog import random_program, STACK_TOP
+
+
+def run_per_cycle(core: Core) -> RunReport:
+    report = RunReport("", core.cfg.digest())
+    while not core.halted and core.fault is None:
+        if core.cycle - core.start_cycle >= core.cfg.cycle_limit:
+            report.timed_out = True
+            break
+        for e in core.rob:
+            e.pending = 0
+            e.consumers.clear()
+        core.step()
+    if core.fault is None and not report.timed_out:
+        guard = 0
+        while (core.sb.entries or core.mem.mshrs) and guard < 10_000_000:
+            core.mem.tick(core.cycle)
+            core._stage_writeback()
+            core.cycle += 1
+            guard += 1
+    report.cycles = core.cycle - core.start_cycle
+    report.retired_instructions = core.retired_instructions
+    report.squash_count = core.squash_count
+    report.forward_count = core.forward_count
+    report.mshr_peak = core.mem.mshr_peak
+    report.fault = core.fault
+    return report
+
+
+def both(monkeypatch, run):
+    """`run()` under the event-driven core, then under per-cycle stepping."""
+    fast = run()
+    with monkeypatch.context() as m:
+        m.setattr(Core, "run", run_per_cycle)
+        slow = run()
+    return fast, slow
+
+
+def snapshot_program(program, cfg, regs=None):
+    trace = []
+    r = run_program(program, cfg, regs=regs, trace=trace)
+    mem = r.core.mem
+    return (r.to_dict(), trace, r.core.arch_regs, r.core.cycle,
+            mem.committed_pages(), sorted(mem.lines.items()))
+
+
+def snapshot_scenario(scenario, cfg):
+    r = run_scenario(scenario, cfg, policy=ForwardingPolicy(cfg.forwarding_policy),
+                     collect_trace=True)
+    return (r.to_dict(), r.trace, r.last_core.arch_regs, r.last_core.cycle,
+            r.mem.committed_pages(), sorted(r.mem.lines.items()), r.security_log)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_scenarios_match_per_cycle_stepping(monkeypatch, name):
+    for policy in FORWARDING_POLICIES:
+        cfg = SimConfig(forwarding_policy=policy)
+        fast, slow = both(monkeypatch,
+                          lambda: snapshot_scenario(build_scenario(name), cfg))
+        assert fast == slow, (name, policy)
+
+
+CONFIGS = [
+    SimConfig(dram_latency_cycles=20, l1_latency_cycles=2),
+    SimConfig(dram_latency_cycles=30, l1_latency_cycles=2, rob_capacity=16,
+              issue_width=2, retire_width=1, sb_capacity=2, mshr_count=1),
+    SimConfig(tlb_enforcement="eager", mshr_count=2),
+]
+
+
+@pytest.mark.parametrize("block", range(3))
+def test_random_programs_match_per_cycle_stepping(monkeypatch, block):
+    for i in range(10):
+        seed = 7100 + block * 10 + i
+        program = assemble(random_program(random.Random(seed), 120))
+        for policy in FORWARDING_POLICIES:
+            cfg = CONFIGS[seed % len(CONFIGS)].replace(forwarding_policy=policy)
+            fast, slow = both(monkeypatch, lambda: snapshot_program(
+                program, cfg, regs={31: STACK_TOP}))
+            assert fast == slow, (seed, policy)
+
+
+def test_cycle_limit_inside_dram_stall(monkeypatch):
+    program = assemble("""
+main:
+    movi r1, 0x10000
+    ld.8 r2, [r1]
+    addi r3, r2, 1
+    halt
+.data 0x10000 rw 00
+""")
+    cfg = SimConfig(cycle_limit=100)
+    fast, slow = both(monkeypatch, lambda: snapshot_program(program, cfg))
+    assert fast == slow
+    report, trace = fast[0], fast[1]
+    assert report["timed_out"] and report["cycles"] == 100
+    assert "mshr_alloc" in {e.kind for e in trace}
+    assert "fill" not in {e.kind for e in trace}
+
+
+def test_store_miss_drains_after_halt(monkeypatch):
+    program = assemble("""
+main:
+    movi r1, 0x10000
+    movi r2, 7
+    st.8 r2, [r1]
+    halt
+.data 0x10000 rw 00
+""")
+    cfg = SimConfig()
+    fast, slow = both(monkeypatch, lambda: snapshot_program(program, cfg))
+    assert fast == slow
+    report, trace, pages = fast[0], fast[1], fast[4]
+    halt_retired = max(e.cycle for e in trace if e.kind == "retire")
+    assert report["cycles"] > halt_retired + cfg.dram_latency_cycles // 2
+    assert pages[0x10000][0] == 7
+
+
+def test_every_operand_poll_finds_operands_ready():
+    polls = []
+
+    class CountingCore(Core):
+        def _srcs_ready(self, entry):
+            vals = super()._srcs_ready(entry)
+            polls.append(vals is not None)
+            return vals
+
+    cfg = SimConfig(dram_latency_cycles=20, l1_latency_cycles=2)
+    for seed in range(7200, 7205):
+        program = assemble(random_program(random.Random(seed), 120))
+        mem = MemorySystem(cfg)
+        mem.load_program_data(program)
+        core = CountingCore(program, cfg, mem,
+                            PredictorState(cfg.bht_size, cfg.rsb_depth),
+                            ForwardingPolicy(cfg.forwarding_policy))
+        core.arch_regs[31] = STACK_TOP
+        assert not core.run().timed_out
+    assert polls and all(polls)
+
