@@ -5,9 +5,9 @@ Reports are line-delimited JSON with field names matching RunReport, so CI
 can assert on attack_success without parsing tables; `--table` adds a human
 layer. Exit codes: 0 run completed (attack outcome does not matter), 2
 unknown scenario, a mitigation the scenario has no site for, an option the
-scenario does not take, an unreadable scenario file, an invalid config value,
-an unreadable or malformed SPECSIM_CONFIG file, or an unreadable or malformed
-trace file, 3 cycle-limit timeout, 4 unwritable output path.
+scenario does not take, an unreadable or invalid scenario file, an invalid
+config value, or an unreadable or malformed SPECSIM_CONFIG, whitelist or trace
+file, 3 cycle-limit timeout, 4 unwritable output path.
 
 SPECSIM_CONFIG may name a key=value file applied before flags.
 """
@@ -80,14 +80,9 @@ def _resolve_scenario(args):
     name = args.scenario
     if name is None:
         raise _CliError(2, "give a scenario name or --scenario-file")
+    kw = {k: getattr(args, k) for k in ("secret", "amplification", "pad_uops")
+          if getattr(args, k) is not None}
     try:
-        kw = {}
-        if args.secret is not None:
-            kw["secret"] = args.secret
-        if getattr(args, "amplification", None):
-            kw["amplification"] = args.amplification
-        if getattr(args, "pad_uops", None):
-            kw["pad_uops"] = args.pad_uops
         return build_scenario(name, mitigation=args.mitigation, **kw)
     except KeyError:
         known = ", ".join(sorted(BUILDERS))
@@ -98,11 +93,20 @@ def _resolve_scenario(args):
         raise _CliError(2, str(e)) from None
 
 
-def _policy_for(cfg: SimConfig, args) -> ForwardingPolicy:
+def _run_resolved(args, collect_trace: bool = False):
+    """Build the config, the scenario and the forwarding policy the flags
+    name, run the scenario, and return the policy and the report."""
+    cfg = _build_config(args)
+    scenario = _resolve_scenario(args)
     whitelist = set()
-    if getattr(args, "arctic_whitelist", None):
-        whitelist = ForwardingPolicy.load_whitelist(args.arctic_whitelist)
-    return ForwardingPolicy(cfg.forwarding_policy, whitelist)
+    if args.arctic_whitelist:
+        try:
+            whitelist = ForwardingPolicy.load_whitelist(args.arctic_whitelist)
+        except (OSError, ValueError) as e:
+            raise _CliError(2, f"cannot load whitelist: {e}") from None
+    policy = ForwardingPolicy(cfg.forwarding_policy, whitelist)
+    return policy, run_scenario(scenario, cfg, policy=policy,
+                                collect_trace=collect_trace)
 
 
 def _report_lines(report, table: bool) -> str:
@@ -116,12 +120,12 @@ def _report_lines(report, table: bool) -> str:
 
 
 def cmd_run(args) -> int:
-    cfg = _build_config(args)
-    scenario = _resolve_scenario(args)
-    policy = _policy_for(cfg, args)
-    report = run_scenario(scenario, cfg, policy=policy)
+    policy, report = _run_resolved(args)
     if args.save_whitelist:
-        policy.save_whitelist(args.save_whitelist)
+        try:
+            policy.save_whitelist(args.save_whitelist)
+        except OSError as e:
+            raise _CliError(4, f"cannot write whitelist: {e}") from None
     print(_report_lines(report, args.table))
     return 3 if report.timed_out else 0
 
@@ -165,20 +169,16 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    cfg = _build_config(args)
-    scenario = _resolve_scenario(args)
-    policy = _policy_for(cfg, args)
-    report = run_scenario(scenario, cfg, policy=policy, collect_trace=True)
+    _, report = _run_resolved(args, collect_trace=True)
     try:
         with open(args.out, "w") as f:
-            for ev in report.trace or []:
+            for ev in report.trace:
                 f.write(json.dumps({"cycle": ev.cycle, "kind": ev.kind,
                                     "seq": ev.seq, "pc": ev.pc,
                                     "detail": ev.detail}) + "\n")
     except OSError as e:
-        print(f"error: cannot write trace: {e}", file=sys.stderr)
-        return 4
-    print(json.dumps(report.to_dict(), sort_keys=True))
+        raise _CliError(4, f"cannot write trace: {e}") from None
+    print(_report_lines(report, False))
     return 3 if report.timed_out else 0
 
 
@@ -211,20 +211,23 @@ def main(argv=None) -> int:
                     "mitigations, and forwarding policies")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one scenario and report")
-    p_run.add_argument("scenario", nargs="?")
-    p_run.add_argument("--scenario-file")
-    p_run.add_argument("--mitigation", default="none", choices=ALL_MITIGATIONS,
-                       help=_MITIGATION_HELP)
-    p_run.add_argument("--secret", type=lambda v: int(v, 0))
-    p_run.add_argument("--amplification", type=int,
-                       help="probe lines per secret value (spectre_1_0)")
-    p_run.add_argument("--pad-uops", type=int,
-                       help="filler micro-ops between check and payload (spectre_1_0)")
-    p_run.add_argument("--arctic-whitelist")
+    # the flags that choose and configure one scenario run: run and trace
+    one = argparse.ArgumentParser(add_help=False)
+    one.add_argument("scenario", nargs="?")
+    one.add_argument("--scenario-file")
+    one.add_argument("--mitigation", default="none", choices=ALL_MITIGATIONS,
+                     help=_MITIGATION_HELP)
+    one.add_argument("--secret", type=lambda v: int(v, 0))
+    one.add_argument("--amplification", type=int,
+                     help="probe lines per secret value (spectre_1_0)")
+    one.add_argument("--pad-uops", type=int,
+                     help="filler micro-ops between check and payload (spectre_1_0)")
+    one.add_argument("--arctic-whitelist")
+    _add_config_flags(one)
+
+    p_run = sub.add_parser("run", parents=[one], help="run one scenario and report")
     p_run.add_argument("--save-whitelist")
     p_run.add_argument("--table", action="store_true")
-    _add_config_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_mat = sub.add_parser("matrix", help="sweep scenarios x policies x mitigations")
@@ -235,15 +238,9 @@ def main(argv=None) -> int:
     _add_config_flags(p_mat)
     p_mat.set_defaults(func=cmd_matrix)
 
-    p_tr = sub.add_parser("trace", help="run a scenario and write its event trace")
-    p_tr.add_argument("scenario", nargs="?")
-    p_tr.add_argument("--scenario-file")
-    p_tr.add_argument("--mitigation", default="none", choices=ALL_MITIGATIONS,
-                      help=_MITIGATION_HELP)
-    p_tr.add_argument("--secret", type=lambda v: int(v, 0))
-    p_tr.add_argument("--arctic-whitelist")
+    p_tr = sub.add_parser("trace", parents=[one],
+                          help="run a scenario and write its event trace")
     p_tr.add_argument("--out", required=True)
-    _add_config_flags(p_tr)
     p_tr.set_defaults(func=cmd_trace)
 
     p_pt = sub.add_parser("print-trace", help="pretty-print a trace file")

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, asdict
-from typing import Optional
+from dataclasses import dataclass, field, fields, asdict
+from typing import TYPE_CHECKING, List, Optional, Set, Tuple
+
+if TYPE_CHECKING:
+    from .core import Core
 
 FORWARDING_POLICIES = (
     "baseline",
@@ -78,7 +81,11 @@ class TraceEvent:
 
 @dataclass
 class RunReport:
-    """Outcome of one simulated run (or one whole scenario)."""
+    """Outcome of one simulated run (or one whole scenario). `to_dict` emits
+    the outcome; the fields declared compare=False are what the run leaves to
+    inspect, set on every return path: the last run's `Core` (its `arch_regs`
+    and `mem` hold the committed state), the trace events when collected, and
+    per run the forwards and the squashed store seqs."""
 
     scenario: str
     config_digest: str
@@ -91,13 +98,17 @@ class RunReport:
     attack_success: Optional[bool] = None
     fault: Optional[str] = None
     timed_out: bool = False
+    core: Optional[Core] = field(default=None, repr=False, compare=False)
+    trace: Optional[List[TraceEvent]] = field(default=None, repr=False, compare=False)
+    security_log: List[Tuple[list, Set[int]]] = field(
+        default_factory=list, repr=False, compare=False)
 
     @property
     def ipc(self) -> float:
         return self.retired_instructions / self.cycles if self.cycles else 0.0
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
         d["ipc"] = round(self.ipc, 6)
         return d
 

@@ -545,5 +545,6 @@ def run_program(program: Program, cfg: SimConfig,
         for r, v in regs.items():
             core.arch_regs[r] = v & MASK64
     report = core.run()
-    report.core = core          # architectural state for callers that compare
+    report.core, report.trace = core, trace
+    report.security_log = [(core.forward_log, core.squashed_store_seqs)]
     return report

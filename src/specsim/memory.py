@@ -26,7 +26,7 @@ class MemFault(Exception):
 
 @dataclass
 class AccessResult:
-    status: str                 # "hit" | "miss" | "mshr_full" | "flushed"
+    status: str                 # "hit" | "miss" | "mshr_full"
     latency: int = 0
     ready_cycle: int = 0
     mshr_allocated: bool = False
@@ -147,11 +147,8 @@ class MemorySystem:
         s.remove(line_addr)
 
     def access(self, kind: str, addr: int, cycle: int, seq: int = -1) -> AccessResult:
-        """One cache access. kind in {load, store_writeback, probe_flush}."""
+        """One cache access. kind in {load, store_writeback}."""
         line_addr = addr & ~(LINE - 1)
-        if kind == "probe_flush":
-            self._evict(line_addr)
-            return AccessResult("flushed")
         if line_addr in self.lines:
             latency = 1 if kind == "store_writeback" else self.cfg.l1_latency_cycles
             return AccessResult("hit", latency=latency)
@@ -192,7 +189,7 @@ class MemorySystem:
         return self.read_int(addr, 1), latency
 
     def flush_line(self, addr: int) -> None:
-        self.access("probe_flush", addr, 0)
+        self._evict(addr & ~(LINE - 1))
 
     # -- state snapshot for architectural comparisons -------------------------
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .config import RunReport, SimConfig
 from .core import run_program
@@ -158,13 +158,15 @@ class Scenario:
     prime_branches: List[Tuple[int, str]] = field(default_factory=list)
     slow_lines: List[int] = field(default_factory=list)
     expected: str = "attack_succeeds"
-    is_attack: bool = True
 
     def __post_init__(self):
+        if self.expected not in ("attack_succeeds", "attack_fails"):
+            raise ValueError(f"expected must be attack_succeeds or attack_fails, "
+                             f"got {self.expected!r}")
         # the secret must sit outside every region the victim's checks declare
         # reachable (the arrays' checked lengths)
-        if self.is_attack and (self.secret_addr in range(ARR_B, ARR_B + 16)
-                               or self.secret_addr in range(ARR_C, ARR_C + 16)):
+        if (self.secret_addr in range(ARR_B, ARR_B + 16)
+                or self.secret_addr in range(ARR_C, ARR_C + 16)):
             raise ValueError(f"secret_addr {self.secret_addr:#x} lies inside a "
                              "checked array region")
 
@@ -212,20 +214,40 @@ def _setup_memory(s: Scenario, cfg: SimConfig) -> MemorySystem:
     return mem
 
 
+def _run_schedule(s: Scenario, mem: MemorySystem,
+                 run: Callable[[Dict[int, int], Optional[int]], bool]) -> bool:
+    """Every scenario's run schedule: `priming` runs on the benign inputs, the
+    attacker's memory writes, then `attempts` runs on the attack inputs.
+    `run(regs, attempt)` performs one run (attempt is None while priming) and
+    returns False to end the schedule early; so does this function then."""
+    if not all(run(s.benign_regs, None) for _ in range(s.priming)):
+        return False
+    for addr, size, value in s.attack_mem:
+        mem.write_int(addr, size, value)
+    return all(run(s.attack_regs, attempt) for attempt in range(s.attempts))
+
+
 def run_scenario(s: Scenario, cfg: SimConfig,
                  policy: Optional[ForwardingPolicy] = None,
                  collect_trace: bool = False) -> RunReport:
     """Prime, flush, attack (possibly repeatedly), then probe."""
-    report = RunReport(s.name, cfg.digest())
+    report = RunReport(s.name, cfg.digest(), trace=[] if collect_trace else None)
     mem = _setup_memory(s, cfg)
     pred = PredictorState(cfg.bht_size, cfg.rsb_depth)
     if policy is None:
         policy = ForwardingPolicy(cfg.forwarding_policy)
-    trace: Optional[list] = [] if collect_trace else None
 
-    security_log = []     # per run: (forwards, squashed store seqs)
-
-    def accumulate(r: RunReport) -> bool:
+    def run(regs: Dict[int, int], attempt: Optional[int]) -> bool:
+        if attempt is not None:
+            for pc, direction in s.prime_branches:
+                _saturate(pred, pc, direction)
+            if attempt == 0 and s.probe:
+                flush_probe(mem, s.probe)
+            for addr in s.slow_lines:
+                mem.flush_line(addr)
+        r = run_program(s.victim, cfg, mem=mem, pred=pred, policy=policy, regs=regs,
+                        trace=None if attempt is None else report.trace,
+                        start_cycle=report.cycles)
         report.cycles += r.cycles
         report.retired_instructions += r.retired_instructions
         report.squash_count += r.squash_count
@@ -233,39 +255,13 @@ def run_scenario(s: Scenario, cfg: SimConfig,
         report.mshr_peak = max(report.mshr_peak, r.mshr_peak)
         report.fault = r.fault
         report.timed_out = report.timed_out or r.timed_out
-        security_log.append((list(r.core.forward_log),
-                             set(r.core.squashed_store_seqs)))
+        report.core = r.core
+        report.security_log += r.security_log
         return r.fault is None and not r.timed_out
 
-    for _ in range(s.priming):
-        r = run_program(s.victim, cfg, mem=mem, pred=pred, policy=policy,
-                        regs=s.benign_regs, start_cycle=report.cycles)
-        if not accumulate(r):
-            return report
-        report.last_core = r.core
-
-    if s.is_attack:
-        for addr, size, value in s.attack_mem:
-            mem.write_int(addr, size, value)
-        for attempt in range(s.attempts):
-            for pc, direction in s.prime_branches:
-                _saturate(pred, pc, direction)
-            if attempt == 0 and s.probe:
-                flush_probe(mem, s.probe)
-            for addr in s.slow_lines:
-                mem.flush_line(addr)
-            r = run_program(s.victim, cfg, mem=mem, pred=pred, policy=policy,
-                            regs=s.attack_regs, trace=trace,
-                            start_cycle=report.cycles)
-            if not accumulate(r):
-                return report
-            report.last_core = r.core
-        if s.probe:
-            report.inferred_secret = probe_receive(mem, s.probe, cfg)
-            report.attack_success = report.inferred_secret == s.secret_value
-    report.trace = trace
-    report.mem = mem
-    report.security_log = security_log
+    if _run_schedule(s, mem, run) and s.probe:
+        report.inferred_secret = probe_receive(mem, s.probe, cfg)
+        report.attack_success = report.inferred_secret == s.secret_value
     return report
 
 
@@ -273,24 +269,17 @@ def no_attack_state(s: Scenario, cfg: SimConfig):
     """Architectural state of the in-order reference on the attack inputs:
     what the machine must commit when speculation leaves no trace."""
     mem = _setup_memory(s, cfg)
+    regs = [0] * 32
 
-    def run(regs):
-        ref = run_reference(s.victim, cfg, mem=mem, regs=regs)
+    def run(inputs: Dict[int, int], attempt: Optional[int]) -> bool:
+        ref = run_reference(s.victim, cfg, mem=mem, regs=inputs)
         if ref.fault is not None:
             raise RuntimeError(f"{s.name}: the in-order reference faulted: {ref.fault}")
-        return ref
+        regs[:] = ref.regs
+        return True
 
-    if not s.is_attack:
-        for _ in range(max(s.priming, 1)):
-            ref = run(s.benign_regs)
-        return arch_state(ref.regs, mem)
-    for _ in range(s.priming):
-        run(s.benign_regs)
-    for addr, size, value in s.attack_mem:
-        mem.write_int(addr, size, value)
-    for _ in range(s.attempts):
-        ref = run(s.attack_regs)
-    return arch_state(ref.regs, mem)
+    _run_schedule(s, mem, run)
+    return arch_state(regs, mem)
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +758,7 @@ loopx:
         attack_regs=dict(regs), benign_regs=dict(regs),
         regions=[(STACK, 0x1000, "rw")],
         probe=None, priming=0, attempts=1,
-        expected=expected, is_attack=True,
+        expected=expected,
     )
 
 
@@ -824,42 +813,46 @@ def scenario_from_file(path: str) -> Tuple[Scenario, dict]:
     def num(key, default):
         return int(opts[key], 0) if key in opts else default
 
+    def reg(name: str) -> int:
+        if name[:1] != "r" or not name[1:].isdigit() or int(name[1:]) >= 32:
+            raise ValueError(f"{path}: registers are r0 to r31, got {name!r}")
+        return int(name[1:])
+
     probe = None
     if "probe_base" in opts:
         probe = ProbeSpec(base=num("probe_base", PROBE),
                           stride=num("probe_stride", 512),
                           entries=num("probe_entries", 256),
                           amplification=num("amplification", 1))
-    attack_regs, benign_regs = {}, {}
-    attack_mem, benign_mem = [], []
+    regs = {"reg": {}, "benign_reg": {}}
+    mems = {"mem": [], "benign_mem": []}
     regions, slow, prime = [], [], []
     for k, v in opts.items():
-        if k.startswith("reg.r"):
-            attack_regs[int(k[5:])] = int(v, 0)
-        elif k.startswith("benign_reg.r"):
-            benign_regs[int(k[12:])] = int(v, 0)
-        elif k.startswith("mem."):
-            _, addr, size = k.split(".")
-            attack_mem.append((int(addr, 0), int(size), int(v, 0)))
-        elif k.startswith("benign_mem."):
-            _, addr, size = k.split(".")
-            benign_mem.append((int(addr, 0), int(size), int(v, 0)))
-        elif k.startswith("map."):
-            _, base, size = k.split(".")
+        kind, _, rest = k.partition(".")
+        if kind in regs:
+            regs[kind][reg(rest)] = int(v, 0)
+        elif kind in mems:
+            addr, size = rest.split(".")
+            mems[kind].append((int(addr, 0), int(size), int(v, 0)))
+        elif kind == "map":
+            if v not in ("rw", "ro"):
+                raise ValueError(f"{path}: {k}: permission must be rw or ro, got {v!r}")
+            base, size = rest.split(".")
             regions.append((int(base, 0), int(size, 0), v))
         elif k == "flush":
             slow = [int(a, 0) for a in v.split(",") if a]
-        elif k.startswith("prime."):
-            label = k[6:]
-            if label not in victim.labels:
-                raise ValueError(f"{path}: prime target {label!r} not in program")
-            prime.append((victim.labels[label],
-                          TAKEN if v == "taken" else NOT_TAKEN))
+        elif kind == "prime":
+            if rest not in victim.labels:
+                raise ValueError(f"{path}: prime target {rest!r} not in program")
+            if v not in (TAKEN, NOT_TAKEN):
+                raise ValueError(f"{path}: {k}: expected {TAKEN} or {NOT_TAKEN}, "
+                                 f"got {v!r}")
+            prime.append((victim.labels[rest], v))
     s = Scenario(
         name=opts.get("name", path),
         victim=victim,
-        attack_regs=attack_regs, benign_regs=benign_regs or dict(attack_regs),
-        attack_mem=attack_mem, benign_mem=benign_mem,
+        attack_regs=regs["reg"], benign_regs=regs["benign_reg"] or dict(regs["reg"]),
+        attack_mem=mems["mem"], benign_mem=mems["benign_mem"],
         regions=regions,
         secret_addr=num("secret_addr", SECRET_ADDR),
         secret_value=num("secret_value", 0x2A),

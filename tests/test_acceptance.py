@@ -114,7 +114,7 @@ def test_criterion_06_benign_performance_ordering():
         assert time.time() - t0 < 1.0
         assert r.fault is None
         cycles[policy] = r.cycles
-        state[policy] = arch_state(r.last_core.arch_regs, r.mem)
+        state[policy] = arch_state(r.core.arch_regs, r.core.mem)
     assert len(set(map(str, state.values()))) == 1
     assert (cycles["baseline"] <= cycles["arctic_sloth"]
             <= cycles["sloth_marked"]
@@ -136,7 +136,7 @@ def test_criterion_08_mshr_persistence_and_bound():
     s = build_gadget_spectre_1_0()
     r = run_scenario(s, CFG)
     # the secret line was touched only by squashed speculative loads
-    _, latency = r.mem.timed_read(s.secret_addr)
+    _, latency = r.core.mem.timed_read(s.secret_addr)
     assert latency == CFG.l1_latency_cycles
     peaks = [r.mshr_peak]
     for name in MATRIX_SCENARIOS:
@@ -189,15 +189,15 @@ def test_criterion_11_architectural_cleanliness():
         s = build_scenario(name)
         r = run_scenario(s, CFG)
         assert r.fault is None
-        assert arch_state(r.last_core.arch_regs, r.mem) == no_attack_state(s, CFG)
+        assert arch_state(r.core.arch_regs, r.core.mem) == no_attack_state(s, CFG)
         checked += 1
         # failed attacks under a blocking policy and under a fence
         cfg = CFG.replace(forwarding_policy="slothbear_stores")
         r2 = run_scenario(s, cfg)
-        assert arch_state(r2.last_core.arch_regs, r2.mem) == no_attack_state(s, cfg)
+        assert arch_state(r2.core.arch_regs, r2.core.mem) == no_attack_state(s, cfg)
         fenced = build_scenario(name, mitigation="fence")
         r3 = run_scenario(fenced, CFG)
         assert r3.attack_success is False
-        assert arch_state(r3.last_core.arch_regs, r3.mem) == no_attack_state(fenced, CFG)
+        assert arch_state(r3.core.arch_regs, r3.core.mem) == no_attack_state(fenced, CFG)
         checked += 2
     report(11, f"{checked} scenario runs committed exactly the in-order state")

@@ -216,3 +216,63 @@ def test_benign_spill_rejects_secret(capsys):
     code, out, err = run_cli(capsys, "run", "benign_spill", "--secret", "5")
     assert code == 2 and out == ""
     assert "option not supported" in err
+
+
+def test_trace_timeout_exits_3_and_writes_the_trace(capsys, tmp_path):
+    path = tmp_path / "t.jsonl"
+    code, out, err = run_cli(capsys, "trace", "benign_spill", "--cycle-limit", "50",
+                             "--out", str(path))
+    assert code == 3 and err == ""
+    assert json.loads(out.splitlines()[0])["timed_out"] is True
+    cycles = [json.loads(l)["cycle"] for l in path.read_text().splitlines()]
+    assert cycles and max(cycles) < 50
+    # spectre_1_0 times out in an untraced priming run
+    code, out, err = run_cli(capsys, "trace", "spectre_1_0", "--cycle-limit", "50",
+                             "--out", str(path))
+    assert code == 3 and err == "" and path.read_text() == ""
+
+
+def test_trace_takes_the_run_flags(capsys, tmp_path):
+    path = tmp_path / "t.jsonl"
+    code, out, _ = run_cli(capsys, "trace", "spectre_1_0", "--amplification", "4",
+                           "--pad-uops", "8", "--out", str(path))
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["attack_success"] is True
+    assert path.read_text()
+
+
+def test_missing_whitelist_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "run", "spectre_1_0", "--arctic-whitelist",
+                             str(tmp_path / "missing.txt"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_malformed_whitelist_exits_2(capsys, tmp_path):
+    wl = tmp_path / "wl.txt"
+    wl.write_text("0x1c\nzz\n")
+    code, out, err = run_cli(capsys, "run", "spectre_1_0", "--arctic-whitelist", str(wl))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unwritable_save_whitelist_exits_4(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "run", "benign_spill", "--save-whitelist",
+                             str(tmp_path / "no-such-dir" / "wl.txt"))
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line,want", [
+    ("reg.r31 = 1", 0), ("reg.r40 = 1", 2), ("reg.r-1 = 1", 2),
+    ("benign_reg.r32 = 1", 2), ("prime.main = takn", 2),
+    ("map.0x10000.0x1000 = xyz", 2), ("expected = leaks", 2)])
+def test_scenario_file_bad_value_exits_2(capsys, tmp_path, line, want):
+    asm = tmp_path / "victim.asm"
+    asm.write_text("main:\n    halt\n")
+    sf = tmp_path / "bad.scenario"
+    sf.write_text(f"program = {asm}\n{line}\n")
+    code, out, err = run_cli(capsys, "run", "--scenario-file", str(sf))
+    assert code == want
+    if want == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from specsim import (SimConfig, assemble, run_program, run_reference,
+from specsim import (RunReport, SimConfig, assemble, run_program, run_reference,
                      arch_state)
 from specsim.core import Core, DONE
 from specsim.lsu import ForwardingPolicy
@@ -223,6 +223,15 @@ def test_run_reports_are_deterministic():
                   "forward_count", "mshr_peak", "fault", "timed_out"):
         assert getattr(a, field) == getattr(b, field)
     assert a.core.arch_regs == b.core.arch_regs
+
+
+def test_report_dict_has_exactly_the_outcome_keys():
+    want = {"scenario", "config_digest", "cycles", "retired_instructions",
+            "squash_count", "forward_count", "mshr_peak", "inferred_secret",
+            "attack_success", "fault", "timed_out", "ipc"}
+    assert set(RunReport("s", "d").to_dict()) == want
+    r = run_program(assemble("main:\n    halt\n"), FAST, trace=[])
+    assert r.core is not None and set(r.to_dict()) == want
 
 
 def test_cycle_limit_timeout():

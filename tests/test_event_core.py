@@ -68,8 +68,9 @@ def snapshot_program(program, cfg, regs=None):
 def snapshot_scenario(scenario, cfg):
     r = run_scenario(scenario, cfg, policy=ForwardingPolicy(cfg.forwarding_policy),
                      collect_trace=True)
-    return (r.to_dict(), r.trace, r.last_core.arch_regs, r.last_core.cycle,
-            r.mem.committed_pages(), sorted(r.mem.lines.items()), r.security_log)
+    mem = r.core.mem
+    return (r.to_dict(), r.trace, r.core.arch_regs, r.core.cycle,
+            mem.committed_pages(), sorted(mem.lines.items()), r.security_log)
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))

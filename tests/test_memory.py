@@ -76,7 +76,7 @@ def test_flush_totality():
     res = mem.access("load", 0x10400, 0)
     mem.tick(res.ready_cycle)
     assert mem.timed_read(0x10400)[1] == cfg.l1_latency_cycles
-    mem.access("probe_flush", 0x10400, 0)
+    mem.flush_line(0x10400)
     assert mem.timed_read(0x10400)[1] == cfg.dram_latency_cycles
 
 

@@ -172,7 +172,7 @@ def test_architectural_cleanliness():
         s = build_scenario(name)
         r = run_scenario(s, cfg)
         assert r.fault is None
-        got = arch_state(r.last_core.arch_regs, r.mem)
+        got = arch_state(r.core.arch_regs, r.core.mem)
         assert got == no_attack_state(s, cfg), (name, policy)
 
 
@@ -216,8 +216,8 @@ def test_fence_transform_preserves_semantics_and_adds_cycles():
     fenced = build_benign_spill(mitigation="fence")
     r1 = run_scenario(plain, CFG)
     r2 = run_scenario(fenced, CFG)
-    assert arch_state(r1.last_core.arch_regs, r1.mem) == \
-        arch_state(r2.last_core.arch_regs, r2.mem)
+    assert arch_state(r1.core.arch_regs, r1.core.mem) == \
+        arch_state(r2.core.arch_regs, r2.core.mem)
     assert r2.cycles > r1.cycles
 
 
@@ -303,11 +303,22 @@ def test_probe_receive_amplified_coarse_timer():
     assert probe_receive(mem, spec, cfg) == 0x2A
 
 
-def test_probe_flush_clears_whole_region():
+def test_flush_probe_clears_whole_region():
     spec = ProbeSpec()
     mem = _mem_with_resident_entry(spec, 7, CFG)
     flush_probe(mem, spec)
     assert probe_receive(mem, spec, CFG) is None
+
+
+def test_report_state_is_set_when_priming_faults():
+    victim = assemble("main:\n    movi r1, 0x900000\n    ld.8 r2, [r1]\n    halt\n")
+    r = run_scenario(Scenario("faulty", victim, probe=ProbeSpec()), CFG,
+                     collect_trace=True)
+    assert r.fault and "unmapped_load" in r.fault
+    assert r.attack_success is None
+    assert r.core.fault == r.fault and r.core.mem.is_mapped(PROBE)
+    assert r.trace == []               # priming runs are not traced
+    assert len(r.security_log) == 1
 
 
 def test_no_signal_reported_as_failure():
