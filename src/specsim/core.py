@@ -15,11 +15,15 @@ execution finishing, an MSHR fill, a senior store's write-back becoming due,
 or the cycle limit), so `run` and `_drain` jump straight to it. Blocked
 micro-ops wait on a count of producers not yet done, which each producer
 decrements when it completes, instead of polling their operands every cycle.
+Issue walks only the entries that have not started executing (plus an undone
+fence), completion only the executing ones, and a program is decoded once,
+by the first core that runs it. With the trace off, no stage builds an event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Set
 
 from .config import RunReport, SimConfig, TraceEvent
@@ -32,8 +36,17 @@ from .predictors import (NOT_TAKEN, TAKEN, PredictorState, predict_branch,
 
 DISPATCHED, WAITING, EXECUTING, DONE = 0, 1, 2, 3
 
+# micro-op kinds as module globals: the stages test kinds on every micro-op,
+# and a global lookup costs a tenth of a lookup on the Enum class
+(ALU, CMP, BR_COND, JR_INDIRECT, LDA, STA, STD, FENCE, CSEL, CALL,
+ HALT) = (UopKind.ALU, UopKind.CMP, UopKind.BR_COND, UopKind.JR_INDIRECT,
+          UopKind.LDA, UopKind.STA, UopKind.STD, UopKind.FENCE, UopKind.CSEL,
+          UopKind.CALL, UopKind.HALT)
 
-@dataclass
+_seq = attrgetter("seq")
+
+
+@dataclass(slots=True)
 class ROBEntry:
     seq: int
     instr_id: int
@@ -68,13 +81,15 @@ class Core:
         self.pred = pred
         self.policy = policy
         self.trace = trace
-        self.decoded = []                   # per instruction: (uops, needs_sb)
-        for instr in program.instructions:
-            uops = decode(instr)
-            self.decoded.append((uops, any(u.kind in (UopKind.STA, UopKind.CALL)
-                                           for u in uops)))
+        if program.decoded is None:         # per instruction: (uops, needs_sb)
+            program.decoded = [
+                (uops, any(u.kind in (STA, CALL) for u in uops))
+                for uops in map(decode, program.instructions)]
 
         self.rob: List[ROBEntry] = []
+        # seq order: entries not yet executing, and a fence until it is done
+        self.unissued: List[ROBEntry] = []
+        self.executing: List[ROBEntry] = []  # status EXECUTING, in issue order
         self.by_seq: Dict[int, ROBEntry] = {}
         self.rename: Dict[int, int] = {}
         self.arch_regs: List[int] = [0] * NUM_REGS
@@ -97,6 +112,8 @@ class Core:
     # -- tracing ---------------------------------------------------------------
 
     def _ev(self, kind: str, seq: int, pc: int, detail: str = ""):
+        """Record one event; callers on hot paths test `self.trace` first so
+        that with the trace off they build neither the event nor its detail."""
         if self.trace is not None:
             self.trace.append(TraceEvent(self.cycle, kind, seq, pc, detail))
 
@@ -139,12 +156,14 @@ class Core:
         if not removed:
             return
         self.rob = [e for e in self.rob if e.seq <= seq]
+        self.unissued = [e for e in self.unissued if e.seq <= seq]
+        self.executing = [e for e in self.executing if e.seq <= seq]
         for e in removed:
             e.squashed = True
             del self.by_seq[e.seq]
             if e.tag is not None:
                 self.live_tags.discard(e.tag)
-            if e.uop.kind in (UopKind.STA, UopKind.CALL):
+            if e.uop.kind in (STA, CALL):
                 self.squashed_store_seqs.add(e.seq)
             self._ev("squash", e.seq, e.uop.parent_pc)
         self.sb.squash_younger(seq)
@@ -165,11 +184,13 @@ class Core:
         if entry.tag is not None:
             self.live_tags.discard(entry.tag)
         uop = entry.uop
-        if uop.kind == UopKind.BR_COND:
+        if uop.kind is BR_COND:
             self.fetch_pc = uop.imm if entry.actual == TAKEN else uop.parent_pc + 4
         else:  # JR_INDIRECT
             self.fetch_pc = entry.actual
-            self._ev("resteer", entry.seq, uop.parent_pc, f"target={entry.actual:#x}")
+            if self.trace is not None:
+                self._ev("resteer", entry.seq, uop.parent_pc,
+                         f"target={entry.actual:#x}")
 
     # -- memory micro-ops ----------------------------------------------------------
 
@@ -187,41 +208,47 @@ class Core:
             entry.forwarded_from = decision.store_seq
             entry.status = EXECUTING
             entry.done_cycle = self.cycle + 1
+            self.executing.append(entry)
             self.forward_count += 1
             self.forward_log.append((entry.seq, uop.parent_pc, decision.store_seq,
                                      decision.value))
-            self._ev("forward", entry.seq, uop.parent_pc,
-                     f"value={decision.value:#x} from_seq={decision.store_seq}")
+            if self.trace is not None:
+                self._ev("forward", entry.seq, uop.parent_pc,
+                         f"value={decision.value:#x} from_seq={decision.store_seq}")
         elif decision.kind == "memory":
             res = self.mem.access("load", entry.addr, self.cycle, entry.seq)
-            if res.status != "mshr_full":
-                self.progress = True
+            if res.status == "mshr_full":
+                entry.status = WAITING          # retry next cycle
+                return
+            self.progress = True
             if res.status == "hit":
-                entry.status = EXECUTING
                 entry.done_cycle = self.cycle + res.latency
-                entry.mem_pending = True
-            elif res.status == "miss":
-                if res.mshr_allocated:
+            else:  # miss
+                if res.mshr_allocated and self.trace is not None:
                     self._ev("mshr_alloc", entry.seq, uop.parent_pc,
                              f"line={entry.addr & ~63:#x}")
-                entry.status = EXECUTING
                 entry.done_cycle = res.ready_cycle
-                entry.mem_pending = True
-            else:  # mshr_full: retry next cycle
-                entry.status = WAITING
+            entry.status = EXECUTING
+            entry.mem_pending = True
+            self.executing.append(entry)
         else:
             entry.status = WAITING
 
     # -- one pipeline stage each ------------------------------------------------------
 
     def _stage_complete(self) -> None:
-        for line in self.mem.tick(self.cycle):
+        cycle = self.cycle
+        for line in self.mem.tick(cycle):
             self.progress = True
-            self._ev("fill", -1, 0, f"line={line:#x}")
-        for entry in list(self.rob):
-            if entry.squashed or entry.status != EXECUTING:
-                continue
-            if entry.done_cycle > self.cycle:
+            if self.trace is not None:
+                self._ev("fill", -1, 0, f"line={line:#x}")
+        due = [e for e in self.executing if e.done_cycle <= cycle]
+        if not due:
+            return
+        self.executing = [e for e in self.executing if e.done_cycle > cycle]
+        due.sort(key=_seq)
+        for entry in due:
+            if entry.squashed:              # by an older branch resolved above
                 continue
             if entry.mem_pending:
                 entry.result = self.mem.read_int(entry.addr, entry.uop.size)
@@ -231,9 +258,15 @@ class Core:
             for consumer in entry.consumers:
                 consumer.pending -= 1
             entry.consumers.clear()
-            self._ev("execute", entry.seq, entry.uop.parent_pc)
-            if entry.uop.kind in (UopKind.BR_COND, UopKind.JR_INDIRECT):
+            if self.trace is not None:
+                self._ev("execute", entry.seq, entry.uop.parent_pc)
+            kind = entry.uop.kind
+            if kind in (BR_COND, JR_INDIRECT):
                 self._resolve_branch(entry)
+            elif kind is FENCE:
+                # it issued when everything older was done, and nothing younger
+                # issues before it is done, so it heads the unissued list
+                del self.unissued[0]
 
     def _stage_retire(self) -> None:
         retired = 0
@@ -242,12 +275,13 @@ class Core:
             if entry.status != DONE or entry.spec_colors:
                 return
             uop = entry.uop
+            kind = uop.kind
             self.progress = True
             if entry.fault:
                 self.fault = entry.fault
                 self._ev("fault", entry.seq, uop.parent_pc, entry.fault)
                 return
-            if uop.kind in (UopKind.STA, UopKind.STD, UopKind.CALL):
+            if kind is STA or kind is STD or kind is CALL:
                 sbe = self.sb.by_slot(entry.instr_id)
                 if sbe.perm_checked == "write_fault":
                     self.fault = f"write_fault pc={uop.parent_pc:#x} addr={sbe.addr:#x}"
@@ -262,15 +296,16 @@ class Core:
                 self.arch_regs[uop.dst2] = entry.result2
                 if self.rename.get(uop.dst2) == entry.seq:
                     del self.rename[uop.dst2]
-            if uop.kind == UopKind.BR_COND and uop.cond != "always":
+            if kind is BR_COND and uop.cond != "always":
                 train_branch(self.pred, uop.parent_pc, entry.actual)
-            if uop.kind == UopKind.LDA and entry.forwarded_from is not None:
+            if kind is LDA and entry.forwarded_from is not None:
                 self.policy.learn(uop.parent_pc)
-            if uop.kind == UopKind.HALT:
+            if kind is HALT:
                 self.halted = True
             if uop.last:
                 self.retired_instructions += 1
-            self._ev("retire", entry.seq, uop.parent_pc)
+            if self.trace is not None:
+                self._ev("retire", entry.seq, uop.parent_pc)
             self.rob.pop(0)
             del self.by_seq[entry.seq]
             retired += 1
@@ -302,8 +337,9 @@ class Core:
         kind = uop.kind
         cycle = self.cycle
         self.progress = True
-        self._ev("issue", entry.seq, uop.parent_pc)
-        if kind == UopKind.ALU:
+        if self.trace is not None:
+            self._ev("issue", entry.seq, uop.parent_pc)
+        if kind is ALU:
             if len(vals) == 2:
                 entry.result = alu_eval(uop.mnemonic, vals[0], vals[1])
             elif len(vals) == 1:
@@ -311,19 +347,19 @@ class Core:
                 entry.result = alu_eval(uop.mnemonic, vals[0], b)
             else:
                 entry.result = uop.imm & MASK64 if uop.mnemonic == "movi" else 0
-        elif kind == UopKind.CMP:
+        elif kind is CMP:
             b = vals[1] if len(vals) == 2 else uop.imm & MASK64
             entry.result = flags_for(vals[0], b)
-        elif kind == UopKind.CSEL:
+        elif kind is CSEL:
             entry.result = vals[0] if cond_holds(uop.cond, vals[2]) else vals[1]
-        elif kind == UopKind.BR_COND:
+        elif kind is BR_COND:
             if uop.cond == "always":
                 entry.actual = TAKEN
             else:
                 entry.actual = TAKEN if cond_holds(uop.cond, vals[0]) else NOT_TAKEN
-        elif kind == UopKind.JR_INDIRECT:
+        elif kind is JR_INDIRECT:
             entry.actual = vals[0]
-        elif kind == UopKind.LDA:
+        elif kind is LDA:
             addr = (vals[0] + uop.imm) & MASK64
             entry.addr = addr
             if uop.dst2 is not None:                      # ret: bump sp
@@ -334,14 +370,14 @@ class Core:
             else:
                 self._attempt_load(entry)
                 return
-        elif kind == UopKind.STA:
+        elif kind is STA:
             addr = (vals[0] + uop.imm) & MASK64
             entry.addr = addr
             verdict = self.mem.tlb_check("write", addr)
             self.sb.resolve_addr(entry.instr_id, addr, verdict)
-        elif kind == UopKind.STD:
+        elif kind is STD:
             self.sb.resolve_data(entry.instr_id, vals[0])
-        elif kind == UopKind.CALL:
+        elif kind is CALL:
             sp_val = vals[0]
             entry.result = (sp_val - 8) & MASK64
             entry.addr = entry.result
@@ -351,34 +387,40 @@ class Core:
         # FENCE and HALT carry no operands and produce no result
         entry.status = EXECUTING
         entry.done_cycle = cycle + 1
+        self.executing.append(entry)
 
     def _stage_issue(self) -> None:
         issued = loads = stds = branches = 0
         width = self.cfg.issue_width
-        for entry in self.rob:
+        started = len(self.executing)
+        for entry in self.unissued:
             if issued >= width:
-                return
+                break
             uop = entry.uop
             kind = uop.kind
-            if kind == UopKind.FENCE and entry.status != DONE:
-                # serializes: nothing younger issues until the fence completes
-                if entry.status == DISPATCHED and all(
-                        e.status == DONE for e in self.rob if e.seq < entry.seq):
+            if kind is FENCE:
+                # serializes: nothing younger issues until the fence completes.
+                # Everything older is done when nothing older is unissued or
+                # executing.
+                if (entry.status == DISPATCHED and entry is self.unissued[0]
+                        and all(e.seq > entry.seq for e in self.executing)):
                     entry.status = EXECUTING
                     entry.done_cycle = self.cycle + 1
+                    self.executing.append(entry)
                     self.progress = True
-                    self._ev("issue", entry.seq, uop.parent_pc)
-                return
-            st = entry.status
-            if st >= EXECUTING or entry.pending:
+                    if self.trace is not None:
+                        self._ev("issue", entry.seq, uop.parent_pc)
+                break
+            if entry.pending:
                 continue
-            if kind == UopKind.LDA:
+            st = entry.status
+            if kind is LDA:
                 if loads >= 2:
                     continue
-            elif kind == UopKind.STD:
+            elif kind is STD:
                 if stds >= 1:
                     continue
-            elif kind in (UopKind.BR_COND, UopKind.JR_INDIRECT):
+            elif kind in (BR_COND, JR_INDIRECT):
                 if branches >= 2:
                     continue
             if st == WAITING:
@@ -389,33 +431,38 @@ class Core:
             vals = self._srcs_ready(entry)
             if vals is None:
                 continue
-            if kind == UopKind.LDA:
+            if kind is LDA:
                 loads += 1
-            elif kind == UopKind.STD:
+            elif kind is STD:
                 stds += 1
-            elif kind in (UopKind.BR_COND, UopKind.JR_INDIRECT):
+            elif kind in (BR_COND, JR_INDIRECT):
                 branches += 1
             issued += 1
             self._begin_execution(entry, vals)
+        if len(self.executing) != started:
+            self.unissued = [e for e in self.unissued
+                             if e.status < EXECUTING or e.uop.kind is FENCE]
 
     def _stage_fetch(self) -> None:
         dispatched = 0
+        decoded = self.program.decoded
         while dispatched < self.cfg.issue_width:
-            if self.fetch_pc is None:
+            pc = self.fetch_pc
+            if pc is None:
                 return
-            instr = self.program.instr_at(self.fetch_pc)
-            if instr is None:
+            idx = pc >> 2
+            if pc & 3 or idx < 0 or idx >= len(decoded):
                 return                              # fetch stalled off the map
-            uops, needs_sb = self.decoded[self.fetch_pc >> 2]
+            uops, needs_sb = decoded[idx]
             if len(self.rob) + len(uops) > self.cfg.rob_capacity:
                 return
             if needs_sb and self.sb.full:
                 return                              # structural stall
-            pc = self.fetch_pc
             instr_id = self.instr_counter
             self.instr_counter += 1
             self.progress = True
-            self._ev("fetch", -1, pc, instr.mnemonic)
+            if self.trace is not None:
+                self._ev("fetch", -1, pc, self.program.instructions[idx].mnemonic)
             next_pc = pc + 4
             for uop in uops:
                 seq = self.seq_counter
@@ -428,17 +475,18 @@ class Core:
                         if producer.status != DONE:
                             entry.pending += 1
                             producer.consumers.append(entry)
-                if uop.kind == UopKind.STA:
+                kind = uop.kind
+                if kind is STA:
                     self.sb.insert(StoreBufferEntry(
                         seq, instr_id, uop.size, forwardable=uop.forwardable,
                         spec_colors=set(entry.spec_colors)))
-                elif uop.kind == UopKind.CALL:
+                elif kind is CALL:
                     self.sb.insert(StoreBufferEntry(
                         seq, instr_id, uop.size,
                         spec_colors=set(entry.spec_colors), uop_count=1))
                     rsb_push(self.pred, pc + 4)
                     next_pc = uop.imm
-                elif uop.kind == UopKind.BR_COND:
+                elif kind is BR_COND:
                     if uop.cond == "always":
                         entry.predicted = TAKEN
                         next_pc = uop.imm
@@ -447,21 +495,23 @@ class Core:
                         entry.predicted = direction
                         entry.tag = seq
                         next_pc = uop.imm if direction == TAKEN else pc + 4
-                elif uop.kind == UopKind.JR_INDIRECT:
+                elif kind is JR_INDIRECT:
                     entry.predicted = rsb_pop(self.pred) if uop.is_return else None
                     entry.tag = seq
                     next_pc = entry.predicted       # None stalls fetch
-                elif uop.kind == UopKind.HALT:
+                elif kind is HALT:
                     next_pc = None
                 if uop.dst is not None:
                     self.rename[uop.dst] = seq
                 if uop.dst2 is not None:
                     self.rename[uop.dst2] = seq
                 self.rob.append(entry)
+                self.unissued.append(entry)
                 self.by_seq[seq] = entry
                 if entry.tag is not None:
                     self.live_tags.add(entry.tag)
-                self._ev("dispatch", seq, pc, uop.kind.value)
+                if self.trace is not None:
+                    self._ev("dispatch", seq, pc, kind.value)
                 dispatched += 1
             self.fetch_pc = next_pc
 
@@ -503,7 +553,7 @@ class Core:
         """After a cycle that changed nothing, every cycle up to the next event
         is the same idle cycle: jump to the earliest of an execution finishing,
         an MSHR fill, the oldest senior store's write-back, and `limit`."""
-        events = [e.done_cycle for e in self.rob if e.status == EXECUTING]
+        events = [e.done_cycle for e in self.executing]
         events.append(limit)
         fill = self.mem.next_fill_cycle()
         if fill is not None:

@@ -109,7 +109,10 @@ class UopKind(Enum):
     HALT = "halt"
 
 
-@dataclass(frozen=True)
+NO_ANNOTATIONS = frozenset()      # shared by every unmarked instruction
+
+
+@dataclass(frozen=True, slots=True)
 class Reg:
     n: int
 
@@ -117,7 +120,7 @@ class Reg:
         return "sp" if self.n == SP else f"r{self.n}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Imm:
     value: int
 
@@ -125,7 +128,7 @@ class Imm:
         return hex(self.value) if abs(self.value) >= 16 else str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mem:
     base: int
     offset: int
@@ -138,19 +141,19 @@ class Mem:
         return f"[{reg}{sign}{abs(self.offset)}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instruction:
     pc: int
     mnemonic: str
     operands: Tuple = ()
-    annotations: frozenset = frozenset()
+    annotations: frozenset = NO_ANNOTATIONS
 
     @property
     def forwardable(self) -> bool:
         return "forwardable" in self.annotations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MicroOp:
     kind: UopKind
     parent_pc: int
@@ -178,6 +181,10 @@ class Program:
     instructions: List[Instruction] = field(default_factory=list)
     labels: Dict[str, int] = field(default_factory=dict)
     data: List[DataSegment] = field(default_factory=list)
+    # per instruction (micro-ops, needs a store-buffer slot), filled by the
+    # first Core to run it; not compared, printed or kept by `replace`
+    decoded: Optional[List[Tuple[List[MicroOp], bool]]] = field(
+        default=None, init=False, compare=False, repr=False)
 
     def instr_at(self, pc: int) -> Optional[Instruction]:
         idx = pc >> 2
@@ -328,7 +335,7 @@ def assemble(source: str) -> Program:
 
         parts = text.split(None, 1)
         mnem = parts[0]
-        annotations = frozenset()
+        annotations = NO_ANNOTATIONS
         if mnem.endswith("!"):
             base = mnem[:-1]
             if not (base.startswith("ld.") or base.startswith("st.")):

@@ -787,6 +787,12 @@ def build_scenario(name: str, mitigation: str = "none", **kw) -> Scenario:
 # declarative scenario files
 # ---------------------------------------------------------------------------
 
+_FILE_KEYS = {"name", "program", "secret_addr", "secret_value", "priming",
+              "attempts", "expected", "probe_base", "probe_stride",
+              "probe_entries", "amplification", "flush"}
+_FILE_PREFIXES = {"reg", "benign_reg", "mem", "benign_mem", "map", "prime"}
+
+
 def scenario_from_file(path: str) -> Tuple[Scenario, dict]:
     """Load a custom scenario from key=value text. Recognized keys:
 
@@ -794,6 +800,8 @@ def scenario_from_file(path: str) -> Tuple[Scenario, dict]:
     attempts, expected, probe_base, probe_stride, probe_entries,
     amplification, reg.rN / benign_reg.rN, mem.ADDR.SIZE / benign_mem...,
     map.BASE.SIZE=perm, flush=addr[,addr...], prime.LABEL=taken|not_taken
+
+    Any other key raises ValueError.
     """
     opts: Dict[str, str] = {}
     with open(path) as f:
@@ -804,7 +812,11 @@ def scenario_from_file(path: str) -> Tuple[Scenario, dict]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             k, _, v = line.partition("=")
-            opts[k.strip()] = v.strip()
+            k = k.strip()
+            kind, dot, _ = k.partition(".")
+            if k not in _FILE_KEYS and not (dot and kind in _FILE_PREFIXES):
+                raise ValueError(f"{path}:{lineno}: unknown key {k!r}")
+            opts[k] = v.strip()
     if "program" not in opts:
         raise ValueError(f"{path}: missing program=")
     with open(opts["program"]) as f:

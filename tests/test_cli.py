@@ -266,7 +266,8 @@ def test_unwritable_save_whitelist_exits_4(capsys, tmp_path):
 @pytest.mark.parametrize("line,want", [
     ("reg.r31 = 1", 0), ("reg.r40 = 1", 2), ("reg.r-1 = 1", 2),
     ("benign_reg.r32 = 1", 2), ("prime.main = takn", 2),
-    ("map.0x10000.0x1000 = xyz", 2), ("expected = leaks", 2)])
+    ("map.0x10000.0x1000 = xyz", 2), ("expected = leaks", 2),
+    ("atempts = 5", 2)])
 def test_scenario_file_bad_value_exits_2(capsys, tmp_path, line, want):
     asm = tmp_path / "victim.asm"
     asm.write_text("main:\n    halt\n")

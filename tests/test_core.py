@@ -1,13 +1,16 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from specsim import (RunReport, SimConfig, assemble, run_program, run_reference,
                      arch_state)
+from specsim.config import FORWARDING_POLICIES, TRACE_KINDS
 from specsim.core import Core, DONE
 from specsim.lsu import ForwardingPolicy
 from specsim.memory import MemorySystem
 from specsim.predictors import PredictorState
+from specsim.scenarios import BUILDERS, build_scenario, run_scenario
 from randprog import random_program, STACK_TOP
 
 FAST = SimConfig(dram_latency_cycles=20, l1_latency_cycles=2)
@@ -320,3 +323,65 @@ def test_sb_capacity_stalls_dispatch_not_correctness():
     assert r.fault is None
     for i in range(12):
         assert r.core.mem.read_int(0x10000 + 8 * i, 8) == 5
+
+
+# -- decode once per Program --------------------------------------------------
+
+def test_program_is_decoded_once_across_policies(monkeypatch):
+    import specsim.core as core_mod
+    decoded = []
+    real = core_mod.decode
+    monkeypatch.setattr(core_mod, "decode",
+                        lambda instr: decoded.append(instr) or real(instr))
+    program = assemble(random_program(random.Random(7300), 80))
+    for policy in FORWARDING_POLICIES:
+        r = run_program(program, FAST.replace(forwarding_policy=policy),
+                        regs={31: STACK_TOP})
+        assert r.fault is None and not r.timed_out
+    assert decoded == program.instructions
+
+
+def test_decode_memo_is_invisible_to_equality_and_replace():
+    src = random_program(random.Random(7301), 40)
+    ran, fresh = assemble(src), assemble(src)
+    run_program(ran, FAST, regs={31: STACK_TOP})
+    assert ran.decoded is not None and fresh.decoded is None
+    assert ran == fresh and repr(ran) == repr(fresh)
+    shorter = replace(ran, instructions=ran.instructions[:-1])
+    assert shorter.decoded is None
+    assert replace(ran).decoded is None
+
+
+# -- tracing ----------------------------------------------------------------------
+
+def test_tracing_off_builds_no_events(monkeypatch):
+    import specsim.core as core_mod
+
+    def outcomes():
+        reports = [run_scenario(build_scenario(name), SimConfig()).to_dict()
+                   for name in sorted(BUILDERS)]
+        program = assemble(random_program(random.Random(7302), 120))
+        reports.append(run_program(program, FAST, regs={31: STACK_TOP}).to_dict())
+        return reports
+
+    before = outcomes()
+
+    def no_events(*args):
+        raise AssertionError("trace event built with tracing off")
+    monkeypatch.setattr(core_mod, "TraceEvent", no_events)
+    assert outcomes() == before
+
+
+def test_trace_kinds_are_exactly_the_kinds_emitted():
+    kinds = set()
+    for name in sorted(BUILDERS):
+        for policy in FORWARDING_POLICIES:
+            r = run_scenario(build_scenario(name),
+                             SimConfig(forwarding_policy=policy),
+                             policy=ForwardingPolicy(policy), collect_trace=True)
+            kinds.update(e.kind for e in r.trace)
+    _, r, trace = run_traced("main:\n    movi r1, 0x999000\n    ld.8 r2, [r1]\n"
+                             "    halt\n")
+    assert r.fault is not None
+    kinds.update(e.kind for e in trace)
+    assert kinds == set(TRACE_KINDS)

@@ -5,7 +5,8 @@ producers complete. The reference below does neither: it calls `Core.step`
 once per cycle with every wakeup count cleared, so issue re-polls the operands
 of every waiting micro-op, and it drains the store buffer one cycle at a time.
 Both must leave identical traces, reports, registers, committed memory, cache
-footprint and final cycle.
+footprint and final cycle. After every step the reference also checks the
+core's issue and completion lists against a full scan of the ROB.
 """
 
 import random
@@ -14,12 +15,26 @@ import pytest
 
 from specsim import SimConfig, assemble, run_program
 from specsim.config import FORWARDING_POLICIES, RunReport
-from specsim.core import Core
+from specsim.core import DONE, EXECUTING, Core
+from specsim.isa import UopKind
 from specsim.lsu import ForwardingPolicy
 from specsim.memory import MemorySystem
 from specsim.predictors import PredictorState
 from specsim.scenarios import BUILDERS, build_scenario, run_scenario
 from randprog import random_program, STACK_TOP
+
+
+def assert_lists_match_rob(core: Core) -> None:
+    """`unissued` is every entry not yet executing plus an undone fence, in
+    seq order; `executing` is every EXECUTING entry. Both hold the ROB's own
+    objects, each once."""
+    unissued = [e for e in core.rob if e.status < EXECUTING
+                or (e.uop.kind is UopKind.FENCE and e.status != DONE)]
+    assert [e.seq for e in core.unissued] == [e.seq for e in unissued]
+    assert all(a is b for a, b in zip(core.unissued, unissued))
+    executing = [e for e in core.rob if e.status == EXECUTING]
+    assert sorted(e.seq for e in core.executing) == [e.seq for e in executing]
+    assert all(core.by_seq.get(e.seq) is e for e in core.executing)
 
 
 def run_per_cycle(core: Core) -> RunReport:
@@ -32,6 +47,7 @@ def run_per_cycle(core: Core) -> RunReport:
             e.pending = 0
             e.consumers.clear()
         core.step()
+        assert_lists_match_rob(core)
     if core.fault is None and not report.timed_out:
         guard = 0
         while (core.sb.entries or core.mem.mshrs) and guard < 10_000_000:

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
-from specsim.isa import (AsmError, Instruction, Mem, Reg, UopKind, assemble,
-                         decode, disassemble, REG_RETTMP, SP)
+from specsim.isa import (AsmError, Imm, Instruction, Mem, MicroOp, NO_ANNOTATIONS,
+                         Reg, UopKind, assemble, decode, disassemble, REG_RETTMP,
+                         SP)
 from randprog import random_program
 
 
@@ -105,6 +107,30 @@ def test_fence_has_no_register_operands():
 def test_decode_is_pure():
     ins = Instruction(0, "st.8", (Reg(3), Mem(1, 0)))
     assert decode(ins) == decode(ins)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Reg(3), lambda: Imm(-5), lambda: Mem(1, 8),
+    lambda: Instruction(4, "st.8", (Reg(3), Mem(1, 0))),
+    lambda: MicroOp(UopKind.STA, 4, "st.8", srcs=(1,), size=8)])
+def test_isa_values_are_frozen_slotted_and_equal_by_value(make):
+    a, b = make(), make()
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert not hasattr(a, "__dict__")
+    field = dataclasses.fields(a)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(a, field, 0)
+
+
+def test_unmarked_instructions_share_one_empty_annotation_set():
+    p = assemble("    ld.8 r2, [r1]\n    ld.8! r3, [r1]\n    st.8 r2, [r1]\n"
+                 "    halt\n")
+    plain, marked = p.instructions[0], p.instructions[1]
+    assert all(i.annotations is NO_ANNOTATIONS
+               for i in p.instructions if i is not marked)
+    assert Instruction(0, "nop").annotations is NO_ANNOTATIONS
+    assert marked.annotations == frozenset({"forwardable"})
+    assert marked.forwardable and not plain.forwardable
 
 
 def test_uops_per_instruction_between_1_and_2():

@@ -378,6 +378,16 @@ def test_scenario_file_errors(tmp_path):
         scenario_from_file(str(bad))
 
 
+@pytest.mark.parametrize("key", ["atempts", "reg", "flush.0x10000", "probe.base"])
+def test_scenario_file_rejects_unknown_keys(tmp_path, key):
+    asm = tmp_path / "victim.asm"
+    asm.write_text("main:\n    halt\n")
+    bad = tmp_path / "bad.scenario"
+    bad.write_text(f"program = {asm}\n{key} = 5\n")
+    with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+        scenario_from_file(str(bad))
+
+
 def test_bundled_victims_roundtrip_through_printer():
     from specsim import disassemble
     for name in BUILDERS:
