@@ -2,12 +2,14 @@
 a reorder buffer, superscalar issue, branch resolution with squash, in-order
 retirement, and senior-store write-back.
 
-Speculation is tracked by coloring: every micro-op carries the set of branch
-tags (sequence numbers of unresolved branches) it was fetched under. A branch
-resolving correctly erases its tag everywhere; a misprediction removes every
-younger entry, rewinds the rename map and store buffer, and resteers fetch.
-Colored entries never retire, so the architectural register file and committed
-memory only ever reflect the correct path.
+Speculation follows from sequence order: `live_tags` holds the sequence
+numbers of unresolved branches, oldest first, and a micro-op is speculative
+exactly when the oldest live tag is older than it. A branch resolving
+correctly drops its tag; a misprediction removes every younger entry, rewinds
+the rename map and store buffer, and resteers fetch. No live tag is ever older
+than the ROB head, so retirement needs no speculation test, and the
+architectural register file and committed memory only ever reflect the
+correct path.
 
 The loop is event-driven but cycle-exact. A cycle in which no stage changed
 any state is followed by identical idle cycles until the next event (an
@@ -18,11 +20,17 @@ decrements when it completes, instead of polling their operands every cycle.
 Issue walks only the entries that have not started executing (plus an undone
 fence), completion only the executing ones, and a program is decoded once,
 by the first core that runs it. With the trace off, no stage builds an event.
+
+A ROB entry holds its operands' producers and a store's store-buffer entry by
+reference. The producer links are dropped when the operands are read at issue
+and on a squash, so no chain of retired entries stays alive and no reference
+cycle is left for the garbage collector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, List, Optional, Set
 
@@ -49,10 +57,11 @@ _seq = attrgetter("seq")
 @dataclass(slots=True)
 class ROBEntry:
     seq: int
-    instr_id: int
     uop: MicroOp
-    spec_colors: Set[int]
-    bindings: List[Optional[int]]
+    # per source operand, the entry that writes it, or None for the register
+    # file; None as a whole when no source was renamed or once read at issue
+    producers: Optional[List[Optional[ROBEntry]]] = None
+    sbe: Optional[StoreBufferEntry] = None     # STA, STD and CALL only
     status: int = DISPATCHED
     done_cycle: int = 0
     result: Optional[int] = None
@@ -61,12 +70,11 @@ class ROBEntry:
     mem_pending: bool = False          # result read from memory at completion
     predicted: Optional[object] = None  # direction for BR_COND, target for JR
     actual: Optional[object] = None
-    tag: Optional[int] = None
     forwarded_from: Optional[int] = None
     fault: Optional[str] = None
     squashed: bool = False
     pending: int = 0                    # source operands whose producer is not DONE
-    consumers: List[ROBEntry] = field(default_factory=list)
+    consumers: Optional[List[ROBEntry]] = None   # woken when this entry is DONE
 
 
 class Core:
@@ -90,10 +98,9 @@ class Core:
         # seq order: entries not yet executing, and a fence until it is done
         self.unissued: List[ROBEntry] = []
         self.executing: List[ROBEntry] = []  # status EXECUTING, in issue order
-        self.by_seq: Dict[int, ROBEntry] = {}
-        self.rename: Dict[int, int] = {}
+        self.rename: Dict[int, ROBEntry] = {}
         self.arch_regs: List[int] = [0] * NUM_REGS
-        self.live_tags: Set[int] = set()
+        self.live_tags: List[int] = []       # unresolved branch seqs, oldest first
         self.sb = StoreBuffer(cfg.sb_capacity)
         self.fetch_pc: Optional[int] = 0
         self.start_cycle = start_cycle
@@ -101,7 +108,6 @@ class Core:
         self.halted = False
         self.fault: Optional[str] = None
         self.seq_counter = 0
-        self.instr_counter = 0
         self.squash_count = 0
         self.forward_count = 0
         self.retired_instructions = 0
@@ -119,71 +125,61 @@ class Core:
 
     # -- operand handling --------------------------------------------------------
 
-    def _src_value(self, entry: ROBEntry, i: int) -> Optional[int]:
-        reg = entry.uop.srcs[i]
-        bind = entry.bindings[i]
-        if bind is None:
-            return self.arch_regs[reg]
-        producer = self.by_seq.get(bind)
-        if producer is None:
-            return self.arch_regs[reg]          # producer already retired
-        if producer.status != DONE:
-            return None
-        if producer.uop.dst == reg:
-            return producer.result
-        return producer.result2
-
     def _srcs_ready(self, entry: ROBEntry) -> Optional[List[int]]:
+        """The source values, or None while a producer is not done. A retired
+        producer's result is the value it wrote to the register file."""
+        producers = entry.producers
+        if producers is None:
+            return list(map(self.arch_regs.__getitem__, entry.uop.srcs))
         vals = []
-        for i in range(len(entry.uop.srcs)):
-            v = self._src_value(entry, i)
-            if v is None:
+        for reg, producer in zip(entry.uop.srcs, producers):
+            if producer is None:
+                vals.append(self.arch_regs[reg])
+            elif producer.status != DONE:
                 return None
-            vals.append(v)
+            elif producer.uop.dst == reg:
+                vals.append(producer.result)
+            else:
+                vals.append(producer.result2)
+        entry.producers = None
         return vals
 
     # -- speculation bookkeeping ---------------------------------------------------
 
-    def _clear_tag(self, tag: int) -> None:
-        self.live_tags.discard(tag)
-        for e in self.rob:
-            e.spec_colors.discard(tag)
-        for s in self.sb.entries:
-            s.spec_colors.discard(tag)
-
     def _squash_younger(self, seq: int) -> None:
-        removed = [e for e in self.rob if e.seq > seq]
-        if not removed:
+        rob = self.rob
+        cut = bisect_right(rob, seq, key=_seq)
+        if cut == len(rob):
             return
-        self.rob = [e for e in self.rob if e.seq <= seq]
+        removed = rob[cut:]
+        del rob[cut:]
         self.unissued = [e for e in self.unissued if e.seq <= seq]
         self.executing = [e for e in self.executing if e.seq <= seq]
+        live_tags = self.live_tags
+        while live_tags and live_tags[-1] > seq:
+            live_tags.pop()
         for e in removed:
             e.squashed = True
-            del self.by_seq[e.seq]
-            if e.tag is not None:
-                self.live_tags.discard(e.tag)
+            e.producers = e.consumers = None
             if e.uop.kind in (STA, CALL):
                 self.squashed_store_seqs.add(e.seq)
             self._ev("squash", e.seq, e.uop.parent_pc)
         self.sb.squash_younger(seq)
-        self.rename = {}
-        for e in self.rob:
+        rename = self.rename = {}
+        for e in rob:
             if e.uop.dst is not None:
-                self.rename[e.uop.dst] = e.seq
+                rename[e.uop.dst] = e
             if e.uop.dst2 is not None:
-                self.rename[e.uop.dst2] = e.seq
+                rename[e.uop.dst2] = e
 
     def _resolve_branch(self, entry: ROBEntry) -> None:
+        uop = entry.uop
+        if uop.cond != "always":            # a predicted branch: its seq is live
+            self.live_tags.remove(entry.seq)
         if entry.predicted == entry.actual:
-            if entry.tag is not None:
-                self._clear_tag(entry.tag)
             return
         self.squash_count += 1
         self._squash_younger(entry.seq)
-        if entry.tag is not None:
-            self.live_tags.discard(entry.tag)
-        uop = entry.uop
         if uop.kind is BR_COND:
             self.fetch_pc = uop.imm if entry.actual == TAKEN else uop.parent_pc + 4
         else:  # JR_INDIRECT
@@ -198,11 +194,13 @@ class Core:
         """Forward, access memory, or leave the load WAITING to retry next
         cycle. A retry that stays WAITING changes no state."""
         uop = entry.uop
+        live_tags = self.live_tags
         decision = forward_decision(entry.seq, entry.addr, uop.size,
-                                    entry.spec_colors, uop.parent_pc,
-                                    uop.forwardable, self.sb, self.policy,
-                                    self.cfg.tlb_enforcement)
-        if decision.kind in ("forward", "forward_zero"):
+                                    bool(live_tags) and live_tags[0] < entry.seq,
+                                    uop.parent_pc, uop.forwardable, self.sb,
+                                    self.policy, self.cfg.tlb_enforcement)
+        kind = decision.kind
+        if kind == "forward" or kind == "forward_zero":
             self.progress = True
             entry.result = decision.value
             entry.forwarded_from = decision.store_seq
@@ -215,7 +213,7 @@ class Core:
             if self.trace is not None:
                 self._ev("forward", entry.seq, uop.parent_pc,
                          f"value={decision.value:#x} from_seq={decision.store_seq}")
-        elif decision.kind == "memory":
+        elif kind == "memory":
             res = self.mem.access("load", entry.addr, self.cycle, entry.seq)
             if res.status == "mshr_full":
                 entry.status = WAITING          # retry next cycle
@@ -238,30 +236,37 @@ class Core:
 
     def _stage_complete(self) -> None:
         cycle = self.cycle
-        for line in self.mem.tick(cycle):
-            self.progress = True
-            if self.trace is not None:
-                self._ev("fill", -1, 0, f"line={line:#x}")
-        due = [e for e in self.executing if e.done_cycle <= cycle]
+        mem = self.mem
+        if mem.mshrs:
+            for line in mem.tick(cycle):
+                self.progress = True
+                if self.trace is not None:
+                    self._ev("fill", -1, 0, f"line={line:#x}")
+        executing = self.executing
+        due = [e for e in executing if e.done_cycle <= cycle]
         if not due:
             return
-        self.executing = [e for e in self.executing if e.done_cycle > cycle]
-        due.sort(key=_seq)
+        self.executing = [e for e in executing if e.done_cycle > cycle]
+        if len(due) > 1:
+            due.sort(key=_seq)
+        trace = self.trace
         for entry in due:
             if entry.squashed:              # by an older branch resolved above
                 continue
             if entry.mem_pending:
-                entry.result = self.mem.read_int(entry.addr, entry.uop.size)
+                entry.result = mem.read_int(entry.addr, entry.uop.size)
                 entry.mem_pending = False
             entry.status = DONE
             self.progress = True
-            for consumer in entry.consumers:
-                consumer.pending -= 1
-            entry.consumers.clear()
-            if self.trace is not None:
+            consumers = entry.consumers
+            if consumers is not None:
+                for consumer in consumers:
+                    consumer.pending -= 1
+                entry.consumers = None
+            if trace is not None:
                 self._ev("execute", entry.seq, entry.uop.parent_pc)
             kind = entry.uop.kind
-            if kind in (BR_COND, JR_INDIRECT):
+            if kind is BR_COND or kind is JR_INDIRECT:
                 self._resolve_branch(entry)
             elif kind is FENCE:
                 # it issued when everything older was done, and nothing younger
@@ -269,10 +274,16 @@ class Core:
                 del self.unissued[0]
 
     def _stage_retire(self) -> None:
+        """Retire DONE entries from the ROB head. The head is never
+        speculative: every older branch has retired, so none is unresolved."""
+        rob = self.rob
+        width = self.cfg.retire_width
+        arch_regs = self.arch_regs
+        rename = self.rename
         retired = 0
-        while self.rob and retired < self.cfg.retire_width:
-            entry = self.rob[0]
-            if entry.status != DONE or entry.spec_colors:
+        while rob and retired < width:
+            entry = rob[0]
+            if entry.status != DONE:
                 return
             uop = entry.uop
             kind = uop.kind
@@ -281,33 +292,32 @@ class Core:
                 self.fault = entry.fault
                 self._ev("fault", entry.seq, uop.parent_pc, entry.fault)
                 return
-            if kind is STA or kind is STD or kind is CALL:
-                sbe = self.sb.by_slot(entry.instr_id)
+            sbe = entry.sbe
+            if sbe is not None:
                 if sbe.perm_checked == "write_fault":
                     self.fault = f"write_fault pc={uop.parent_pc:#x} addr={sbe.addr:#x}"
                     self._ev("fault", entry.seq, uop.parent_pc, self.fault)
                     return
-                self.sb.mark_uop_retired(entry.instr_id)
+                sbe.mark_uop_retired()
             if uop.dst is not None:
-                self.arch_regs[uop.dst] = entry.result
-                if self.rename.get(uop.dst) == entry.seq:
-                    del self.rename[uop.dst]
+                arch_regs[uop.dst] = entry.result
+                if rename.get(uop.dst) is entry:
+                    del rename[uop.dst]
             if uop.dst2 is not None:
-                self.arch_regs[uop.dst2] = entry.result2
-                if self.rename.get(uop.dst2) == entry.seq:
-                    del self.rename[uop.dst2]
+                arch_regs[uop.dst2] = entry.result2
+                if rename.get(uop.dst2) is entry:
+                    del rename[uop.dst2]
             if kind is BR_COND and uop.cond != "always":
                 train_branch(self.pred, uop.parent_pc, entry.actual)
-            if kind is LDA and entry.forwarded_from is not None:
+            elif kind is LDA and entry.forwarded_from is not None:
                 self.policy.learn(uop.parent_pc)
-            if kind is HALT:
+            elif kind is HALT:
                 self.halted = True
             if uop.last:
                 self.retired_instructions += 1
             if self.trace is not None:
                 self._ev("retire", entry.seq, uop.parent_pc)
-            self.rob.pop(0)
-            del self.by_seq[entry.seq]
+            del rob[0]
             retired += 1
             if self.halted:
                 return
@@ -372,18 +382,14 @@ class Core:
                 return
         elif kind is STA:
             addr = (vals[0] + uop.imm) & MASK64
-            entry.addr = addr
-            verdict = self.mem.tlb_check("write", addr)
-            self.sb.resolve_addr(entry.instr_id, addr, verdict)
+            entry.addr = entry.sbe.addr = addr
+            entry.sbe.perm_checked = self.mem.tlb_check("write", addr)
         elif kind is STD:
-            self.sb.resolve_data(entry.instr_id, vals[0])
+            entry.sbe.data = vals[0] & MASK64
         elif kind is CALL:
-            sp_val = vals[0]
-            entry.result = (sp_val - 8) & MASK64
-            entry.addr = entry.result
-            verdict = self.mem.tlb_check("write", entry.addr)
-            sbe = self.sb.resolve_addr(entry.instr_id, entry.addr, verdict)
-            sbe.data = (uop.parent_pc + 4) & MASK64
+            addr = entry.result = entry.addr = entry.sbe.addr = (vals[0] - 8) & MASK64
+            entry.sbe.perm_checked = self.mem.tlb_check("write", addr)
+            entry.sbe.data = (uop.parent_pc + 4) & MASK64
         # FENCE and HALT carry no operands and produce no result
         entry.status = EXECUTING
         entry.done_cycle = cycle + 1
@@ -392,38 +398,38 @@ class Core:
     def _stage_issue(self) -> None:
         issued = loads = stds = branches = 0
         width = self.cfg.issue_width
-        started = len(self.executing)
-        for entry in self.unissued:
+        unissued = self.unissued
+        executing = self.executing
+        started = len(executing)
+        for entry in unissued:
             if issued >= width:
                 break
-            uop = entry.uop
-            kind = uop.kind
+            if entry.pending:               # never a fence: it has no sources
+                continue
+            kind = entry.uop.kind
             if kind is FENCE:
                 # serializes: nothing younger issues until the fence completes.
                 # Everything older is done when nothing older is unissued or
                 # executing.
-                if (entry.status == DISPATCHED and entry is self.unissued[0]
-                        and all(e.seq > entry.seq for e in self.executing)):
+                if (entry.status == DISPATCHED and entry is unissued[0]
+                        and all(e.seq > entry.seq for e in executing)):
                     entry.status = EXECUTING
                     entry.done_cycle = self.cycle + 1
-                    self.executing.append(entry)
+                    executing.append(entry)
                     self.progress = True
                     if self.trace is not None:
-                        self._ev("issue", entry.seq, uop.parent_pc)
+                        self._ev("issue", entry.seq, entry.uop.parent_pc)
                 break
-            if entry.pending:
-                continue
-            st = entry.status
             if kind is LDA:
                 if loads >= 2:
                     continue
             elif kind is STD:
                 if stds >= 1:
                     continue
-            elif kind in (BR_COND, JR_INDIRECT):
+            elif kind is BR_COND or kind is JR_INDIRECT:
                 if branches >= 2:
                     continue
-            if st == WAITING:
+            if entry.status == WAITING:
                 loads += 1
                 issued += 1
                 self._attempt_load(entry)
@@ -435,57 +441,58 @@ class Core:
                 loads += 1
             elif kind is STD:
                 stds += 1
-            elif kind in (BR_COND, JR_INDIRECT):
+            elif kind is BR_COND or kind is JR_INDIRECT:
                 branches += 1
             issued += 1
             self._begin_execution(entry, vals)
         if len(self.executing) != started:
-            self.unissued = [e for e in self.unissued
+            self.unissued = [e for e in unissued
                              if e.status < EXECUTING or e.uop.kind is FENCE]
 
     def _stage_fetch(self) -> None:
-        dispatched = 0
+        pc = self.fetch_pc
         decoded = self.program.decoded
-        while dispatched < self.cfg.issue_width:
-            pc = self.fetch_pc
-            if pc is None:
-                return
+        rob = self.rob
+        unissued = self.unissued
+        rename = self.rename
+        rename_get = rename.get
+        live_tags = self.live_tags
+        trace = self.trace
+        sb = self.sb
+        width = self.cfg.issue_width
+        capacity = self.cfg.rob_capacity
+        seq = self.seq_counter
+        dispatched = 0
+        while dispatched < width and pc is not None:
             idx = pc >> 2
             if pc & 3 or idx < 0 or idx >= len(decoded):
-                return                              # fetch stalled off the map
+                break                               # fetch stalled off the map
             uops, needs_sb = decoded[idx]
-            if len(self.rob) + len(uops) > self.cfg.rob_capacity:
-                return
-            if needs_sb and self.sb.full:
-                return                              # structural stall
-            instr_id = self.instr_counter
-            self.instr_counter += 1
+            if len(rob) + len(uops) > capacity:
+                break
+            if needs_sb and sb.full:
+                break                               # structural stall
             self.progress = True
-            if self.trace is not None:
+            if trace is not None:
                 self._ev("fetch", -1, pc, self.program.instructions[idx].mnemonic)
             next_pc = pc + 4
+            sbe = None
             for uop in uops:
-                seq = self.seq_counter
-                self.seq_counter += 1
-                entry = ROBEntry(seq, instr_id, uop, set(self.live_tags),
-                                 [self.rename.get(r) for r in uop.srcs])
-                for bind in entry.bindings:
-                    if bind is not None:
-                        producer = self.by_seq[bind]
-                        if producer.status != DONE:
-                            entry.pending += 1
-                            producer.consumers.append(entry)
+                entry = ROBEntry(seq, uop)
+                if uop.srcs:
+                    producers = list(map(rename_get, uop.srcs))
+                    for producer in producers:
+                        if producer is not None:
+                            entry.producers = producers
+                            if producer.status != DONE:
+                                entry.pending += 1
+                                if producer.consumers is None:
+                                    producer.consumers = [entry]
+                                else:
+                                    producer.consumers.append(entry)
                 kind = uop.kind
-                if kind is STA:
-                    self.sb.insert(StoreBufferEntry(
-                        seq, instr_id, uop.size, forwardable=uop.forwardable,
-                        spec_colors=set(entry.spec_colors)))
-                elif kind is CALL:
-                    self.sb.insert(StoreBufferEntry(
-                        seq, instr_id, uop.size,
-                        spec_colors=set(entry.spec_colors), uop_count=1))
-                    rsb_push(self.pred, pc + 4)
-                    next_pc = uop.imm
+                if kind is ALU:
+                    pass                            # most micro-ops: nothing to set up
                 elif kind is BR_COND:
                     if uop.cond == "always":
                         entry.predicted = TAKEN
@@ -493,27 +500,38 @@ class Core:
                     else:
                         direction = predict_branch(self.pred, pc)
                         entry.predicted = direction
-                        entry.tag = seq
+                        live_tags.append(seq)
                         next_pc = uop.imm if direction == TAKEN else pc + 4
+                elif kind is STA:
+                    sbe = entry.sbe = StoreBufferEntry(seq, uop.size,
+                                                       forwardable=uop.forwardable)
+                    sb.insert(sbe)
+                elif kind is STD:
+                    entry.sbe = sbe
+                elif kind is CALL:
+                    entry.sbe = StoreBufferEntry(seq, uop.size, uop_count=1)
+                    sb.insert(entry.sbe)
+                    rsb_push(self.pred, pc + 4)
+                    next_pc = uop.imm
                 elif kind is JR_INDIRECT:
                     entry.predicted = rsb_pop(self.pred) if uop.is_return else None
-                    entry.tag = seq
+                    live_tags.append(seq)
                     next_pc = entry.predicted       # None stalls fetch
                 elif kind is HALT:
                     next_pc = None
                 if uop.dst is not None:
-                    self.rename[uop.dst] = seq
+                    rename[uop.dst] = entry
                 if uop.dst2 is not None:
-                    self.rename[uop.dst2] = seq
-                self.rob.append(entry)
-                self.unissued.append(entry)
-                self.by_seq[seq] = entry
-                if entry.tag is not None:
-                    self.live_tags.add(entry.tag)
-                if self.trace is not None:
+                    rename[uop.dst2] = entry
+                rob.append(entry)
+                unissued.append(entry)
+                if trace is not None:
                     self._ev("dispatch", seq, pc, kind.value)
-                dispatched += 1
-            self.fetch_pc = next_pc
+                seq += 1
+            dispatched += len(uops)
+            pc = next_pc
+        self.fetch_pc = pc
+        self.seq_counter = seq
 
     def step(self) -> None:
         """Advance one cycle; `progress` tells whether any state changed."""
@@ -522,7 +540,8 @@ class Core:
         self._stage_retire()
         if self.fault:
             return
-        self._stage_writeback()
+        if self.sb.entries:
+            self._stage_writeback()
         self._stage_issue()
         self._stage_fetch()
         self.cycle += 1
@@ -539,6 +558,8 @@ class Core:
             self.step()
             if not self.progress:
                 self._skip_idle(limit)
+        for e in self.rob:              # a fault or timeout leaves entries behind
+            e.producers = e.consumers = None
         if self.fault is None and not report.timed_out:
             self._drain()
         report.cycles = self.cycle - self.start_cycle
@@ -567,9 +588,11 @@ class Core:
         """After halt, finish senior write-backs and let pending fills land.
         Fills are never cancelled, so a squashed miss still installs its line."""
         limit = self.cycle + 10_000_000
-        while (self.sb.entries or self.mem.mshrs) and self.cycle < limit:
-            self.progress = bool(self.mem.tick(self.cycle))
-            self._stage_writeback()
+        mem = self.mem
+        while (self.sb.entries or mem.mshrs) and self.cycle < limit:
+            self.progress = bool(mem.mshrs) and bool(mem.tick(self.cycle))
+            if self.sb.entries:
+                self._stage_writeback()
             self.cycle += 1
             if not self.progress:
                 self._skip_idle(limit)

@@ -238,16 +238,19 @@ def operand_labels(program: Program, instr: Instruction) -> List[Optional[str]]:
             if code == "l" or (code == "i" and instr.mnemonic == "movi") else None
             for code, op in zip(_SIGNATURES[instr.mnemonic], instr.operands)]
 
-_REG_RE = re.compile(r"^(r([0-9]|[12][0-9]|3[01])|sp)$")
+# register name -> operand; every operand naming a register shares one object
+_REGS = {f"r{n}": Reg(n) for n in range(32)}
+_REGS["sp"] = _REGS[f"r{SP}"]
 _MEM_RE = re.compile(r"^\[\s*(r[0-9]+|sp)\s*(?:([+-])\s*([^\]\s]+)\s*)?\]$")
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_LABEL_SUGAR_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.*)$")
 
 
-def _parse_reg(tok: str, lineno: int, col: int) -> int:
-    m = _REG_RE.match(tok)
-    if not m:
+def _parse_reg(tok: str, lineno: int, col: int) -> Reg:
+    reg = _REGS.get(tok)
+    if reg is None:
         raise AsmError(f"expected register, got {tok!r}", lineno, col)
-    return SP if tok == "sp" else int(tok[1:])
+    return reg
 
 
 def _parse_int(tok: str, lineno: int, col: int) -> int:
@@ -258,23 +261,24 @@ def _parse_int(tok: str, lineno: int, col: int) -> int:
 
 
 def _split_operands(text: str) -> List[Tuple[str, int]]:
-    """Split on commas outside brackets; returns (token, column) pairs."""
-    out, depth, cur, start = [], 0, [], 0
-    for i, ch in enumerate(text):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            tok = "".join(cur).strip()
+    """Split on commas outside brackets; returns (token, column) pairs. A
+    comma splits when as many '[' as ']' precede it."""
+    out = []
+    depth = start = end = 0
+    for piece in text.split(","):
+        end += len(piece)
+        if "[" in piece or "]" in piece:
+            depth += piece.count("[") - piece.count("]")
+        if depth == 0:
+            tok = text[start:end].strip()
             if tok:
                 out.append((tok, start))
-            cur, start = [], i + 1
-        else:
-            cur.append(ch)
-    tok = "".join(cur).strip()
-    if tok:
-        out.append((tok, start))
+            start = end + 1
+        end += 1
+    if start < end:             # text ends inside brackets
+        tok = text[start:].strip()
+        if tok:
+            out.append((tok, start))
     return out
 
 
@@ -326,7 +330,7 @@ def assemble(source: str) -> Program:
             continue
 
         # label sugar: "name:" optionally followed by an instruction
-        m = re.match(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.*)$", text)
+        m = _LABEL_SUGAR_RE.match(text) if ":" in text else None
         if m:
             define_label(m.group(1), lineno, col)
             text = m.group(2)
@@ -361,13 +365,13 @@ def assemble(source: str) -> Program:
         for code, (tok, tcol) in zip(sig, toks):
             tcol += col
             if code == "r":
-                operands.append(Reg(_parse_reg(tok, lineno, tcol)))
+                operands.append(_parse_reg(tok, lineno, tcol))
             elif code == "m":
                 m = _MEM_RE.match(tok)
                 if not m:
                     raise AsmError(f"expected [reg], [reg+off] or [reg-off], got {tok!r}",
                                    lineno, tcol)
-                base = _parse_reg(m.group(1), lineno, tcol)
+                base = _parse_reg(m.group(1), lineno, tcol).n
                 off = 0
                 if m.group(3) is not None:
                     off = _parse_int(m.group(3), lineno, tcol)

@@ -23,19 +23,16 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
 from .config import FORWARDING_POLICIES
-from .isa import MASK64
 
 
-@dataclass
+@dataclass(slots=True)
 class StoreBufferEntry:
     seq: int                       # program-order position (STA's sequence number)
-    slot_id: int                   # dynamic instruction id shared by STA and STD
     size: int
     addr: Optional[int] = None
     data: Optional[int] = None
     senior: bool = False
     forwardable: bool = False
-    spec_colors: Set[int] = field(default_factory=set)
     perm_checked: str = "unchecked"   # unchecked | ok | write_fault
     uop_count: int = 2                # call-pushed entries resolve in one micro-op
     retired_uops: int = 0
@@ -43,6 +40,12 @@ class StoreBufferEntry:
 
     def overlaps(self, addr: int, size: int) -> bool:
         return self.addr is not None and self.addr < addr + size and addr < self.addr + self.size
+
+    def mark_uop_retired(self) -> None:
+        """Seniorize once every micro-op of the store has retired."""
+        self.retired_uops += 1
+        if self.retired_uops >= self.uop_count:
+            self.senior = True
 
 
 @dataclass
@@ -94,32 +97,6 @@ class StoreBuffer:
         self.entries.append(entry)
         return True
 
-    def by_slot(self, slot_id: int) -> StoreBufferEntry:
-        for e in self.entries:
-            if e.slot_id == slot_id:
-                return e
-        raise KeyError(f"no store-buffer entry for slot {slot_id}")
-
-    def resolve_addr(self, slot_id: int, addr: int, perm_verdict: str) -> StoreBufferEntry:
-        e = self.by_slot(slot_id)
-        e.addr = addr
-        e.perm_checked = perm_verdict
-        return e
-
-    def resolve_data(self, slot_id: int, data: int) -> StoreBufferEntry:
-        e = self.by_slot(slot_id)
-        e.data = data & MASK64
-        return e
-
-    def mark_uop_retired(self, slot_id: int) -> StoreBufferEntry:
-        """Seniorize once every micro-op of the store has retired."""
-        e = self.by_slot(slot_id)
-        e.retired_uops += 1
-        if e.retired_uops >= e.uop_count:
-            e.senior = True
-            e.spec_colors.clear()
-        return e
-
     def squash_younger(self, seq: int) -> List[StoreBufferEntry]:
         """Drop non-senior entries younger than seq; returns what was removed."""
         gone = [e for e in self.entries if e.seq > seq and not e.senior]
@@ -138,10 +115,11 @@ class StoreBuffer:
 
 
 def forward_decision(load_seq: int, load_addr: int, load_size: int,
-                     load_colors: Set[int], load_pc: int, load_forwardable: bool,
+                     load_speculative: bool, load_pc: int, load_forwardable: bool,
                      sb: StoreBuffer, policy: ForwardingPolicy,
                      tlb_mode: str) -> ForwardDecision:
-    """Decide how a resolved load meets the store buffer.
+    """Decide how a resolved load meets the store buffer. `load_speculative`
+    says whether some branch older than the load is still unresolved.
 
     Scans older stores youngest-first. An older store with an unresolved
     address conservatively blocks the load (no memory disambiguation
@@ -162,7 +140,7 @@ def forward_decision(load_seq: int, load_addr: int, load_size: int,
             if policy.variant == "slothbear_stores":
                 allowed = entry.senior
             elif policy.variant == "slothbear_loads":
-                allowed = not load_colors
+                allowed = not load_speculative
             elif policy.variant == "sloth_marked":
                 allowed = entry.forwardable and load_forwardable
             elif policy.variant == "arctic_sloth":

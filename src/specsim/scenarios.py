@@ -163,6 +163,11 @@ class Scenario:
         if self.expected not in ("attack_succeeds", "attack_fails"):
             raise ValueError(f"expected must be attack_succeeds or attack_fails, "
                              f"got {self.expected!r}")
+        # one planted byte: a wider value would be truncated, and the attack
+        # judged against a value the victim never held
+        if not 0 <= self.secret_value <= 0xFF:
+            raise ValueError(f"secret_value must be a byte (0 to 255), "
+                             f"got {self.secret_value}")
         # the secret must sit outside every region the victim's checks declare
         # reachable (the arrays' checked lengths)
         if (self.secret_addr in range(ARR_B, ARR_B + 16)
@@ -375,6 +380,8 @@ def build_gadget_spectre_1_0(secret: int = 0x2A, mitigation: str = "none",
                              amplification: int = 1) -> Scenario:
     """Bounds check bypass on loads: the guarded double load runs before the
     slow bound resolves, leaving the secret's probe line in the cache."""
+    if pad_uops < 0:
+        raise ValueError(f"pad_uops must be >= 0, got {pad_uops}")
     body_lines = []
     if amplification == 1:
         body_lines += [

@@ -218,6 +218,14 @@ def test_benign_spill_rejects_secret(capsys):
     assert "option not supported" in err
 
 
+@pytest.mark.parametrize("flags", [("--secret", "999"), ("--secret", "-1"),
+                                   ("--secret", "0x1FF"), ("--pad-uops", "-1")])
+def test_out_of_range_scenario_option_exits_2(capsys, flags):
+    code, out, err = run_cli(capsys, "run", "spectre_1_0", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_trace_timeout_exits_3_and_writes_the_trace(capsys, tmp_path):
     path = tmp_path / "t.jsonl"
     code, out, err = run_cli(capsys, "trace", "benign_spill", "--cycle-limit", "50",
@@ -267,7 +275,8 @@ def test_unwritable_save_whitelist_exits_4(capsys, tmp_path):
     ("reg.r31 = 1", 0), ("reg.r40 = 1", 2), ("reg.r-1 = 1", 2),
     ("benign_reg.r32 = 1", 2), ("prime.main = takn", 2),
     ("map.0x10000.0x1000 = xyz", 2), ("expected = leaks", 2),
-    ("atempts = 5", 2)])
+    ("atempts = 5", 2), ("secret_value = 0xFF", 0), ("secret_value = 0x1FF", 2),
+    ("secret_value = -1", 2)])
 def test_scenario_file_bad_value_exits_2(capsys, tmp_path, line, want):
     asm = tmp_path / "victim.asm"
     asm.write_text("main:\n    halt\n")

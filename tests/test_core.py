@@ -1,3 +1,4 @@
+import gc
 import random
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from specsim.memory import MemorySystem
 from specsim.predictors import PredictorState
 from specsim.scenarios import BUILDERS, build_scenario, run_scenario
 from randprog import random_program, STACK_TOP
+from test_event_core import assert_speculation_matches_rob
 
 FAST = SimConfig(dram_latency_cycles=20, l1_latency_cycles=2)
 
@@ -124,6 +126,9 @@ over:
 
 
 def test_squash_leaves_no_colored_entries():
+    """After every cycle, the live tags are exactly the unresolved branches
+    left in the ROB, oldest first, so no squashed branch keeps younger work
+    speculative and the ROB head is never speculative."""
     src = """
 main:
     movi r1, 0x10000
@@ -143,11 +148,9 @@ out:
                 ForwardingPolicy("baseline"))
     while not core.halted and core.fault is None:
         core.step()
-        live = set(core.live_tags)
-        for e in core.rob:
-            assert e.spec_colors <= live
-        for s in core.sb.entries:
-            assert s.spec_colors <= live
+        assert_speculation_matches_rob(core)
+        assert not any(e.squashed for e in core.rob)
+    assert core.squash_count == 1 and core.arch_regs[3] == 0
 
 
 def test_store_visible_only_after_retire():
@@ -385,3 +388,39 @@ def test_trace_kinds_are_exactly_the_kinds_emitted():
     assert r.fault is not None
     kinds.update(e.kind for e in trace)
     assert kinds == set(TRACE_KINDS)
+
+
+def test_runs_leave_no_reference_cycles():
+    """Producer links are dropped when operands are read and on a squash, and
+    a run that stops early drops what its ROB still holds: the collector
+    finds nothing after every bundled scenario under every policy, random
+    programs, a timed-out run and a faulting one."""
+    gc.collect()
+    gc.disable()
+    try:
+        for name in sorted(BUILDERS):
+            for policy in FORWARDING_POLICIES:
+                run_scenario(build_scenario(name), SimConfig(forwarding_policy=policy))
+        for seed in range(20):
+            program = assemble(random_program(random.Random(7300 + seed), 120))
+            for policy in FORWARDING_POLICIES:
+                r = run_program(program, FAST.replace(forwarding_policy=policy),
+                                regs={31: STACK_TOP})
+                assert r.fault is None and not r.timed_out
+        r = run_program(program, FAST.replace(cycle_limit=40), regs={31: STACK_TOP})
+        assert r.timed_out and r.core.rob
+        r = run_program(assemble("""
+main:
+    movi r1, 0x10000
+    ld.8 r2, [r1]
+    addi r3, r2, 1
+    ld.8 r4, [r3]
+    addi r5, r4, 1
+    halt
+.data 0x10000 rw 00 00 00 01 00 00 00 00
+"""), FAST)
+        assert r.fault and r.core.rob
+        del r
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

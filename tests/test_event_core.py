@@ -34,7 +34,20 @@ def assert_lists_match_rob(core: Core) -> None:
     assert all(a is b for a, b in zip(core.unissued, unissued))
     executing = [e for e in core.rob if e.status == EXECUTING]
     assert sorted(e.seq for e in core.executing) == [e.seq for e in executing]
-    assert all(core.by_seq.get(e.seq) is e for e in core.executing)
+    in_rob = {id(e) for e in core.rob}
+    assert all(id(e) in in_rob for e in core.executing)
+
+
+def assert_speculation_matches_rob(core: Core) -> None:
+    """`live_tags` is the seqs of the ROB's predicted branches that are not
+    yet done, oldest first, and the ROB head is never speculative: no live
+    tag is older than it."""
+    branches = [e.seq for e in core.rob if e.status != DONE and (
+        e.uop.kind is UopKind.JR_INDIRECT
+        or (e.uop.kind is UopKind.BR_COND and e.uop.cond != "always"))]
+    assert core.live_tags == branches
+    if core.rob and core.live_tags:
+        assert core.live_tags[0] >= core.rob[0].seq
 
 
 def run_per_cycle(core: Core) -> RunReport:
@@ -45,9 +58,10 @@ def run_per_cycle(core: Core) -> RunReport:
             break
         for e in core.rob:
             e.pending = 0
-            e.consumers.clear()
+            e.consumers = None
         core.step()
         assert_lists_match_rob(core)
+        assert_speculation_matches_rob(core)
     if core.fault is None and not report.timed_out:
         guard = 0
         while (core.sb.entries or core.mem.mshrs) and guard < 10_000_000:

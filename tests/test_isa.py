@@ -3,9 +3,12 @@ import random
 
 import pytest
 
+from specsim import isa
 from specsim.isa import (AsmError, Imm, Instruction, Mem, MicroOp, NO_ANNOTATIONS,
                          Reg, UopKind, assemble, decode, disassemble, REG_RETTMP,
                          SP)
+from specsim.scenarios import (ALL_MITIGATIONS, BUILDERS, MITIGATION_SITES,
+                               build_scenario)
 from randprog import random_program
 
 
@@ -180,3 +183,105 @@ def test_negative_memory_offset():
     p = assemble("    ld.8 r1, [sp-24]\n")
     (uop,) = decode(p.instructions[0])
     assert uop.srcs == (SP,) and uop.imm == -24
+
+
+# -- the operand splitter against the character walk it replaced -------------
+
+def split_by_characters(text):
+    """The assembler's original operand splitter, one character at a time:
+    a comma splits when the bracket depth before it is zero."""
+    out, depth, cur, start = [], 0, [], 0
+    for i, ch in enumerate(text):
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        if ch == "," and depth == 0:
+            tok = "".join(cur).strip()
+            if tok:
+                out.append((tok, start))
+            cur, start = [], i + 1
+        else:
+            cur.append(ch)
+    tok = "".join(cur).strip()
+    if tok:
+        out.append((tok, start))
+    return out
+
+
+def operand_texts(monkeypatch, build):
+    """Every operand string the assembler splits while `build()` runs."""
+    seen = []
+    split = isa._split_operands
+
+    def record(text):
+        seen.append(text)
+        return split(text)
+    with monkeypatch.context() as m:
+        m.setattr(isa, "_split_operands", record)
+        build()
+    return seen
+
+
+SPLIT_EDGE_CASES = [
+    "", " ", ",", ",,", "r1,", "r1,,r2", ", r1", "r1, , r2", "r1 ,r2 ,",
+    "[r1+8]", "r2, [r1+8]", "[ r2 - 0x10 ]", "r3, [ r2 - 0x10 ] ",
+    "r1], r2", "]", "], r1, [", "r1, [r2, r3", "[", "[,", "[r1,]", "[[r1]], r2",
+    "r1, [r2]], r3, r4", "[r1+8], [r2-8], r3", "\tr1 ,\t[ sp ]", "]]],[[[,r1",
+]
+
+
+def test_split_operands_matches_the_character_walk(monkeypatch):
+    texts = list(SPLIT_EDGE_CASES)
+    for seed in range(400):
+        src = random_program(random.Random(seed), 120)
+        texts += operand_texts(monkeypatch, lambda: assemble(src))
+    for name in BUILDERS:
+        for mitigation in ALL_MITIGATIONS:
+            if (mitigation != "none"
+                    and getattr(MITIGATION_SITES[name], mitigation) is None):
+                continue
+            texts += operand_texts(
+                monkeypatch, lambda: build_scenario(name, mitigation=mitigation))
+    assert len(texts) > 20_000 and any("[" in t for t in texts)
+    for text in texts:
+        assert isa._split_operands(text) == split_by_characters(text), text
+
+
+MUTATION_CHARS = "[],+- \tr0159xsp:;!.ab"
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_assemble_errors_match_the_character_walk(monkeypatch, block):
+    """Randomly mutated lines assemble to the same Program, or raise the same
+    AsmError (message, line and column), under either splitter."""
+    rng = random.Random(6000 + block)
+    errors = 0
+    for seed in range(block * 50, block * 50 + 50):
+        lines = random_program(random.Random(seed), 40).splitlines()
+        for _ in range(10):
+            mutated = list(lines)
+            i = rng.randrange(len(mutated))
+            chars = list(mutated[i])
+            for _ in range(rng.randint(1, 3)):
+                pos = rng.randint(0, len(chars))
+                op = rng.random()
+                if op < 0.4 or not chars:
+                    chars.insert(pos, rng.choice(MUTATION_CHARS))
+                elif op < 0.7:
+                    del chars[min(pos, len(chars) - 1)]
+                else:
+                    chars[min(pos, len(chars) - 1)] = rng.choice(MUTATION_CHARS)
+            mutated[i] = "".join(chars)
+            src = "\n".join(mutated) + "\n"
+            outcomes = []
+            for split in (isa._split_operands, split_by_characters):
+                with monkeypatch.context() as m:
+                    m.setattr(isa, "_split_operands", split)
+                    try:
+                        outcomes.append(assemble(src))
+                    except AsmError as e:
+                        outcomes.append((str(e), e.line, e.col))
+                        errors += 1
+            assert outcomes[0] == outcomes[1], src
+    assert errors > 100      # the mutations do reach the error paths

@@ -1,14 +1,18 @@
 import pytest
 
+from specsim import SimConfig, assemble
+from specsim.core import DONE, EXECUTING, STA, STD, Core
 from specsim.lsu import (ForwardDecision, ForwardingPolicy, StoreBuffer,
                          StoreBufferEntry, forward_decision)
+from specsim.memory import MemorySystem
+from specsim.predictors import PredictorState
 
 
 def entry(seq, addr=None, size=8, data=None, senior=False, forwardable=False,
-          colors=(), perm="ok"):
-    return StoreBufferEntry(seq, slot_id=seq, size=size, addr=addr, data=data,
+          perm="ok"):
+    return StoreBufferEntry(seq, size=size, addr=addr, data=data,
                             senior=senior, forwardable=forwardable,
-                            spec_colors=set(colors), perm_checked=perm)
+                            perm_checked=perm)
 
 
 def sb_with(*entries, capacity=56):
@@ -18,10 +22,10 @@ def sb_with(*entries, capacity=56):
     return sb
 
 
-def decide(load_seq, addr, size, sb, policy="baseline", colors=(),
+def decide(load_seq, addr, size, sb, policy="baseline", speculative=False,
            pc=0x40, forwardable=False, tlb="lazy", whitelist=()):
     pol = ForwardingPolicy(policy, set(whitelist))
-    return forward_decision(load_seq, addr, size, set(colors), pc, forwardable,
+    return forward_decision(load_seq, addr, size, speculative, pc, forwardable,
                             sb, pol, tlb)
 
 
@@ -84,7 +88,7 @@ def test_slothbear_stores_blocks_speculative_store():
 def test_slothbear_loads_blocks_colored_load():
     sb = sb_with(entry(1, addr=0x1000, data=7))
     assert decide(5, 0x1000, 8, sb, policy="slothbear_loads",
-                  colors={3}).kind == "wait"
+                  speculative=True).kind == "wait"
     assert decide(5, 0x1000, 8, sb, policy="slothbear_loads").kind == "forward"
 
 
@@ -131,40 +135,63 @@ def test_policy_gate_applies_before_fault_gate():
 
 
 def test_std_before_sta():
-    sb = StoreBuffer(8)
-    sb.insert(StoreBufferEntry(1, 1, 8))
-    sb.resolve_data(1, 0x1234)
-    e = sb.by_slot(1)
-    assert e.data == 0x1234 and e.addr is None
-    sb.resolve_addr(1, 0x3000, "ok")
-    assert e.addr == 0x3000
+    """The store's data resolves while its address still waits on a slow
+    load: STA and STD share one store-buffer entry, linked from both."""
+    p = assemble("""
+main:
+    movi r1, 0x10000
+    ld.8 r3, [r1]
+    movi r2, 0x1234
+    st.8 r2, [r3]
+    halt
+.data 0x10000 rw 08 00 01 00 00 00 00 00 00 00 00 00 00 00 00 00
+""")
+    cfg = SimConfig(dram_latency_cycles=20, l1_latency_cycles=2)
+    mem = MemorySystem(cfg)
+    mem.load_program_data(p)
+    core = Core(p, cfg, mem, PredictorState(cfg.bht_size, cfg.rsb_depth),
+                ForwardingPolicy("baseline"))
+    seen_data_first = False
+    while not core.halted:
+        core.step()
+        sta = [e for e in core.rob if e.uop.kind is STA]
+        std = [e for e in core.rob if e.uop.kind is STD]
+        if sta and std:
+            assert sta[0].sbe is std[0].sbe is core.sb.entries[0]
+            if std[0].status == DONE and sta[0].status < EXECUTING:
+                assert sta[0].sbe.data == 0x1234 and sta[0].sbe.addr is None
+                seen_data_first = True
+    assert seen_data_first
+    core.run()
+    assert mem.read_int(0x10008, 8) == 0x1234
 
 
 def test_squash_removes_only_younger_non_senior():
     senior = entry(2, addr=0x10, data=1, senior=True)
-    colored = entry(7, addr=0x20, data=2, colors={5})
-    sb = sb_with(entry(1, addr=0x8, data=0), senior, colored)
+    younger = entry(7, addr=0x20, data=2)
+    sb = sb_with(entry(1, addr=0x8, data=0), senior, younger)
     gone = sb.squash_younger(5)
-    assert gone == [colored]
+    assert gone == [younger]
     assert [e.seq for e in sb.entries] == [1, 2]
 
 
 def test_capacity_stall_at_fifty_seventh():
     sb = StoreBuffer(56)
     for i in range(56):
-        assert sb.insert(StoreBufferEntry(i, i, 8))
-    assert not sb.insert(StoreBufferEntry(99, 99, 8))
+        assert sb.insert(StoreBufferEntry(i, 8))
+    assert not sb.insert(StoreBufferEntry(99, 8))
     assert len(sb) == 56
 
 
 def test_seniorize_after_both_uops_retire():
-    sb = StoreBuffer(8)
-    sb.insert(StoreBufferEntry(1, 1, 8, spec_colors={9}))
-    sb.mark_uop_retired(1)
-    assert not sb.by_slot(1).senior
-    sb.mark_uop_retired(1)
-    e = sb.by_slot(1)
-    assert e.senior and not e.spec_colors
+    e = StoreBufferEntry(1, 8)
+    e.mark_uop_retired()
+    assert not e.senior
+    e.mark_uop_retired()
+    assert e.senior
+    pushed = StoreBufferEntry(2, 8, uop_count=1)      # a call's return address
+    pushed.mark_uop_retired()
+    assert pushed.senior
 
 
 def test_whitelist_file_roundtrip(tmp_path):

@@ -378,6 +378,27 @@ def test_scenario_file_errors(tmp_path):
         scenario_from_file(str(bad))
 
 
+@pytest.mark.parametrize("value", ["0x1FF", "256", "-1"])
+def test_scenario_file_rejects_a_secret_wider_than_a_byte(tmp_path, value):
+    asm = tmp_path / "victim.asm"
+    asm.write_text("main:\n    halt\n")
+    bad = tmp_path / "bad.scenario"
+    bad.write_text(f"program = {asm}\nsecret_value = {value}\n")
+    with pytest.raises(ValueError, match="secret_value must be a byte"):
+        scenario_from_file(str(bad))
+
+
+@pytest.mark.parametrize("kw", [{"secret": 999}, {"secret": -1}, {"secret": 0x100},
+                                {"pad_uops": -1}])
+def test_builder_rejects_out_of_range_options(kw):
+    with pytest.raises(ValueError, match="secret_value must be a byte|pad_uops"):
+        build_scenario("spectre_1_0", **kw)
+    for name in BUILDERS:
+        if "secret" in kw and name != "benign_spill":
+            with pytest.raises(ValueError, match="secret_value must be a byte"):
+                build_scenario(name, **kw)
+
+
 @pytest.mark.parametrize("key", ["atempts", "reg", "flush.0x10000", "probe.base"])
 def test_scenario_file_rejects_unknown_keys(tmp_path, key):
     asm = tmp_path / "victim.asm"
