@@ -5,12 +5,14 @@ The cache tracks presence and fill timing only; committed data lives in a flat
 sparse page store that changes solely at senior-store write-back (and scenario
 setup). Fills outstanding in an MSHR are never cancelled: a squashed load's
 line still installs, which is exactly the footprint the receiver measures.
+The receiver's primitive is `timed_latencies`: one permission check per page,
+then one L1 line-set membership test per address.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import SimConfig
 
@@ -121,9 +123,6 @@ class MemorySystem:
     def _set_index(self, line_addr: int) -> int:
         return (line_addr // LINE) % N_SETS
 
-    def line_present(self, addr: int) -> bool:
-        return (addr & ~(LINE - 1)) in self.lines
-
     def _install(self, line_addr: int, cycle: int) -> None:
         if line_addr in self.lines:
             self.lines[line_addr] = cycle
@@ -177,15 +176,23 @@ class MemorySystem:
 
     # -- receiver primitives (non-speculative attacker side) ------------------
 
+    def timed_latencies(self, addrs: Sequence[int]) -> List[int]:
+        """The latency `timed_read` reports for each address, in order, after
+        one read-permission check per page (ascending). Does not disturb cache
+        state: the receiver classifies presence without reloading."""
+        page_of, line_of = ~(PAGE - 1), ~(LINE - 1)
+        for page in sorted({a & page_of for a in addrs}):
+            perm = self.tlb.get(page)
+            if perm is None or not perm[0]:
+                addr = next(a for a in addrs if a & page_of == page)
+                raise MemFault(f"timed_read of unmapped/unreadable {addr:#x}")
+        lines, hit, miss = (self.lines, self.cfg.l1_latency_cycles,
+                            self.cfg.dram_latency_cycles)
+        return [hit if a & line_of in lines else miss for a in addrs]
+
     def timed_read(self, addr: int) -> Tuple[int, int]:
-        """Read committed memory, reporting hit/miss latency. Does not disturb
-        cache state: the receiver classifies presence without reloading."""
-        page = addr & ~(PAGE - 1)
-        perm = self.tlb.get(page)
-        if perm is None or not perm[0]:
-            raise MemFault(f"timed_read of unmapped/unreadable {addr:#x}")
-        latency = (self.cfg.l1_latency_cycles if self.line_present(addr)
-                   else self.cfg.dram_latency_cycles)
+        """Read one committed byte with the latency `timed_latencies` reports."""
+        latency = self.timed_latencies((addr,))[0]
         return self.read_int(addr, 1), latency
 
     def flush_line(self, addr: int) -> None:

@@ -132,6 +132,8 @@ class ProbeSpec:
             raise ValueError("stride must cover at least one cache line")
         if self.amplification < 1:
             raise ValueError("amplification factor must be >= 1")
+        if self.entries < 1:
+            raise ValueError("probe entries must be >= 1")
 
     def line_addr(self, entry: int, k: int) -> int:
         return self.base + (entry * self.amplification + k) * self.stride
@@ -185,15 +187,12 @@ def probe_receive(mem: MemorySystem, spec: ProbeSpec, cfg: SimConfig) -> Optiona
     """Time every probe entry (amplification lines each, summed, coarsened to
     the timer granularity) and return the unique fastest entry, or None when
     no entry reads below the hit/miss midpoint or the minimum is not unique."""
-    gran = cfg.timer_granularity_cycles
-    readings = []
-    for i in range(spec.entries):
-        total = 0
-        for k in range(spec.amplification):
-            total += mem.timed_read(spec.line_addr(i, k))[1]
-        readings.append((total // gran) * gran)
+    gran, amp = cfg.timer_granularity_cycles, spec.amplification
+    lat = mem.timed_latencies(range(spec.base, spec.base + spec.span, spec.stride))
+    # zip over one iterator, amp times: consecutive runs of amp latencies
+    readings = [(sum(run) // gran) * gran for run in zip(*[iter(lat)] * amp)]
     lowest = min(readings)
-    midpoint = spec.amplification * (cfg.l1_latency_cycles + cfg.dram_latency_cycles) // 2
+    midpoint = amp * (cfg.l1_latency_cycles + cfg.dram_latency_cycles) // 2
     if lowest >= midpoint or readings.count(lowest) != 1:
         return None
     return readings.index(lowest)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import specsim
 from specsim.cli import main
 
 
@@ -276,7 +281,9 @@ def test_unwritable_save_whitelist_exits_4(capsys, tmp_path):
     ("benign_reg.r32 = 1", 2), ("prime.main = takn", 2),
     ("map.0x10000.0x1000 = xyz", 2), ("expected = leaks", 2),
     ("atempts = 5", 2), ("secret_value = 0xFF", 0), ("secret_value = 0x1FF", 2),
-    ("secret_value = -1", 2)])
+    ("secret_value = -1", 2), ("probe_base = 0x100000\nprobe_entries = 1", 0),
+    ("probe_base = 0x100000\nprobe_entries = 0", 2),
+    ("probe_base = 0x100000\nprobe_entries = -3", 2)])
 def test_scenario_file_bad_value_exits_2(capsys, tmp_path, line, want):
     asm = tmp_path / "victim.asm"
     asm.write_text("main:\n    halt\n")
@@ -286,3 +293,13 @@ def test_scenario_file_bad_value_exits_2(capsys, tmp_path, line, want):
     assert code == want
     if want == 2:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(specsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    r = subprocess.run([sys.executable, "-m", "specsim", "run", "spectre_1_0"],
+                       cwd=tmp_path, env=env, capture_output=True, text=True,
+                       timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout.splitlines()[0])["attack_success"] is True

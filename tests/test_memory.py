@@ -42,7 +42,7 @@ def test_fill_completes_even_without_requester():
     cfg, mem = make_mem()
     res = mem.access("load", 0x10200, 0, seq=42)
     mem.tick(res.ready_cycle)
-    assert mem.line_present(0x10200)
+    assert 0x10200 in mem.lines
     assert not mem.mshrs
 
 
@@ -68,7 +68,7 @@ def test_timed_read_latencies():
 def test_timed_read_does_not_install():
     cfg, mem = make_mem()
     mem.timed_read(0x10300)
-    assert not mem.line_present(0x10300)
+    assert 0x10300 not in mem.lines
 
 
 def test_flush_totality():
@@ -78,6 +78,19 @@ def test_flush_totality():
     assert mem.timed_read(0x10400)[1] == cfg.l1_latency_cycles
     mem.flush_line(0x10400)
     assert mem.timed_read(0x10400)[1] == cfg.dram_latency_cycles
+
+
+def test_timed_latencies_match_timed_read_in_order():
+    cfg, mem = make_mem()
+    res = mem.access("load", 0x10440, 0)
+    mem.tick(res.ready_cycle)
+    addrs = [0x10fff, 0x10447, 0x10000, 0x10440, 0x10480]
+    assert mem.timed_latencies(addrs) == [mem.timed_read(a)[1] for a in addrs]
+    assert mem.timed_latencies(addrs)[1::2] == [cfg.l1_latency_cycles] * 2
+    mem.tlb[0x11000] = (False, False)
+    with pytest.raises(MemFault, match="unreadable 0x11008$"):
+        mem.timed_latencies([0x10000, 0x99999000, 0x11008, 0x11000])
+    assert 0x10000 not in mem.lines and list(mem.lines) == [0x10440]
 
 
 def test_timed_read_unmapped_faults():
@@ -95,9 +108,9 @@ def test_round_robin_replacement_is_deterministic():
         res = mem.access("load", addr, 0)
         mem.tick(res.ready_cycle)
     # 8 ways: the first two victims are the two oldest installs
-    assert not mem.line_present(lines[0])
-    assert not mem.line_present(lines[1])
-    assert all(mem.line_present(a) for a in lines[2:])
+    assert lines[0] not in mem.lines
+    assert lines[1] not in mem.lines
+    assert all(a in mem.lines for a in lines[2:])
 
 
 def test_rw_int_cross_page():

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from specsim import SimConfig, assemble, run_reference
 from specsim.lsu import ForwardingPolicy
-from specsim.memory import MemorySystem
+from specsim.memory import LINE, MemFault, MemorySystem
 from specsim.scenarios import (ARR_B, BUILDERS, MATRIX_SCENARIOS, MITIGATION_SITES,
                                MITIGATIONS, ProbeSpec, Scenario, build_benign_spill,
                                build_gadget_spectre_1_0,
@@ -310,6 +312,89 @@ def test_flush_probe_clears_whole_region():
     assert probe_receive(mem, spec, CFG) is None
 
 
+def _reference_timed_read(mem, addr):
+    """The per-line receiver primitive: permission check, then presence."""
+    perm = mem.tlb.get(addr & ~0xFFF)
+    if perm is None or not perm[0]:
+        raise MemFault(f"timed_read of unmapped/unreadable {addr:#x}")
+    return (mem.cfg.l1_latency_cycles if (addr & ~(LINE - 1)) in mem.lines
+            else mem.cfg.dram_latency_cycles)
+
+
+def _reference_receive(mem, spec, cfg):
+    """The receiver as one timed read per probe line, in (entry, k) order."""
+    gran = cfg.timer_granularity_cycles
+    readings = []
+    for i in range(spec.entries):
+        total = 0
+        for k in range(spec.amplification):
+            total += _reference_timed_read(mem, spec.line_addr(i, k))
+        readings.append((total // gran) * gran)
+    lowest = min(readings)
+    midpoint = spec.amplification * (cfg.l1_latency_cycles + cfg.dram_latency_cycles) // 2
+    if lowest >= midpoint or readings.count(lowest) != 1:
+        return None
+    return readings.index(lowest)
+
+
+def _random_probe_state(rng, spec, cfg):
+    """A probe array in a random L1 state: no hot entry, one, or several, each
+    with all or some of its lines, plus stray probe lines and unrelated lines."""
+    mem = MemorySystem(cfg)
+    mem.map_region(spec.base, spec.span, "rw")
+    hot = rng.sample(range(spec.entries), min(spec.entries, rng.choice([0, 1, 1, 3])))
+    lines = [spec.line_addr(i, k) for i in hot
+             for k in range(spec.amplification) if rng.random() < 0.9]
+    lines += [spec.line_addr(rng.randrange(spec.entries),
+                             rng.randrange(spec.amplification))
+              for _ in range(rng.randrange(4))]
+    lines += [rng.randrange(0x10000, 0x80000) for _ in range(rng.randrange(20))]
+    rng.shuffle(lines)
+    for cycle, addr in enumerate(lines):
+        res = mem.access("load", addr, cycle)
+        mem.tick(max(res.ready_cycle, cycle))
+    return mem
+
+
+@pytest.mark.parametrize("unaligned", [False, True])
+@pytest.mark.parametrize("stride", [64, 512, 4160])
+@pytest.mark.parametrize("gran", [1, 3000])
+@pytest.mark.parametrize("amplification", [1, 4, 64])
+def test_probe_receive_matches_the_per_line_receiver(amplification, gran, stride,
+                                                     unaligned):
+    rng = random.Random(f"{amplification}/{gran}/{stride}/{unaligned}")
+    cfg = CFG.replace(timer_granularity_cycles=gran)
+    for _ in range(6):
+        base = PROBE + (rng.randrange(1, LINE) if unaligned else 0)
+        spec = ProbeSpec(base=base, stride=stride, entries=rng.choice([1, 2, 37, 256]),
+                         amplification=amplification)
+        mem = _random_probe_state(rng, spec, cfg)
+        lines, sets = dict(mem.lines), [list(s) for s in mem.sets]
+        assert probe_receive(mem, spec, cfg) == _reference_receive(mem, spec, cfg)
+        assert mem.lines == lines and mem.sets == sets and not mem.mshrs
+        addr = spec.line_addr(rng.randrange(spec.entries), rng.randrange(amplification))
+        assert mem.timed_read(addr)[1] == _reference_timed_read(mem, addr)
+
+
+@pytest.mark.parametrize("perm", [None, (False, True)])
+def test_probe_receive_faults_like_the_per_line_receiver(perm):
+    spec = ProbeSpec(stride=4160, amplification=4)
+    rng = random.Random(7)
+    for _ in range(5):
+        mem = _mem_with_resident_entry(spec, 0x2A, CFG)
+        pages = {a & ~0xFFF for a in range(spec.base, spec.base + spec.span, spec.stride)}
+        for page in rng.sample(sorted(pages), 2):
+            if perm is None:
+                del mem.tlb[page]
+            else:
+                mem.tlb[page] = perm
+        with pytest.raises(MemFault) as want:
+            _reference_receive(mem, spec, CFG)
+        with pytest.raises(MemFault) as got:
+            probe_receive(mem, spec, CFG)
+        assert str(got.value) == str(want.value)
+
+
 def test_report_state_is_set_when_priming_faults():
     victim = assemble("main:\n    movi r1, 0x900000\n    ld.8 r2, [r1]\n    halt\n")
     r = run_scenario(Scenario("faulty", victim, probe=ProbeSpec()), CFG,
@@ -375,6 +460,16 @@ def test_scenario_file_errors(tmp_path):
     bad = tmp_path / "bad.scenario"
     bad.write_text("name = x\n")
     with pytest.raises(ValueError, match="missing program"):
+        scenario_from_file(str(bad))
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_scenario_file_rejects_probe_entries_below_one(tmp_path, value):
+    asm = tmp_path / "victim.asm"
+    asm.write_text("main:\n    halt\n")
+    bad = tmp_path / "bad.scenario"
+    bad.write_text(f"program = {asm}\nprobe_base = {hex(PROBE)}\nprobe_entries = {value}\n")
+    with pytest.raises(ValueError, match="probe entries must be >= 1"):
         scenario_from_file(str(bad))
 
 
