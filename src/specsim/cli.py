@@ -20,8 +20,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .config import (FORWARDING_POLICIES, SimConfig, TLB_ENFORCEMENT_MODES,
-                     parse_config_file)
+from .config import CHOICES, FORWARDING_POLICIES, SimConfig, parse_config_file
 from .lsu import ForwardingPolicy
 from .scenarios import (ALL_MITIGATIONS, BUILDERS, MATRIX_SCENARIOS, MITIGATIONS,
                         build_scenario, run_scenario, scenario_from_file)
@@ -43,10 +42,8 @@ class _CliError(Exception):
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     for name in _CONFIG_FIELDS:
         flag = "--" + name.replace("_", "-")
-        if name == "forwarding_policy":
-            parser.add_argument(flag, choices=FORWARDING_POLICIES)
-        elif name == "tlb_enforcement":
-            parser.add_argument(flag, choices=TLB_ENFORCEMENT_MODES)
+        if name in CHOICES:
+            parser.add_argument(flag, choices=CHOICES[name])
         else:
             parser.add_argument(flag, type=lambda v: int(v, 0))
 

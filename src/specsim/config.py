@@ -3,21 +3,21 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields, asdict
+import dataclasses
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, List, Optional, Set, Tuple
+
+from .lsu import FORWARDING_POLICIES
 
 if TYPE_CHECKING:
     from .core import Core
 
-FORWARDING_POLICIES = (
-    "baseline",
-    "slothbear_stores",
-    "slothbear_loads",
-    "sloth_marked",
-    "arctic_sloth",
-)
-
 TLB_ENFORCEMENT_MODES = ("lazy", "eager", "forward_zero")
+
+# the string-valued SimConfig fields and their allowed values; every other
+# field is an int
+CHOICES = {"forwarding_policy": FORWARDING_POLICIES,
+           "tlb_enforcement": TLB_ENFORCEMENT_MODES}
 
 
 @dataclass
@@ -50,10 +50,9 @@ class SimConfig:
             raise ValueError("dram_latency_cycles must exceed l1_latency_cycles")
         if self.timer_granularity_cycles < 1:
             raise ValueError("timer_granularity_cycles must be >= 1")
-        if self.forwarding_policy not in FORWARDING_POLICIES:
-            raise ValueError(f"unknown forwarding_policy {self.forwarding_policy!r}")
-        if self.tlb_enforcement not in TLB_ENFORCEMENT_MODES:
-            raise ValueError(f"unknown tlb_enforcement {self.tlb_enforcement!r}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
 
     def digest(self) -> str:
         """Short stable hash of every knob, for reproduction from a report."""
@@ -61,9 +60,7 @@ class SimConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def replace(self, **kw) -> "SimConfig":
-        d = asdict(self)
-        d.update(kw)
-        return SimConfig(**d)
+        return dataclasses.replace(self, **kw)
 
 
 TRACE_KINDS = ("fetch", "dispatch", "issue", "execute", "forward", "mshr_alloc",
@@ -127,8 +124,5 @@ def parse_config_file(text: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in valid:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key in ("forwarding_policy", "tlb_enforcement"):
-            out[key] = value
-        else:
-            out[key] = int(value, 0)
+        out[key] = value if key in CHOICES else int(value, 0)
     return out

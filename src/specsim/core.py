@@ -35,12 +35,11 @@ from operator import attrgetter
 from typing import Dict, List, Optional, Set
 
 from .config import RunReport, SimConfig, TraceEvent
-from .isa import (MASK64, NUM_REGS, MicroOp, Program, UopKind,
-                  alu_eval, cond_holds, decode, flags_for)
+from .isa import MASK64, NUM_REGS, MicroOp, Program, UopKind, decode
 from .lsu import ForwardingPolicy, StoreBuffer, StoreBufferEntry, forward_decision
 from .memory import MemorySystem
-from .predictors import (NOT_TAKEN, TAKEN, PredictorState, predict_branch,
-                         rsb_pop, rsb_push, train_branch)
+from .predictors import (PredictorState, predict_branch, rsb_pop, rsb_push,
+                         train_branch)
 
 DISPATCHED, WAITING, EXECUTING, DONE = 0, 1, 2, 3
 
@@ -68,7 +67,7 @@ class ROBEntry:
     result2: Optional[int] = None
     addr: Optional[int] = None
     mem_pending: bool = False          # result read from memory at completion
-    predicted: Optional[object] = None  # direction for BR_COND, target for JR
+    predicted: Optional[object] = None  # taken (bool) for BR_COND, target for JR
     actual: Optional[object] = None
     forwarded_from: Optional[int] = None
     fault: Optional[str] = None
@@ -174,14 +173,14 @@ class Core:
 
     def _resolve_branch(self, entry: ROBEntry) -> None:
         uop = entry.uop
-        if uop.cond != "always":            # a predicted branch: its seq is live
+        if uop.srcs:                        # predicted (not jmp): its seq is live
             self.live_tags.remove(entry.seq)
         if entry.predicted == entry.actual:
             return
         self.squash_count += 1
         self._squash_younger(entry.seq)
         if uop.kind is BR_COND:
-            self.fetch_pc = uop.imm if entry.actual == TAKEN else uop.parent_pc + 4
+            self.fetch_pc = uop.imm if entry.actual else uop.parent_pc + 4
         else:  # JR_INDIRECT
             self.fetch_pc = entry.actual
             if self.trace is not None:
@@ -294,7 +293,7 @@ class Core:
                 return
             sbe = entry.sbe
             if sbe is not None:
-                if sbe.perm_checked == "write_fault":
+                if sbe.write_fault:
                     self.fault = f"write_fault pc={uop.parent_pc:#x} addr={sbe.addr:#x}"
                     self._ev("fault", entry.seq, uop.parent_pc, self.fault)
                     return
@@ -307,7 +306,7 @@ class Core:
                 arch_regs[uop.dst2] = entry.result2
                 if rename.get(uop.dst2) is entry:
                     del rename[uop.dst2]
-            if kind is BR_COND and uop.cond != "always":
+            if kind is BR_COND and uop.fn is not None:
                 train_branch(self.pred, uop.parent_pc, entry.actual)
             elif kind is LDA and entry.forwarded_from is not None:
                 self.policy.learn(uop.parent_pc)
@@ -349,24 +348,13 @@ class Core:
         self.progress = True
         if self.trace is not None:
             self._ev("issue", entry.seq, uop.parent_pc)
-        if kind is ALU:
-            if len(vals) == 2:
-                entry.result = alu_eval(uop.mnemonic, vals[0], vals[1])
-            elif len(vals) == 1:
-                b = uop.imm & MASK64 if uop.mnemonic != "mov" else 0
-                entry.result = alu_eval(uop.mnemonic, vals[0], b)
-            else:
-                entry.result = uop.imm & MASK64 if uop.mnemonic == "movi" else 0
-        elif kind is CMP:
-            b = vals[1] if len(vals) == 2 else uop.imm & MASK64
-            entry.result = flags_for(vals[0], b)
+        if kind is ALU or kind is CMP:
+            entry.result = uop.fn(vals[0] if vals else uop.imm,
+                                  vals[1] if len(vals) == 2 else uop.imm)
         elif kind is CSEL:
-            entry.result = vals[0] if cond_holds(uop.cond, vals[2]) else vals[1]
+            entry.result = vals[0] if uop.fn(vals[2]) else vals[1]
         elif kind is BR_COND:
-            if uop.cond == "always":
-                entry.actual = TAKEN
-            else:
-                entry.actual = TAKEN if cond_holds(uop.cond, vals[0]) else NOT_TAKEN
+            entry.actual = uop.fn is None or uop.fn(vals[0])     # jmp: taken
         elif kind is JR_INDIRECT:
             entry.actual = vals[0]
         elif kind is LDA:
@@ -383,12 +371,12 @@ class Core:
         elif kind is STA:
             addr = (vals[0] + uop.imm) & MASK64
             entry.addr = entry.sbe.addr = addr
-            entry.sbe.perm_checked = self.mem.tlb_check("write", addr)
+            entry.sbe.write_fault = not self.mem.permits(addr, write=True)
         elif kind is STD:
             entry.sbe.data = vals[0] & MASK64
         elif kind is CALL:
             addr = entry.result = entry.addr = entry.sbe.addr = (vals[0] - 8) & MASK64
-            entry.sbe.perm_checked = self.mem.tlb_check("write", addr)
+            entry.sbe.write_fault = not self.mem.permits(addr, write=True)
             entry.sbe.data = (uop.parent_pc + 4) & MASK64
         # FENCE and HALT carry no operands and produce no result
         entry.status = EXECUTING
@@ -494,14 +482,13 @@ class Core:
                 if kind is ALU:
                     pass                            # most micro-ops: nothing to set up
                 elif kind is BR_COND:
-                    if uop.cond == "always":
-                        entry.predicted = TAKEN
+                    if uop.fn is None:              # jmp
+                        entry.predicted = True
                         next_pc = uop.imm
                     else:
-                        direction = predict_branch(self.pred, pc)
-                        entry.predicted = direction
+                        taken = entry.predicted = predict_branch(self.pred, pc)
                         live_tags.append(seq)
-                        next_pc = uop.imm if direction == TAKEN else pc + 4
+                        next_pc = uop.imm if taken else pc + 4
                 elif kind is STA:
                     sbe = entry.sbe = StoreBufferEntry(seq, uop.size,
                                                        forwardable=uop.forwardable)

@@ -21,14 +21,21 @@ Dialect summary (the full grammar is in the README's ISA reference):
 
 Registers are r0..r31 (sp is an alias for r31). `call` pushes the return
 address at [sp-8] and decrements sp; `ret` loads it back and jumps.
+
+The tables below are the semantics `decode` and the in-order reference
+share: `CONDITIONS` (condition code -> predicate on the flag register, from
+which the j<cc> and csel.<cc> mnemonics derive) and `ALU_OPS` (mnemonic ->
+fn(a, b)). `decode` binds a micro-op's function or condition once, so no
+pipeline stage compares a mnemonic or a condition code.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 MASK64 = (1 << 64) - 1
 
@@ -42,7 +49,18 @@ SP = 31
 FL_BELOW = 1
 FL_EQUAL = 2
 
-CONDITIONS = ("b", "be", "ae", "a", "e", "ne")
+# condition code -> predicate on the flag register; the j<cc> branches and
+# the csel.<cc> selects take their conditions from this table
+CONDITIONS = {
+    "b": lambda fl: bool(fl & FL_BELOW),
+    "be": lambda fl: fl != 0,
+    "ae": lambda fl: not fl & FL_BELOW,
+    "a": lambda fl: fl == 0,
+    "e": lambda fl: bool(fl & FL_EQUAL),
+    "ne": lambda fl: not fl & FL_EQUAL,
+}
+BRANCHES = {f"j{cc}": holds for cc, holds in CONDITIONS.items()}
+SELECTS = {f"csel.{cc}": holds for cc, holds in CONDITIONS.items()}
 
 
 def flags_for(a: int, b: int) -> int:
@@ -54,45 +72,21 @@ def flags_for(a: int, b: int) -> int:
     return fl
 
 
-def cond_holds(cond: str, fl: int) -> bool:
-    if cond == "b":
-        return bool(fl & FL_BELOW)
-    if cond == "be":
-        return fl != 0
-    if cond == "ae":
-        return not fl & FL_BELOW
-    if cond == "a":
-        return fl == 0
-    if cond == "e":
-        return bool(fl & FL_EQUAL)
-    if cond == "ne":
-        return not fl & FL_EQUAL
-    if cond == "always":
-        return True
-    raise ValueError(f"unknown condition {cond!r}")
+# register-form ALU mnemonic -> fn(a, b), 64-bit unsigned and wrapping; each
+# has an immediate form <op>i, and the shifts have only that form
+_ALU_RR = {
+    "add": lambda a, b: (a + b) & MASK64,
+    "sub": lambda a, b: (a - b) & MASK64,
+    "and": operator.and_,
+    "or": operator.or_,
+    "xor": operator.xor,
+}
+ALU_OPS = {**_ALU_RR, **{m + "i": fn for m, fn in _ALU_RR.items()},
+           "shli": lambda a, b: (a << (b & 63)) & MASK64,
+           "shri": lambda a, b: a >> (b & 63)}
 
-
-def alu_eval(mnemonic: str, a: int, b: int) -> int:
-    """Shared ALU semantics (64-bit unsigned, wrapping)."""
-    if mnemonic in ("add", "addi"):
-        return (a + b) & MASK64
-    if mnemonic in ("sub", "subi"):
-        return (a - b) & MASK64
-    if mnemonic in ("and", "andi"):
-        return a & b
-    if mnemonic in ("or", "ori"):
-        return a | b
-    if mnemonic in ("xor", "xori"):
-        return a ^ b
-    if mnemonic == "shli":
-        return (a << (b & 63)) & MASK64
-    if mnemonic == "shri":
-        return a >> (b & 63)
-    if mnemonic in ("mov", "movi"):
-        return a & MASK64
-    if mnemonic == "nop":
-        return 0
-    raise ValueError(f"no ALU semantics for {mnemonic!r}")
+LOAD_SIZES = {f"ld.{n}": n for n in (1, 2, 4, 8)}
+STORE_SIZES = {f"st.{n}": n for n in (1, 2, 4, 8)}
 
 
 class UopKind(Enum):
@@ -109,7 +103,17 @@ class UopKind(Enum):
     HALT = "halt"
 
 
-NO_ANNOTATIONS = frozenset()      # shared by every unmarked instruction
+def _move(a: int, b: int) -> int:
+    return a
+
+
+# mnemonic -> (kind, fn) of the one ALU or CMP micro-op that computes
+# fn(a, b): b is the immediate unless a second source register gives it, and
+# an op without a source register (movi, nop) takes the immediate as a too
+_COMPUTED = {**{m: (UopKind.ALU, fn) for m, fn in ALU_OPS.items()},
+             "mov": (UopKind.ALU, _move), "movi": (UopKind.ALU, _move),
+             "nop": (UopKind.ALU, _move),
+             "cmp": (UopKind.CMP, flags_for), "cmpi": (UopKind.CMP, flags_for)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,24 +150,21 @@ class Instruction:
     pc: int
     mnemonic: str
     operands: Tuple = ()
-    annotations: frozenset = NO_ANNOTATIONS
-
-    @property
-    def forwardable(self) -> bool:
-        return "forwardable" in self.annotations
+    forwardable: bool = False       # marked '!'
 
 
 @dataclass(frozen=True, slots=True)
 class MicroOp:
     kind: UopKind
     parent_pc: int
-    mnemonic: str = ""
     dst: Optional[int] = None
     dst2: Optional[int] = None
     srcs: Tuple[int, ...] = ()
     imm: int = 0
     size: int = 8
-    cond: str = ""
+    # ALU and CMP: result = fn(a, b); BR_COND and CSEL: the condition,
+    # fn(flags) -> bool, None for the unconditional jmp
+    fn: Optional[Callable] = None
     is_return: bool = False
     forwardable: bool = False
     last: bool = True        # last micro-op of its parent instruction
@@ -211,22 +212,13 @@ class AsmError(Exception):
 # mnemonic -> operand signature; r=register, i=immediate-or-label, m=memory,
 # l=label-or-immediate code target
 _SIGNATURES = {
-    "movi": "ri", "mov": "rr",
-    "add": "rrr", "sub": "rrr", "and": "rrr", "or": "rrr", "xor": "rrr",
-    "addi": "rri", "subi": "rri", "andi": "rri", "ori": "rri", "xori": "rri",
-    "shli": "rri", "shri": "rri",
-    "cmp": "rr", "cmpi": "ri",
-    "jb": "l", "jbe": "l", "jae": "l", "ja": "l", "je": "l", "jne": "l",
-    "jmp": "l", "call": "l",
+    "movi": "ri", "mov": "rr", "cmp": "rr", "cmpi": "ri",
+    **{m: "rri" if m.endswith("i") else "rrr" for m in ALU_OPS},
+    **dict.fromkeys(BRANCHES, "l"), "jmp": "l", "call": "l",
+    **dict.fromkeys(SELECTS, "rrr"),
+    **dict.fromkeys(LOAD_SIZES, "rm"), **dict.fromkeys(STORE_SIZES, "rm"),
     "jr": "r", "ret": "", "fence": "", "halt": "", "nop": "",
 }
-for _cc in CONDITIONS:
-    _SIGNATURES[f"csel.{_cc}"] = "rrr"
-for _sz in (1, 2, 4, 8):
-    _SIGNATURES[f"ld.{_sz}"] = "rm"
-    _SIGNATURES[f"st.{_sz}"] = "rm"
-
-_BRANCH_CC = {"jb": "b", "jbe": "be", "jae": "ae", "ja": "a", "je": "e", "jne": "ne"}
 
 
 def operand_labels(program: Program, instr: Instruction) -> List[Optional[str]]:
@@ -285,7 +277,7 @@ def _split_operands(text: str) -> List[Tuple[str, int]]:
 def assemble(source: str) -> Program:
     """Assemble toy-dialect text into a Program. Deterministic; raises AsmError."""
     labels: Dict[str, int] = {}
-    pending: List[Tuple] = []   # (lineno, col, mnemonic, annotations, raw_operands)
+    pending: List[Tuple] = []   # (lineno, col, mnemonic, forwardable, raw_operands)
     segments: List[DataSegment] = []
     pc = 0
 
@@ -339,23 +331,22 @@ def assemble(source: str) -> Program:
 
         parts = text.split(None, 1)
         mnem = parts[0]
-        annotations = NO_ANNOTATIONS
-        if mnem.endswith("!"):
+        forwardable = mnem.endswith("!")
+        if forwardable:
             base = mnem[:-1]
             if not (base.startswith("ld.") or base.startswith("st.")):
                 raise AsmError("'!' mark is only valid on loads and stores",
                                lineno, col)
             mnem = base
-            annotations = frozenset({"forwardable"})
         if mnem not in _SIGNATURES:
             raise AsmError(f"unknown mnemonic {mnem!r}", lineno, col)
         rest = parts[1] if len(parts) > 1 else ""
-        pending.append((lineno, col, mnem, annotations, rest))
+        pending.append((lineno, col, mnem, forwardable, rest))
         pc += 4
 
     # second pass: operands, with labels now known
     instructions: List[Instruction] = []
-    for idx, (lineno, col, mnem, annotations, rest) in enumerate(pending):
+    for idx, (lineno, col, mnem, forwardable, rest) in enumerate(pending):
         sig = _SIGNATURES[mnem]
         toks = _split_operands(rest)
         if len(toks) != len(sig):
@@ -387,7 +378,7 @@ def assemble(source: str) -> Program:
                     if code == "l":
                         raise AsmError(f"expected label, got {tok!r}", lineno, tcol)
                     operands.append(Imm(_parse_int(tok, lineno, tcol)))
-        instructions.append(Instruction(idx * 4, mnem, tuple(operands), annotations))
+        instructions.append(Instruction(idx * 4, mnem, tuple(operands), forwardable))
 
     # trailing labels point one past the last instruction; that is allowed only
     # if nothing jumps there, which label resolution above already guarantees.
@@ -399,67 +390,55 @@ def assemble(source: str) -> Program:
 
 
 def decode(instr: Instruction) -> List[MicroOp]:
-    """Decode one instruction into 1-2 micro-ops. Pure and total."""
+    """Decode one instruction into 1-2 micro-ops, binding its ALU function or
+    condition from the tables above. Pure and total."""
     pc = instr.pc
     mnem = instr.mnemonic
     ops = instr.operands
 
-    if mnem in ("movi",):
-        return [MicroOp(UopKind.ALU, pc, mnem, dst=ops[0].n, imm=ops[1].value)]
-    if mnem == "mov":
-        return [MicroOp(UopKind.ALU, pc, mnem, dst=ops[0].n, srcs=(ops[1].n,))]
-    if mnem in ("add", "sub", "and", "or", "xor"):
-        return [MicroOp(UopKind.ALU, pc, mnem, dst=ops[0].n,
-                        srcs=(ops[1].n, ops[2].n))]
-    if mnem in ("addi", "subi", "andi", "ori", "xori", "shli", "shri"):
-        return [MicroOp(UopKind.ALU, pc, mnem, dst=ops[0].n, srcs=(ops[1].n,),
-                        imm=ops[2].value)]
-    if mnem == "cmp":
-        return [MicroOp(UopKind.CMP, pc, mnem, dst=REG_FLAGS,
-                        srcs=(ops[0].n, ops[1].n))]
-    if mnem == "cmpi":
-        return [MicroOp(UopKind.CMP, pc, mnem, dst=REG_FLAGS, srcs=(ops[0].n,),
-                        imm=ops[1].value)]
-    if mnem in _BRANCH_CC:
-        return [MicroOp(UopKind.BR_COND, pc, mnem, srcs=(REG_FLAGS,),
-                        imm=ops[0].value, cond=_BRANCH_CC[mnem])]
+    if mnem in _COMPUTED:
+        kind, fn = _COMPUTED[mnem]
+        if kind is UopKind.CMP:
+            dst, ins = REG_FLAGS, ops
+        else:
+            dst, ins = (ops[0].n if ops else None), ops[1:]
+        imm = ins[-1].value & MASK64 if ins and isinstance(ins[-1], Imm) else 0
+        return [MicroOp(kind, pc, dst=dst, imm=imm, fn=fn,
+                        srcs=tuple(op.n for op in ins if isinstance(op, Reg)))]
+    if mnem in BRANCHES:
+        return [MicroOp(UopKind.BR_COND, pc, srcs=(REG_FLAGS,), imm=ops[0].value,
+                        fn=BRANCHES[mnem])]
     if mnem == "jmp":
-        return [MicroOp(UopKind.BR_COND, pc, mnem, imm=ops[0].value, cond="always")]
-    if mnem.startswith("csel."):
-        return [MicroOp(UopKind.CSEL, pc, mnem, dst=ops[0].n,
-                        srcs=(ops[1].n, ops[2].n, REG_FLAGS),
-                        cond=mnem.split(".", 1)[1])]
-    if mnem.startswith("ld."):
-        size = int(mnem.split(".", 1)[1])
-        return [MicroOp(UopKind.LDA, pc, mnem, dst=ops[0].n, srcs=(ops[1].base,),
-                        imm=ops[1].offset, size=size,
+        return [MicroOp(UopKind.BR_COND, pc, imm=ops[0].value)]
+    if mnem in SELECTS:
+        return [MicroOp(UopKind.CSEL, pc, dst=ops[0].n,
+                        srcs=(ops[1].n, ops[2].n, REG_FLAGS), fn=SELECTS[mnem])]
+    if mnem in LOAD_SIZES:
+        return [MicroOp(UopKind.LDA, pc, dst=ops[0].n, srcs=(ops[1].base,),
+                        imm=ops[1].offset, size=LOAD_SIZES[mnem],
                         forwardable=instr.forwardable)]
-    if mnem.startswith("st."):
-        size = int(mnem.split(".", 1)[1])
-        sta = MicroOp(UopKind.STA, pc, mnem, srcs=(ops[1].base,),
-                      imm=ops[1].offset, size=size,
-                      forwardable=instr.forwardable, last=False)
-        std = MicroOp(UopKind.STD, pc, mnem, srcs=(ops[0].n,), size=size,
+    if mnem in STORE_SIZES:
+        size = STORE_SIZES[mnem]
+        sta = MicroOp(UopKind.STA, pc, srcs=(ops[1].base,), imm=ops[1].offset,
+                      size=size, forwardable=instr.forwardable, last=False)
+        std = MicroOp(UopKind.STD, pc, srcs=(ops[0].n,), size=size,
                       forwardable=instr.forwardable)
         return [sta, std]
     if mnem == "call":
         # one micro-op: sp -= 8, store return address at new sp, jump
-        return [MicroOp(UopKind.CALL, pc, mnem, dst=SP, srcs=(SP,), size=8,
+        return [MicroOp(UopKind.CALL, pc, dst=SP, srcs=(SP,), size=8,
                         imm=ops[0].value)]
     if mnem == "ret":
-        lda = MicroOp(UopKind.LDA, pc, mnem, dst=REG_RETTMP, dst2=SP, srcs=(SP,),
+        lda = MicroOp(UopKind.LDA, pc, dst=REG_RETTMP, dst2=SP, srcs=(SP,),
                       size=8, last=False)
-        jr = MicroOp(UopKind.JR_INDIRECT, pc, mnem, srcs=(REG_RETTMP,),
-                     is_return=True)
+        jr = MicroOp(UopKind.JR_INDIRECT, pc, srcs=(REG_RETTMP,), is_return=True)
         return [lda, jr]
     if mnem == "jr":
-        return [MicroOp(UopKind.JR_INDIRECT, pc, mnem, srcs=(ops[0].n,))]
+        return [MicroOp(UopKind.JR_INDIRECT, pc, srcs=(ops[0].n,))]
     if mnem == "fence":
-        return [MicroOp(UopKind.FENCE, pc, mnem)]
+        return [MicroOp(UopKind.FENCE, pc)]
     if mnem == "halt":
-        return [MicroOp(UopKind.HALT, pc, mnem)]
-    if mnem == "nop":
-        return [MicroOp(UopKind.ALU, pc, mnem)]
+        return [MicroOp(UopKind.HALT, pc)]
     raise ValueError(f"undecodable mnemonic {mnem!r}")
 
 

@@ -22,7 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
-from .config import FORWARDING_POLICIES
+# policy -> allows(store, load_speculative, load_pc, load_forwardable,
+# whitelist): may a matching older store forward its data to the load
+POLICY_ALLOWS = {
+    "baseline": lambda store, spec, pc, marked, whitelist: True,
+    "slothbear_stores": lambda store, spec, pc, marked, whitelist: store.senior,
+    "slothbear_loads": lambda store, spec, pc, marked, whitelist: not spec,
+    "sloth_marked": lambda store, spec, pc, marked, whitelist: (
+        store.forwardable and marked),
+    "arctic_sloth": lambda store, spec, pc, marked, whitelist: pc in whitelist,
+}
+FORWARDING_POLICIES = tuple(POLICY_ALLOWS)
 
 
 @dataclass(slots=True)
@@ -33,7 +43,7 @@ class StoreBufferEntry:
     data: Optional[int] = None
     senior: bool = False
     forwardable: bool = False
-    perm_checked: str = "unchecked"   # unchecked | ok | write_fault
+    write_fault: bool = False         # the TLB refuses the write
     uop_count: int = 2                # call-pushed entries resolve in one micro-op
     retired_uops: int = 0
     writeback_ready_cycle: Optional[int] = None
@@ -54,7 +64,7 @@ class ForwardingPolicy:
     whitelist: Set[int] = field(default_factory=set)
 
     def __post_init__(self):
-        if self.variant not in FORWARDING_POLICIES:
+        if self.variant not in POLICY_ALLOWS:
             raise ValueError(f"unknown forwarding policy {self.variant!r}")
 
     def learn(self, load_pc: int) -> None:
@@ -136,18 +146,10 @@ def forward_decision(load_seq: int, load_addr: int, load_size: int,
                 return ForwardDecision("wait")
             if entry.data is None:
                 return ForwardDecision("wait")
-            allowed = True
-            if policy.variant == "slothbear_stores":
-                allowed = entry.senior
-            elif policy.variant == "slothbear_loads":
-                allowed = not load_speculative
-            elif policy.variant == "sloth_marked":
-                allowed = entry.forwardable and load_forwardable
-            elif policy.variant == "arctic_sloth":
-                allowed = load_pc in policy.whitelist
-            if not allowed:
+            if not POLICY_ALLOWS[policy.variant](entry, load_speculative, load_pc,
+                                                 load_forwardable, policy.whitelist):
                 return ForwardDecision("wait")
-            if entry.perm_checked == "write_fault":
+            if entry.write_fault:
                 if tlb_mode == "forward_zero":
                     return ForwardDecision("forward_zero", 0, entry.seq)
                 if tlb_mode == "eager":

@@ -68,17 +68,11 @@ class MemorySystem:
     def is_mapped(self, addr: int) -> bool:
         return (addr & ~(PAGE - 1)) in self.tlb
 
-    def tlb_check(self, kind: str, addr: int) -> str:
-        """Permission verdict; when the caller acts on it is the caller's contract."""
+    def permits(self, addr: int, write: bool) -> bool:
+        """Whether the TLB lets `addr` be written (`write`), else read; when
+        the caller acts on a refusal is the caller's contract."""
         perm = self.tlb.get(addr & ~(PAGE - 1))
-        if perm is None:
-            return "write_fault" if kind == "write" else "read_fault"
-        readable, writable = perm
-        if kind == "write" and not writable:
-            return "write_fault"
-        if kind == "read" and not readable:
-            return "read_fault"
-        return "ok"
+        return perm is not None and perm[1 if write else 0]
 
     # -- committed data ------------------------------------------------------
 
@@ -182,8 +176,7 @@ class MemorySystem:
         state: the receiver classifies presence without reloading."""
         page_of, line_of = ~(PAGE - 1), ~(LINE - 1)
         for page in sorted({a & page_of for a in addrs}):
-            perm = self.tlb.get(page)
-            if perm is None or not perm[0]:
+            if not self.permits(page, write=False):
                 addr = next(a for a in addrs if a & page_of == page)
                 raise MemFault(f"timed_read of unmapped/unreadable {addr:#x}")
         lines, hit, miss = (self.lines, self.cfg.l1_latency_cycles,

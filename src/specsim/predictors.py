@@ -12,9 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-TAKEN = "taken"
-NOT_TAKEN = "not_taken"
-
 
 @dataclass
 class PredictorState:
@@ -31,13 +28,14 @@ class PredictorState:
         return (pc >> 2) % self.table_size
 
 
-def predict_branch(state: PredictorState, pc: int) -> str:
-    return TAKEN if state.bht[state.slot(pc)] >= 2 else NOT_TAKEN
+def predict_branch(state: PredictorState, pc: int) -> bool:
+    """Whether the branch at `pc` is predicted taken."""
+    return state.bht[state.slot(pc)] >= 2
 
 
-def train_branch(state: PredictorState, pc: int, outcome: str) -> None:
+def train_branch(state: PredictorState, pc: int, taken: bool) -> None:
     i = state.slot(pc)
-    if outcome == TAKEN:
+    if taken:
         if state.bht[i] < 3:
             state.bht[i] += 1
     else:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .config import SimConfig
-from .isa import (_BRANCH_CC, MASK64, NUM_REGS, REG_FLAGS, SP, Program,
-                  alu_eval, cond_holds, flags_for)
+from .isa import (ALU_OPS, BRANCHES, LOAD_SIZES, MASK64, NUM_REGS, REG_FLAGS,
+                  SELECTS, SP, STORE_SIZES, Program, Reg, flags_for)
 from .memory import MemorySystem
 
 
@@ -38,6 +38,10 @@ def run_reference(program: Program, cfg: SimConfig,
     pc = 0
     executed = 0
 
+    def value(op) -> int:
+        """A register operand's value, or an immediate's as 64 bits."""
+        return r[op.n] if isinstance(op, Reg) else op.value & MASK64
+
     while executed < max_steps:
         instr = program.instr_at(pc)
         if instr is None:
@@ -47,43 +51,34 @@ def run_reference(program: Program, cfg: SimConfig,
         ops = instr.operands
         next_pc = pc + 4
 
-        if m == "movi":
-            r[ops[0].n] = ops[1].value & MASK64
-        elif m == "mov":
-            r[ops[0].n] = r[ops[1].n]
-        elif m in ("add", "sub", "and", "or", "xor"):
-            r[ops[0].n] = alu_eval(m, r[ops[1].n], r[ops[2].n])
-        elif m in ("addi", "subi", "andi", "ori", "xori", "shli", "shri"):
-            r[ops[0].n] = alu_eval(m, r[ops[1].n], ops[2].value & MASK64)
-        elif m == "cmp":
-            r[REG_FLAGS] = flags_for(r[ops[0].n], r[ops[1].n])
-        elif m == "cmpi":
-            r[REG_FLAGS] = flags_for(r[ops[0].n], ops[1].value & MASK64)
-        elif m in _BRANCH_CC:
-            if cond_holds(_BRANCH_CC[m], r[REG_FLAGS]):
+        if m in ALU_OPS:
+            r[ops[0].n] = ALU_OPS[m](r[ops[1].n], value(ops[2]))
+        elif m in ("mov", "movi"):
+            r[ops[0].n] = value(ops[1])
+        elif m in ("cmp", "cmpi"):
+            r[REG_FLAGS] = flags_for(r[ops[0].n], value(ops[1]))
+        elif m in BRANCHES:
+            if BRANCHES[m](r[REG_FLAGS]):
                 next_pc = ops[0].value
         elif m == "jmp":
             next_pc = ops[0].value
-        elif m.startswith("csel."):
-            cc = m.split(".", 1)[1]
-            r[ops[0].n] = r[ops[1].n] if cond_holds(cc, r[REG_FLAGS]) else r[ops[2].n]
-        elif m.startswith("ld."):
-            size = int(m.split(".", 1)[1])
+        elif m in SELECTS:
+            r[ops[0].n] = r[ops[1].n] if SELECTS[m](r[REG_FLAGS]) else r[ops[2].n]
+        elif m in LOAD_SIZES:
             addr = (r[ops[1].base] + ops[1].offset) & MASK64
-            if mem.tlb_check("read", addr) != "ok":
+            if not mem.permits(addr, write=False):
                 return RefResult(r, mem, f"unmapped_load pc={pc:#x} addr={addr:#x}",
                                  executed)
-            r[ops[0].n] = mem.read_int(addr, size)
-        elif m.startswith("st."):
-            size = int(m.split(".", 1)[1])
+            r[ops[0].n] = mem.read_int(addr, LOAD_SIZES[m])
+        elif m in STORE_SIZES:
             addr = (r[ops[1].base] + ops[1].offset) & MASK64
-            if mem.tlb_check("write", addr) != "ok":
+            if not mem.permits(addr, write=True):
                 return RefResult(r, mem, f"write_fault pc={pc:#x} addr={addr:#x}",
                                  executed)
-            mem.write_int(addr, size, r[ops[0].n])
+            mem.write_int(addr, STORE_SIZES[m], r[ops[0].n])
         elif m == "call":
             sp_val = (r[SP] - 8) & MASK64
-            if mem.tlb_check("write", sp_val) != "ok":
+            if not mem.permits(sp_val, write=True):
                 return RefResult(r, mem, f"write_fault pc={pc:#x} addr={sp_val:#x}",
                                  executed)
             mem.write_int(sp_val, 8, pc + 4)
@@ -91,7 +86,7 @@ def run_reference(program: Program, cfg: SimConfig,
             next_pc = ops[0].value
         elif m == "ret":
             addr = r[SP]
-            if mem.tlb_check("read", addr) != "ok":
+            if not mem.permits(addr, write=False):
                 return RefResult(r, mem, f"unmapped_load pc={pc:#x} addr={addr:#x}",
                                  executed)
             next_pc = mem.read_int(addr, 8)

@@ -34,7 +34,7 @@ from .core import run_program
 from .isa import Imm, Program, assemble, operand_labels
 from .lsu import ForwardingPolicy
 from .memory import LINE, MemorySystem
-from .predictors import NOT_TAKEN, TAKEN, PredictorState, train_branch
+from .predictors import PredictorState, train_branch
 from .reference import arch_state, run_reference
 
 VARS = 0x10000
@@ -157,7 +157,7 @@ class Scenario:
     probe: Optional[ProbeSpec] = None
     priming: int = 2
     attempts: int = 2
-    prime_branches: List[Tuple[int, str]] = field(default_factory=list)
+    prime_branches: List[Tuple[int, bool]] = field(default_factory=list)  # (pc, taken)
     slow_lines: List[int] = field(default_factory=list)
     expected: str = "attack_succeeds"
 
@@ -178,9 +178,9 @@ class Scenario:
                              "checked array region")
 
 
-def _saturate(pred: PredictorState, pc: int, direction: str) -> None:
+def _saturate(pred: PredictorState, pc: int, taken: bool) -> None:
     for _ in range(3):
-        train_branch(pred, pc, direction)
+        train_branch(pred, pc, taken)
 
 
 def probe_receive(mem: MemorySystem, spec: ProbeSpec, cfg: SimConfig) -> Optional[int]:
@@ -243,8 +243,8 @@ def run_scenario(s: Scenario, cfg: SimConfig,
 
     def run(regs: Dict[int, int], attempt: Optional[int]) -> bool:
         if attempt is not None:
-            for pc, direction in s.prime_branches:
-                _saturate(pred, pc, direction)
+            for pc, taken in s.prime_branches:
+                _saturate(pred, pc, taken)
             if attempt == 0 and s.probe:
                 flush_probe(mem, s.probe)
             for addr in s.slow_lines:
@@ -381,24 +381,18 @@ def build_gadget_spectre_1_0(secret: int = 0x2A, mitigation: str = "none",
     slow bound resolves, leaving the secret's probe line in the cache."""
     if pad_uops < 0:
         raise ValueError(f"pad_uops must be >= 0, got {pad_uops}")
-    body_lines = []
-    if amplification == 1:
-        body_lines += [
-            "    add r3, r11, r10",
-            "    ld.1 r4, [r3]",
-            "    shli r4, r4, 9",
-            "    add r5, r12, r4",
-            "    ld.1 r6, [r5]",
-        ]
-    else:
-        shift = (amplification * 512).bit_length() - 1
-        body_lines += [
-            "    add r3, r11, r10",
-            "    ld.1 r4, [r3]",
-            f"    shli r4, r4, {shift}",
-            "    add r5, r12, r4",
-        ]
-        body_lines += [f"    ld.1 r6, [r5+{k * 512}]" for k in range(amplification)]
+    # the shift scales the secret to its entry's first probe line, so the
+    # entries' spacing, amplification * 512 bytes, must be a power of two
+    if amplification < 1 or amplification & (amplification - 1):
+        raise ValueError(f"amplification must be a power of two, got {amplification}")
+    shift = (amplification * 512).bit_length() - 1
+    body_lines = [
+        "    add r3, r11, r10",
+        "    ld.1 r4, [r3]",
+        f"    shli r4, r4, {shift}",
+        "    add r5, r12, r4",
+    ]
+    body_lines += [f"    ld.1 r6, [r5+{k * 512}]" for k in range(amplification)]
     pad = "".join(f"    movi r9, {i}\n" for i in range(pad_uops))
     src = f"""
 main:
@@ -421,7 +415,7 @@ done:
         regions=list(_COMMON_REGIONS),
         secret_value=secret,
         probe=ProbeSpec(amplification=amplification),
-        prime_branches=[(p.labels["check"], NOT_TAKEN)],
+        prime_branches=[(p.labels["check"], False)],
         slow_lines=[VARS],
         attempts=2 if amplification == 1 else 12,
         expected=expected,
@@ -496,7 +490,7 @@ vret:
         regions=list(_COMMON_REGIONS),
         secret_value=secret,
         probe=ProbeSpec(),
-        prime_branches=[(p.labels["vcheck"], NOT_TAKEN)],
+        prime_branches=[(p.labels["vcheck"], False)],
         slow_lines=[] if warm_bound else [VARS],
         expected=expected,
     )
@@ -550,8 +544,8 @@ done:
         regions=list(_COMMON_REGIONS),
         secret_value=secret,
         probe=ProbeSpec(),
-        prime_branches=[(p.labels["acheck"], NOT_TAKEN),
-                        (p.labels["bcheck"], NOT_TAKEN)],
+        prime_branches=[(p.labels["acheck"], False),
+                        (p.labels["bcheck"], False)],
         slow_lines=[VARS],
         expected=expected,
     )
@@ -597,7 +591,7 @@ gadget:
         regions=list(_COMMON_REGIONS) + [(RO_TABLE, 0x1000, "ro")],
         secret_value=secret,
         probe=ProbeSpec(),
-        prime_branches=[(p.labels["vcheck"], NOT_TAKEN)],
+        prime_branches=[(p.labels["vcheck"], False)],
         slow_lines=[VARS],
         expected=expected,
     )
@@ -647,7 +641,7 @@ gadget:
         regions=list(_COMMON_REGIONS),
         secret_value=secret,
         probe=ProbeSpec(),
-        prime_branches=[(p.labels["gc1"], TAKEN), (p.labels["gc2"], NOT_TAKEN)],
+        prime_branches=[(p.labels["gc1"], True), (p.labels["gc2"], False)],
         slow_lines=[VARS],
         expected=expected,
     )
@@ -710,7 +704,7 @@ done:
         probe=ProbeSpec(),
         priming=0,
         attempts=4,
-        prime_branches=[(p.labels["hcheck"], NOT_TAKEN)],
+        prime_branches=[(p.labels["hcheck"], False)],
         slow_lines=[VARS],
         expected=expected,
     )
@@ -797,6 +791,7 @@ _FILE_KEYS = {"name", "program", "secret_addr", "secret_value", "priming",
               "attempts", "expected", "probe_base", "probe_stride",
               "probe_entries", "amplification", "flush"}
 _FILE_PREFIXES = {"reg", "benign_reg", "mem", "benign_mem", "map", "prime"}
+_DIRECTIONS = {"taken": True, "not_taken": False}      # prime.LABEL values
 
 
 def scenario_from_file(path: str) -> Tuple[Scenario, dict]:
@@ -862,10 +857,10 @@ def scenario_from_file(path: str) -> Tuple[Scenario, dict]:
         elif kind == "prime":
             if rest not in victim.labels:
                 raise ValueError(f"{path}: prime target {rest!r} not in program")
-            if v not in (TAKEN, NOT_TAKEN):
-                raise ValueError(f"{path}: {k}: expected {TAKEN} or {NOT_TAKEN}, "
+            if v not in _DIRECTIONS:
+                raise ValueError(f"{path}: {k}: expected taken or not_taken, "
                                  f"got {v!r}")
-            prime.append((victim.labels[rest], v))
+            prime.append((victim.labels[rest], _DIRECTIONS[v]))
     s = Scenario(
         name=opts.get("name", path),
         victim=victim,

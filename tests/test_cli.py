@@ -224,7 +224,9 @@ def test_benign_spill_rejects_secret(capsys):
 
 
 @pytest.mark.parametrize("flags", [("--secret", "999"), ("--secret", "-1"),
-                                   ("--secret", "0x1FF"), ("--pad-uops", "-1")])
+                                   ("--secret", "0x1FF"), ("--pad-uops", "-1"),
+                                   ("--amplification", "3"), ("--amplification", "5"),
+                                   ("--amplification", "6")])
 def test_out_of_range_scenario_option_exits_2(capsys, flags):
     code, out, err = run_cli(capsys, "run", "spectre_1_0", *flags)
     assert code == 2 and out == ""

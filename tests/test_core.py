@@ -93,9 +93,9 @@ target:
     mem = MemorySystem(cfg)
     mem.load_program_data(p)
     pred = PredictorState(cfg.bht_size, cfg.rsb_depth)
-    from specsim.predictors import TAKEN, train_branch
+    from specsim.predictors import train_branch
     for _ in range(3):
-        train_branch(pred, 8, TAKEN)
+        train_branch(pred, 8, True)
     r = run_program(p, cfg, mem=mem, pred=pred, policy=ForwardingPolicy("baseline"))
     assert r.squash_count == 0
     assert r.core.arch_regs[2] == 0

@@ -44,7 +44,7 @@ def assert_speculation_matches_rob(core: Core) -> None:
     tag is older than it."""
     branches = [e.seq for e in core.rob if e.status != DONE and (
         e.uop.kind is UopKind.JR_INDIRECT
-        or (e.uop.kind is UopKind.BR_COND and e.uop.cond != "always"))]
+        or (e.uop.kind is UopKind.BR_COND and e.uop.fn is not None))]
     assert core.live_tags == branches
     if core.rob and core.live_tags:
         assert core.live_tags[0] >= core.rob[0].seq

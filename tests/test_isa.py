@@ -4,9 +4,8 @@ import random
 import pytest
 
 from specsim import isa
-from specsim.isa import (AsmError, Imm, Instruction, Mem, MicroOp, NO_ANNOTATIONS,
-                         Reg, UopKind, assemble, decode, disassemble, REG_RETTMP,
-                         SP)
+from specsim.isa import (AsmError, Imm, Instruction, Mem, MicroOp, Reg, UopKind,
+                         assemble, decode, disassemble, REG_RETTMP, SP)
 from specsim.scenarios import (ALL_MITIGATIONS, BUILDERS, MITIGATION_SITES,
                                build_scenario)
 from randprog import random_program
@@ -22,7 +21,7 @@ def test_store_is_one_instruction():
 
 def test_forwardable_mark_on_load():
     p = assemble("    ld.8! r2, [r1+0]\n    halt\n")
-    assert p.instructions[0].annotations == frozenset({"forwardable"})
+    assert p.instructions[0].forwardable is True
 
 
 def test_forwardable_mark_rejected_elsewhere():
@@ -115,7 +114,7 @@ def test_decode_is_pure():
 @pytest.mark.parametrize("make", [
     lambda: Reg(3), lambda: Imm(-5), lambda: Mem(1, 8),
     lambda: Instruction(4, "st.8", (Reg(3), Mem(1, 0))),
-    lambda: MicroOp(UopKind.STA, 4, "st.8", srcs=(1,), size=8)])
+    lambda: MicroOp(UopKind.STA, 4, srcs=(1,), size=8)])
 def test_isa_values_are_frozen_slotted_and_equal_by_value(make):
     a, b = make(), make()
     assert a == b and a is not b and hash(a) == hash(b)
@@ -125,15 +124,14 @@ def test_isa_values_are_frozen_slotted_and_equal_by_value(make):
         setattr(a, field, 0)
 
 
-def test_unmarked_instructions_share_one_empty_annotation_set():
+def test_forwardable_is_a_bool_set_only_by_the_mark():
     p = assemble("    ld.8 r2, [r1]\n    ld.8! r3, [r1]\n    st.8 r2, [r1]\n"
-                 "    halt\n")
-    plain, marked = p.instructions[0], p.instructions[1]
-    assert all(i.annotations is NO_ANNOTATIONS
-               for i in p.instructions if i is not marked)
-    assert Instruction(0, "nop").annotations is NO_ANNOTATIONS
-    assert marked.annotations == frozenset({"forwardable"})
-    assert marked.forwardable and not plain.forwardable
+                 "    st.4! r2, [r1]\n    halt\n")
+    assert [i.forwardable for i in p.instructions] == [False, True, False, True,
+                                                       False]
+    assert Instruction(0, "nop").forwardable is False
+    marked = [u for i in p.instructions for u in decode(i) if u.forwardable]
+    assert [u.kind for u in marked] == [UopKind.LDA, UopKind.STA, UopKind.STD]
 
 
 def test_uops_per_instruction_between_1_and_2():

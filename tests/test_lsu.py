@@ -9,10 +9,10 @@ from specsim.predictors import PredictorState
 
 
 def entry(seq, addr=None, size=8, data=None, senior=False, forwardable=False,
-          perm="ok"):
+          write_fault=False):
     return StoreBufferEntry(seq, size=size, addr=addr, data=data,
                             senior=senior, forwardable=forwardable,
-                            perm_checked=perm)
+                            write_fault=write_fault)
 
 
 def sb_with(*entries, capacity=56):
@@ -111,25 +111,25 @@ def test_arctic_requires_whitelisted_load_pc():
 
 
 def test_write_fault_store_lazy_forwards_data():
-    sb = sb_with(entry(1, addr=0x1000, data=0x99, perm="write_fault"))
+    sb = sb_with(entry(1, addr=0x1000, data=0x99, write_fault=True))
     d = decide(5, 0x1000, 8, sb, tlb="lazy")
     assert d.kind == "forward" and d.value == 0x99
 
 
 def test_write_fault_store_forward_zero_mode():
-    sb = sb_with(entry(1, addr=0x1000, data=0x99, perm="write_fault"))
+    sb = sb_with(entry(1, addr=0x1000, data=0x99, write_fault=True))
     d = decide(5, 0x1000, 8, sb, tlb="forward_zero")
     assert d.kind == "forward_zero" and d.value == 0
 
 
 def test_write_fault_store_eager_waits():
-    sb = sb_with(entry(1, addr=0x1000, data=0x99, perm="write_fault"))
+    sb = sb_with(entry(1, addr=0x1000, data=0x99, write_fault=True))
     assert decide(5, 0x1000, 8, sb, tlb="eager").kind == "wait"
 
 
 def test_policy_gate_applies_before_fault_gate():
     # a faulting speculative store never forwards zero under blocking policies
-    sb = sb_with(entry(1, addr=0x1000, data=0x99, perm="write_fault"))
+    sb = sb_with(entry(1, addr=0x1000, data=0x99, write_fault=True))
     d = decide(5, 0x1000, 8, sb, policy="slothbear_stores", tlb="forward_zero")
     assert d.kind == "wait"
 

@@ -49,11 +49,11 @@ def test_fill_completes_even_without_requester():
 def test_tlb_verdicts():
     cfg, mem = make_mem()
     mem.map_region(0x50000, 0x1000, "ro")
-    assert mem.tlb_check("write", 0x10010) == "ok"
-    assert mem.tlb_check("write", 0x50010) == "write_fault"
-    assert mem.tlb_check("read", 0x50010) == "ok"
-    assert mem.tlb_check("read", 0x99999000) == "read_fault"
-    assert mem.tlb_check("write", 0x99999000) == "write_fault"
+    assert mem.permits(0x10010, write=True) is True
+    assert mem.permits(0x50010, write=True) is False
+    assert mem.permits(0x50010, write=False) is True
+    assert mem.permits(0x99999000, write=False) is False
+    assert mem.permits(0x99999000, write=True) is False
 
 
 def test_timed_read_latencies():

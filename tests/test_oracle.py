@@ -12,6 +12,8 @@ import pytest
 
 from specsim import SimConfig, assemble, run_program, run_reference, arch_state
 from specsim.config import FORWARDING_POLICIES
+from specsim.isa import _SIGNATURES
+from specsim.predictors import PredictorState
 from randprog import random_program, STACK_TOP
 
 GEOMETRIES = [
@@ -69,3 +71,84 @@ main:
             assert e.seq - oldest_unretired < cfg.rob_capacity
         elif e.kind == "retire":
             oldest_unretired = e.seq + 1
+
+
+# -- every mnemonic against the reference ----------------------------------------
+
+MASK64 = (1 << 64) - 1
+# operand pairs below, equal and above, at small values and at the 64-bit edges
+PAIRS = [(1, 2), (2, 2), (3, 2), (0, MASK64), (MASK64, 1), (1 << 63, 1 << 63)]
+# shift amounts of 64 and more, and immediates that wrap to 64 bits
+IMMEDIATES = [0, 1, 63, 64, 65, 127, -1, -2048, 1 << 64, (1 << 64) + 3]
+CONDITION_CODES = ("b", "be", "ae", "a", "e", "ne")
+# after each case, every condition on the flag register as 1 or 0 in r20-r25
+FLAG_PROBE = "".join(f"    csel.{cc} r{20 + i}, r30, r29\n"
+                     for i, cc in enumerate(CONDITION_CODES))
+SKIP = "    movi r3, 1\nskip:\n    movi r4, 2\n"
+SUBROUTINE = "fn:\n    addi r3, r1, 5\n    ret\n"
+DATA = (".data 0x60000 rw 88 77 66 55 44 33 22 11 ff ee dd cc bb aa 99 80\n"
+        f".data {hex(STACK_TOP - 0x1000)} rw 00\n")
+BASE_REGS = {4: 0x1111, 5: 0x2222, 28: 0x60000, 29: 0, 30: 1, 31: STACK_TOP}
+
+
+def mnemonic_cases(mnem):
+    """(body, registers) pairs that run `mnem` on operands below, equal to and
+    above each other, and on immediates that wrap or shift by 64 or more."""
+    sig = _SIGNATURES[mnem]
+    pairs = [{1: a, 2: b} for a, b in PAIRS]
+    if mnem.startswith("csel."):
+        return [(f"    cmp r1, r2\n    {mnem} r3, r4, r5\n", r) for r in pairs]
+    if mnem.startswith("ld.") or mnem.startswith("st."):
+        size = mnem[3:]
+        cases = [(f"    {mnem} r1, [r28+{off}]\n    ld.8 r3, [r28+{off}]\n"
+                  f"    ld.{size} r6, [r28+8]\n", {1: a})
+                 for off in (0, 1, 8) for a in (0x0123456789ABCDEF, MASK64)]
+        # a store then a load of the same address: forwarded where allowed
+        cases += [(f"    st.{size}{mark} r1, [r28+8]\n    ld.{size}{mark} r3, "
+                   f"[r28+8]\n", {1: MASK64 - 2}) for mark in ("", "!")]
+        return cases
+    if sig == "rrr":
+        return [(f"    {mnem} r3, r1, r2\n", r) for r in pairs]
+    if sig == "rri":
+        return [(f"    {mnem} r3, r1, {imm}\n", {1: a})
+                for a in (2, MASK64) for imm in IMMEDIATES]
+    if mnem == "movi":
+        return [(f"    movi r3, {imm}\n", {}) for imm in IMMEDIATES]
+    if mnem == "cmpi":
+        return [(f"    cmpi r1, {imm}\n", {1: a})
+                for a in (2, 0, MASK64) for imm in (1, 2, 3, -1, 1 << 64)]
+    if sig == "rr":                                   # mov, cmp
+        return [(f"    {mnem} r3, r1\n" if mnem == "mov" else "    cmp r1, r2\n", r)
+                for r in pairs]
+    if mnem in ("jmp", "call", "ret"):
+        jump = "    jmp skip\n" if mnem == "jmp" else "    call fn\n"
+        return [(jump + SKIP, {1: a}) for a in (7, MASK64)]
+    if sig == "l":                                    # the conditional branches
+        return [(f"    cmp r1, r2\n    {mnem} skip\n" + SKIP, r) for r in pairs]
+    if mnem == "jr":
+        return [("    movi r7, skip\n    jr r7\n" + SKIP, {})]
+    # fence, halt, nop
+    body = "" if mnem == "halt" else f"    movi r3, 9\n    {mnem}\n    addi r4, r3, 1\n"
+    return [(body, {1: 1})]
+
+
+@pytest.mark.parametrize("mnem", sorted(_SIGNATURES))
+def test_every_mnemonic_matches_reference(mnem):
+    cases = mnemonic_cases(mnem)
+    for body, regs in cases:
+        src = f"main:\n{body}{FLAG_PROBE}    halt\n{SUBROUTINE}{DATA}"
+        program = assemble(src)
+        assert any(i.mnemonic == mnem for i in program.instructions)
+        regs = {**BASE_REGS, **regs}
+        ref = run_reference(program, GEOMETRIES[0], regs=regs)
+        assert ref.fault is None, (src, ref.fault)
+        want = arch_state(ref.regs, ref.mem)
+        for policy in FORWARDING_POLICIES:
+            cfg = GEOMETRIES[0].replace(forwarding_policy=policy)
+            for counter in (1, 3):          # every branch predicted not taken, taken
+                pred = PredictorState(cfg.bht_size, cfg.rsb_depth)
+                pred.bht = [counter] * cfg.bht_size
+                r = run_program(program, cfg, pred=pred, regs=regs)
+                assert r.fault is None and not r.timed_out, (src, policy, r.fault)
+                assert arch_state(r.core.arch_regs, r.core.mem) == want, (
+                    src, regs, policy, counter)

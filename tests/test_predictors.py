@@ -1,40 +1,40 @@
 import random
 
-from specsim.predictors import (NOT_TAKEN, TAKEN, PredictorState, predict_branch,
-                                rsb_pop, rsb_push, train_branch)
+from specsim.predictors import (PredictorState, predict_branch, rsb_pop, rsb_push,
+                                train_branch)
 
 
 def test_fresh_state_predicts_not_taken():
     st = PredictorState(table_size=64)
-    assert predict_branch(st, 0x40) == NOT_TAKEN
+    assert predict_branch(st, 0x40) is False
     assert all(c == 1 for c in st.bht)
 
 
 def test_counter_three_predicts_taken():
     st = PredictorState(table_size=64)
     st.bht[st.slot(0x40)] = 3
-    assert predict_branch(st, 0x40) == TAKEN
+    assert predict_branch(st, 0x40) is True
 
 
 def test_two_taken_trainings_flip_fresh_state():
     # by hand: 1 -> 2 -> 3 through the saturating counter; taken at >= 2
     st = PredictorState(table_size=64)
-    train_branch(st, 0x10, TAKEN)
-    assert predict_branch(st, 0x10) == TAKEN
-    train_branch(st, 0x10, TAKEN)
+    train_branch(st, 0x10, True)
+    assert predict_branch(st, 0x10) is True
+    train_branch(st, 0x10, True)
     assert st.bht[st.slot(0x10)] == 3
 
 
 def test_saturation_at_both_ends():
     st = PredictorState(table_size=64)
     st.bht[st.slot(0)] = 3
-    train_branch(st, 0, TAKEN)
+    train_branch(st, 0, True)
     assert st.bht[st.slot(0)] == 3
     st.bht[st.slot(0)] = 0
-    train_branch(st, 0, NOT_TAKEN)
+    train_branch(st, 0, False)
     assert st.bht[st.slot(0)] == 0
     st.bht[st.slot(0)] = 2
-    train_branch(st, 0, NOT_TAKEN)
+    train_branch(st, 0, False)
     assert st.bht[st.slot(0)] == 1
 
 
@@ -44,11 +44,11 @@ def test_counter_automaton_against_enumerated_oracle():
     st = PredictorState(table_size=16)
     model = 1
     for _ in range(500):
-        outcome = rng.choice((TAKEN, NOT_TAKEN))
-        want = TAKEN if model >= 2 else NOT_TAKEN
-        assert predict_branch(st, 0x20) == want
+        outcome = rng.choice((True, False))
+        want = model >= 2
+        assert predict_branch(st, 0x20) is want
         train_branch(st, 0x20, outcome)
-        if outcome == TAKEN:
+        if outcome:
             model = min(3, model + 1)
         else:
             model = max(0, model - 1)
@@ -57,7 +57,7 @@ def test_counter_automaton_against_enumerated_oracle():
 def test_bht_indexing_wraps_by_table_size():
     st = PredictorState(table_size=16)
     st.bht[st.slot(0x0)] = 3
-    assert predict_branch(st, 16 * 4) == TAKEN      # aliases slot 0
+    assert predict_branch(st, 16 * 4) is True      # aliases slot 0
 
 
 def test_rsb_lifo():
@@ -132,4 +132,4 @@ def test_priming_drives_bounds_check_counter():
         run_program(s.victim, cfg, mem=mem, pred=pred,
                     policy=ForwardingPolicy("baseline"), regs=s.benign_regs)
     assert pred.bht[pred.slot(check_pc)] == 0
-    assert predict_branch(pred, check_pc) == NOT_TAKEN
+    assert predict_branch(pred, check_pc) is False

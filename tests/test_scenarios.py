@@ -484,9 +484,11 @@ def test_scenario_file_rejects_a_secret_wider_than_a_byte(tmp_path, value):
 
 
 @pytest.mark.parametrize("kw", [{"secret": 999}, {"secret": -1}, {"secret": 0x100},
-                                {"pad_uops": -1}])
+                                {"pad_uops": -1}, {"amplification": 3},
+                                {"amplification": 5}, {"amplification": 6}])
 def test_builder_rejects_out_of_range_options(kw):
-    with pytest.raises(ValueError, match="secret_value must be a byte|pad_uops"):
+    with pytest.raises(ValueError, match="secret_value must be a byte|pad_uops"
+                                         "|amplification must be a power of two"):
         build_scenario("spectre_1_0", **kw)
     for name in BUILDERS:
         if "secret" in kw and name != "benign_spill":
