@@ -20,9 +20,11 @@ CHOICES = {"forwarding_policy": FORWARDING_POLICIES,
            "tlb_enforcement": TLB_ENFORCEMENT_MODES}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """All machine knobs. Defaults model one thread of a wide modern core."""
+    """All machine knobs. Defaults model one thread of a wide modern core.
+    Frozen, so the digest taken at construction stays true; `replace` builds
+    a new config with its own digest."""
 
     rob_capacity: int = 224
     issue_width: int = 8
@@ -53,11 +55,12 @@ class SimConfig:
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
+        text = ";".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+        object.__setattr__(self, "_digest", hashlib.sha256(text.encode()).hexdigest()[:16])
 
     def digest(self) -> str:
         """Short stable hash of every knob, for reproduction from a report."""
-        text = ";".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+        return self._digest
 
     def replace(self, **kw) -> "SimConfig":
         return dataclasses.replace(self, **kw)

@@ -20,6 +20,9 @@ decrements when it completes, instead of polling their operands every cycle.
 Issue walks only the entries that have not started executing (plus an undone
 fence), completion only the executing ones, and a program is decoded once,
 by the first core that runs it. With the trace off, no stage builds an event.
+Issue reads operands from the register file unless a source was renamed, and
+computes ALU and CMP results itself. Stores seniorize in retirement order, so
+write-back drains the head of the seq-ordered store buffer.
 
 A ROB entry holds its operands' producers and a store's store-buffer entry by
 reference. The producer links are dropped when the operands are read at issue
@@ -89,9 +92,8 @@ class Core:
         self.policy = policy
         self.trace = trace
         if program.decoded is None:         # per instruction: (uops, needs_sb)
-            program.decoded = [
-                (uops, any(u.kind in (STA, CALL) for u in uops))
-                for uops in map(decode, program.instructions)]
+            program.decoded = [(uops, uops[0].kind in (STA, CALL))
+                               for uops in map(decode, program.instructions)]
 
         self.rob: List[ROBEntry] = []
         # seq order: entries not yet executing, and a fence until it is done
@@ -125,13 +127,11 @@ class Core:
     # -- operand handling --------------------------------------------------------
 
     def _srcs_ready(self, entry: ROBEntry) -> Optional[List[int]]:
-        """The source values, or None while a producer is not done. A retired
-        producer's result is the value it wrote to the register file."""
-        producers = entry.producers
-        if producers is None:
-            return list(map(self.arch_regs.__getitem__, entry.uop.srcs))
+        """The source values of an entry with a renamed source, or None while
+        a producer is not done. A retired producer's result is the value it
+        wrote to the register file."""
         vals = []
-        for reg, producer in zip(entry.uop.srcs, producers):
+        for reg, producer in zip(entry.uop.srcs, entry.producers):
             if producer is None:
                 vals.append(self.arch_regs[reg])
             elif producer.status != DONE:
@@ -157,12 +157,14 @@ class Core:
         live_tags = self.live_tags
         while live_tags and live_tags[-1] > seq:
             live_tags.pop()
+        trace = self.trace
         for e in removed:
             e.squashed = True
             e.producers = e.consumers = None
             if e.uop.kind in (STA, CALL):
                 self.squashed_store_seqs.add(e.seq)
-            self._ev("squash", e.seq, e.uop.parent_pc)
+            if trace is not None:
+                self._ev("squash", e.seq, e.uop.parent_pc)
         self.sb.squash_younger(seq)
         rename = self.rename = {}
         for e in rob:
@@ -329,29 +331,25 @@ class Core:
             res = self.mem.access("store_writeback", e.addr, self.cycle)
             if res.status == "hit":
                 self.mem.write_int(e.addr, e.size, e.data)
-                self.sb.drop(e)
+                self.sb.drop()
             elif res.status == "miss":
                 e.writeback_ready_cycle = res.ready_cycle
             else:
                 return                      # mshr_full: retry after a fill
         elif self.cycle >= e.writeback_ready_cycle:
             self.mem.write_int(e.addr, e.size, e.data)
-            self.sb.drop(e)
+            self.sb.drop()
         else:
             return
         self.progress = True
 
-    def _begin_execution(self, entry: ROBEntry, vals: List[int]) -> None:
+    def _begin_execution(self, entry: ROBEntry, vals: List[int]) -> bool:
+        """Issue's work for every kind but ALU and CMP. True when the micro-op
+        is a load handed to `_attempt_load`, which sets its status; any other
+        starts a one-cycle execution."""
         uop = entry.uop
         kind = uop.kind
-        cycle = self.cycle
-        self.progress = True
-        if self.trace is not None:
-            self._ev("issue", entry.seq, uop.parent_pc)
-        if kind is ALU or kind is CMP:
-            entry.result = uop.fn(vals[0] if vals else uop.imm,
-                                  vals[1] if len(vals) == 2 else uop.imm)
-        elif kind is CSEL:
+        if kind is CSEL:
             entry.result = vals[0] if uop.fn(vals[2]) else vals[1]
         elif kind is BR_COND:
             entry.actual = uop.fn is None or uop.fn(vals[0])     # jmp: taken
@@ -362,12 +360,11 @@ class Core:
             entry.addr = addr
             if uop.dst2 is not None:                      # ret: bump sp
                 entry.result2 = (addr + 8) & MASK64
-            if not self.mem.is_mapped(addr):
-                entry.fault = f"unmapped_load pc={uop.parent_pc:#x} addr={addr:#x}"
-                entry.result = 0
-            else:
+            if self.mem.permits(addr, write=False):
                 self._attempt_load(entry)
-                return
+                return True
+            entry.fault = f"unmapped_load pc={uop.parent_pc:#x} addr={addr:#x}"
+            entry.result = 0
         elif kind is STA:
             addr = (vals[0] + uop.imm) & MASK64
             entry.addr = entry.sbe.addr = addr
@@ -379,13 +376,14 @@ class Core:
             entry.sbe.write_fault = not self.mem.permits(addr, write=True)
             entry.sbe.data = (uop.parent_pc + 4) & MASK64
         # FENCE and HALT carry no operands and produce no result
-        entry.status = EXECUTING
-        entry.done_cycle = cycle + 1
-        self.executing.append(entry)
+        return False
 
     def _stage_issue(self) -> None:
         issued = loads = stds = branches = 0
         width = self.cfg.issue_width
+        cycle = self.cycle
+        arch_regs = self.arch_regs
+        trace = self.trace
         unissued = self.unissued
         executing = self.executing
         started = len(executing)
@@ -394,21 +392,16 @@ class Core:
                 break
             if entry.pending:               # never a fence: it has no sources
                 continue
-            kind = entry.uop.kind
+            uop = entry.uop
+            kind = uop.kind
             if kind is FENCE:
                 # serializes: nothing younger issues until the fence completes.
                 # Everything older is done when nothing older is unissued or
                 # executing.
-                if (entry.status == DISPATCHED and entry is unissued[0]
+                if not (entry.status == DISPATCHED and entry is unissued[0]
                         and all(e.seq > entry.seq for e in executing)):
-                    entry.status = EXECUTING
-                    entry.done_cycle = self.cycle + 1
-                    executing.append(entry)
-                    self.progress = True
-                    if self.trace is not None:
-                        self._ev("issue", entry.seq, entry.uop.parent_pc)
-                break
-            if kind is LDA:
+                    break
+            elif kind is LDA:
                 if loads >= 2:
                     continue
             elif kind is STD:
@@ -422,9 +415,12 @@ class Core:
                 issued += 1
                 self._attempt_load(entry)
                 continue
-            vals = self._srcs_ready(entry)
-            if vals is None:
-                continue
+            if entry.producers is None:
+                vals = list(map(arch_regs.__getitem__, uop.srcs))
+            else:
+                vals = self._srcs_ready(entry)
+                if vals is None:
+                    continue
             if kind is LDA:
                 loads += 1
             elif kind is STD:
@@ -432,7 +428,19 @@ class Core:
             elif kind is BR_COND or kind is JR_INDIRECT:
                 branches += 1
             issued += 1
-            self._begin_execution(entry, vals)
+            self.progress = True
+            if trace is not None:
+                self._ev("issue", entry.seq, uop.parent_pc)
+            if kind is ALU or kind is CMP:
+                entry.result = uop.fn(vals[0] if vals else uop.imm,
+                                      vals[1] if len(vals) == 2 else uop.imm)
+            elif self._begin_execution(entry, vals):
+                continue
+            entry.status = EXECUTING
+            entry.done_cycle = cycle + 1
+            executing.append(entry)
+            if kind is FENCE:
+                break
         if len(self.executing) != started:
             self.unissued = [e for e in unissued
                              if e.status < EXECUTING or e.uop.kind is FENCE]
@@ -448,18 +456,24 @@ class Core:
         trace = self.trace
         sb = self.sb
         width = self.cfg.issue_width
-        capacity = self.cfg.rob_capacity
+        rob_room = self.cfg.rob_capacity - len(rob)
+        sb_room = sb.capacity - len(sb.entries)
         seq = self.seq_counter
         dispatched = 0
+        n_instructions = len(decoded)
         while dispatched < width and pc is not None:
             idx = pc >> 2
-            if pc & 3 or idx < 0 or idx >= len(decoded):
+            if pc & 3 or idx < 0 or idx >= n_instructions:
                 break                               # fetch stalled off the map
             uops, needs_sb = decoded[idx]
-            if len(rob) + len(uops) > capacity:
+            n_uops = len(uops)
+            if n_uops > rob_room:
                 break
-            if needs_sb and sb.full:
-                break                               # structural stall
+            if needs_sb:
+                if not sb_room:
+                    break                           # structural stall
+                sb_room -= 1
+            rob_room -= n_uops
             self.progress = True
             if trace is not None:
                 self._ev("fetch", -1, pc, self.program.instructions[idx].mnemonic)
@@ -515,7 +529,7 @@ class Core:
                 if trace is not None:
                     self._ev("dispatch", seq, pc, kind.value)
                 seq += 1
-            dispatched += len(uops)
+            dispatched += n_uops
             pc = next_pc
         self.fetch_pc = pc
         self.seq_counter = seq

@@ -81,14 +81,22 @@ class ForwardingPolicy:
             return {int(line.strip(), 16) for line in f if line.strip()}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForwardDecision:
     kind: str                     # forward | forward_zero | wait | memory
     value: int = 0
     store_seq: int = -1
 
 
+# the decisions that carry no value, shared by every load attempt
+WAIT = ForwardDecision("wait")
+MEMORY = ForwardDecision("memory")
+
+
 class StoreBuffer:
+    """Entries in seq order. Stores seniorize as they retire, in order, so
+    the senior entries are a prefix and the oldest drainable one is the head."""
+
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.entries: List[StoreBufferEntry] = []   # ordered by seq
@@ -96,13 +104,9 @@ class StoreBuffer:
     def __len__(self):
         return len(self.entries)
 
-    @property
-    def full(self) -> bool:
-        return len(self.entries) >= self.capacity
-
     def insert(self, entry: StoreBufferEntry) -> bool:
         """False signals a structural stall: dispatch must retry next cycle."""
-        if self.full:
+        if len(self.entries) >= self.capacity:
             return False
         self.entries.append(entry)
         return True
@@ -114,14 +118,13 @@ class StoreBuffer:
             self.entries = [e for e in self.entries if not (e.seq > seq and not e.senior)]
         return gone
 
-    def drop(self, entry: StoreBufferEntry) -> None:
-        self.entries.remove(entry)
+    def drop(self) -> None:
+        """Remove the head, once it is written back."""
+        del self.entries[0]
 
     def oldest_drainable(self) -> Optional[StoreBufferEntry]:
-        for e in self.entries:
-            if e.senior:
-                return e
-        return None
+        entries = self.entries
+        return entries[0] if entries and entries[0].senior else None
 
 
 def forward_decision(load_seq: int, load_addr: int, load_size: int,
@@ -140,23 +143,23 @@ def forward_decision(load_seq: int, load_addr: int, load_size: int,
         if entry.seq > load_seq:
             continue
         if entry.addr is None:
-            return ForwardDecision("wait")
+            return WAIT
         if entry.addr == load_addr:
             if entry.size < load_size:
-                return ForwardDecision("wait")
+                return WAIT
             if entry.data is None:
-                return ForwardDecision("wait")
+                return WAIT
             if not POLICY_ALLOWS[policy.variant](entry, load_speculative, load_pc,
                                                  load_forwardable, policy.whitelist):
-                return ForwardDecision("wait")
+                return WAIT
             if entry.write_fault:
                 if tlb_mode == "forward_zero":
                     return ForwardDecision("forward_zero", 0, entry.seq)
                 if tlb_mode == "eager":
-                    return ForwardDecision("wait")
+                    return WAIT
                 # lazy: the fault is acted on only at retire; data flows now
             value = entry.data & ((1 << (8 * load_size)) - 1)
             return ForwardDecision("forward", value, entry.seq)
         if entry.overlaps(load_addr, load_size):
-            return ForwardDecision("wait")
-    return ForwardDecision("memory")
+            return WAIT
+    return MEMORY

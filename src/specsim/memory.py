@@ -5,14 +5,15 @@ The cache tracks presence and fill timing only; committed data lives in a flat
 sparse page store that changes solely at senior-store write-back (and scenario
 setup). Fills outstanding in an MSHR are never cancelled: a squashed load's
 line still installs, which is exactly the footprint the receiver measures.
-The receiver's primitive is `timed_latencies`: one permission check per page,
-then one L1 line-set membership test per address.
+The receiver reads `lines`, the resident line set, directly: Flush+Reload
+observes which probe lines are resident, and that is the set itself. Its one
+primitive here is `check_readable`, one permission check per probe page.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .config import SimConfig
 
@@ -65,9 +66,6 @@ class MemorySystem:
             self.map_region(seg.addr, max(len(seg.data), 1), seg.perm)
             self.write_bytes(seg.addr, seg.data)
 
-    def is_mapped(self, addr: int) -> bool:
-        return (addr & ~(PAGE - 1)) in self.tlb
-
     def permits(self, addr: int, write: bool) -> bool:
         """Whether the TLB lets `addr` be written (`write`), else read; when
         the caller acts on a refusal is the caller's contract."""
@@ -107,10 +105,19 @@ class MemorySystem:
             i += take
 
     def read_int(self, addr: int, size: int) -> int:
-        return int.from_bytes(self.read_bytes(addr, size), "little")
+        off = addr & (PAGE - 1)
+        if off + size > PAGE:                      # straddles two pages
+            return int.from_bytes(self.read_bytes(addr, size), "little")
+        buf = self.pages.get(addr - off)
+        return 0 if buf is None else int.from_bytes(buf[off:off + size], "little")
 
     def write_int(self, addr: int, size: int, value: int) -> None:
-        self.write_bytes(addr, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
+        data = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+        off = addr & (PAGE - 1)
+        if off + size > PAGE:
+            self.write_bytes(addr, data)
+        else:
+            self._page_for(addr)[off:off + size] = data
 
     # -- cache and MSHRs -----------------------------------------------------
 
@@ -170,22 +177,23 @@ class MemorySystem:
 
     # -- receiver primitives (non-speculative attacker side) ------------------
 
-    def timed_latencies(self, addrs: Sequence[int]) -> List[int]:
-        """The latency `timed_read` reports for each address, in order, after
-        one read-permission check per page (ascending). Does not disturb cache
-        state: the receiver classifies presence without reloading."""
-        page_of, line_of = ~(PAGE - 1), ~(LINE - 1)
-        for page in sorted({a & page_of for a in addrs}):
+    def check_readable(self, addrs: range) -> None:
+        """Raise MemFault unless the TLB lets every address of `addrs` (step
+        > 0) be read: one check per page, ascending, naming the page's first
+        address. A step of a page or more puts each address on its own page."""
+        pages = (addrs if addrs.step >= PAGE
+                 else range(addrs[0] & ~(PAGE - 1), addrs[-1] + 1, PAGE))
+        for page in pages:
             if not self.permits(page, write=False):
-                addr = next(a for a in addrs if a & page_of == page)
-                raise MemFault(f"timed_read of unmapped/unreadable {addr:#x}")
-        lines, hit, miss = (self.lines, self.cfg.l1_latency_cycles,
-                            self.cfg.dram_latency_cycles)
-        return [hit if a & line_of in lines else miss for a in addrs]
+                first = addrs[max(0, -((addrs.start - page) // addrs.step))]
+                raise MemFault(f"timed_read of unmapped/unreadable {first:#x}")
 
     def timed_read(self, addr: int) -> Tuple[int, int]:
-        """Read one committed byte with the latency `timed_latencies` reports."""
-        latency = self.timed_latencies((addr,))[0]
+        """Read one committed byte with the latency the receiver measures: an
+        L1 hit or a DRAM miss. Does not disturb cache state."""
+        self.check_readable(range(addr, addr + 1))
+        latency = (self.cfg.l1_latency_cycles if addr & ~(LINE - 1) in self.lines
+                   else self.cfg.dram_latency_cycles)
         return self.read_int(addr, 1), latency
 
     def flush_line(self, addr: int) -> None:

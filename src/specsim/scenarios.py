@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .config import RunReport, SimConfig
@@ -186,16 +187,31 @@ def _saturate(pred: PredictorState, pc: int, taken: bool) -> None:
 def probe_receive(mem: MemorySystem, spec: ProbeSpec, cfg: SimConfig) -> Optional[int]:
     """Time every probe entry (amplification lines each, summed, coarsened to
     the timer granularity) and return the unique fastest entry, or None when
-    no entry reads below the hit/miss midpoint or the minimum is not unique."""
-    gran, amp = cfg.timer_granularity_cycles, spec.amplification
-    lat = mem.timed_latencies(range(spec.base, spec.base + spec.span, spec.stride))
-    # zip over one iterator, amp times: consecutive runs of amp latencies
-    readings = [(sum(run) // gran) * gran for run in zip(*[iter(lat)] * amp)]
-    lowest = min(readings)
-    midpoint = amp * (cfg.l1_latency_cycles + cfg.dram_latency_cycles) // 2
-    if lowest >= midpoint or readings.count(lowest) != 1:
+    no entry reads below the hit/miss midpoint or the minimum is not unique.
+
+    A reload hits exactly on a resident line, so the readings follow from the
+    L1 line set: each resident line that holds a probe address counts one hit
+    for that address's entry, and every entry with no such line shares one
+    all-miss reading."""
+    gran, amp, stride = cfg.timer_granularity_cycles, spec.amplification, spec.stride
+    hit, miss = cfg.l1_latency_cycles, cfg.dram_latency_cycles
+    addrs = range(spec.base, spec.base + spec.span, stride)
+    mem.check_readable(addrs)
+    lines_of: Dict[int, List[int]] = {}     # entry -> its resident lines
+    for line in mem.lines:
+        j = -((spec.base - line) // stride)  # first probe address at or above line
+        if 0 <= j < len(addrs) and addrs[j] < line + LINE:
+            lines_of.setdefault(j // amp, []).append(line)
+    readings = {entry: (len(ls) * hit + (amp - len(ls)) * miss) // gran * gran
+                for entry, ls in lines_of.items()}
+    # the entries with no resident line share one reading; two show a tie
+    cold = list(islice((e for e in range(spec.entries) if e not in readings), 2))
+    readings.update(dict.fromkeys(cold, amp * miss // gran * gran))
+    lowest = min(readings.values())
+    fastest = [entry for entry, r in readings.items() if r == lowest]
+    if lowest >= amp * (hit + miss) // 2 or len(fastest) != 1:
         return None
-    return readings.index(lowest)
+    return fastest[0]
 
 
 def flush_probe(mem: MemorySystem, spec: ProbeSpec) -> None:

@@ -219,6 +219,26 @@ def test_unmapped_load_faults_at_retire():
     assert r.fault and "unmapped_load" in r.fault
 
 
+@pytest.mark.parametrize("policy", FORWARDING_POLICIES)
+def test_unreadable_load_faults_like_the_reference(policy):
+    """A mapped page the TLB does not let be read faults a load, on the core
+    as in the in-order reference; the committed state matches too."""
+    program = assemble("main:\n    movi r1, 0x10000\n    ld.8 r2, [r1]\n"
+                       "    movi r3, 7\n    halt\n.data 0x10000 rw 11\n")
+    cfg = FAST.replace(forwarding_policy=policy)
+    mems = []
+    for _ in range(2):
+        mem = MemorySystem(cfg)
+        mem.load_program_data(program)
+        mem.tlb[0x10000] = (False, True)
+        mems.append(mem)
+    ref = run_reference(program, cfg, mem=mems[0])
+    r = run_program(program, cfg, mem=mems[1])
+    assert ref.fault == r.fault == "unmapped_load pc=0x4 addr=0x10000"
+    assert r.core.arch_regs[:32] == ref.regs[:32]
+    assert r.core.arch_regs[1] == 0x10000 and r.core.arch_regs[2] == 0
+
+
 def test_run_reports_are_deterministic():
     src = random_program(random.Random(11), 100)
     p = assemble(src)

@@ -6,7 +6,8 @@ once per cycle with every wakeup count cleared, so issue re-polls the operands
 of every waiting micro-op, and it drains the store buffer one cycle at a time.
 Both must leave identical traces, reports, registers, committed memory, cache
 footprint and final cycle. After every step the reference also checks the
-core's issue and completion lists against a full scan of the ROB.
+core's issue and completion lists against a full scan of the ROB, and the
+store buffer's order.
 """
 
 import random
@@ -50,6 +51,15 @@ def assert_speculation_matches_rob(core: Core) -> None:
         assert core.live_tags[0] >= core.rob[0].seq
 
 
+def assert_store_buffer_ordered(core: Core) -> None:
+    """The store buffer is in seq order and its senior entries are a prefix
+    of it, so the oldest drainable entry is always the head."""
+    seqs = [e.seq for e in core.sb.entries]
+    assert seqs == sorted(set(seqs))
+    seniors = [e.senior for e in core.sb.entries]
+    assert seniors == sorted(seniors, reverse=True)
+
+
 def run_per_cycle(core: Core) -> RunReport:
     report = RunReport("", core.cfg.digest())
     while not core.halted and core.fault is None:
@@ -62,11 +72,13 @@ def run_per_cycle(core: Core) -> RunReport:
         core.step()
         assert_lists_match_rob(core)
         assert_speculation_matches_rob(core)
+        assert_store_buffer_ordered(core)
     if core.fault is None and not report.timed_out:
         guard = 0
         while (core.sb.entries or core.mem.mshrs) and guard < 10_000_000:
             core.mem.tick(core.cycle)
             core._stage_writeback()
+            assert_store_buffer_ordered(core)
             core.cycle += 1
             guard += 1
     report.cycles = core.cycle - core.start_cycle

@@ -175,6 +175,20 @@ def test_squash_removes_only_younger_non_senior():
     assert [e.seq for e in sb.entries] == [1, 2]
 
 
+def test_drain_acts_on_the_head():
+    sb = sb_with(entry(1, addr=0x8, data=0), entry(3, addr=0x10, data=1),
+                 entry(6, addr=0x18, data=2))
+    assert sb.oldest_drainable() is None          # the head is not senior
+    for e in sb.entries[:2]:
+        e.senior = True
+    head, second = sb.entries[:2]
+    assert sb.oldest_drainable() is head
+    sb.drop()
+    assert sb.entries[0] is second and sb.oldest_drainable() is second
+    sb.drop()
+    assert [e.seq for e in sb.entries] == [6] and sb.oldest_drainable() is None
+
+
 def test_capacity_stall_at_fifty_seventh():
     sb = StoreBuffer(56)
     for i in range(56):

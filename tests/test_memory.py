@@ -80,17 +80,29 @@ def test_flush_totality():
     assert mem.timed_read(0x10400)[1] == cfg.dram_latency_cycles
 
 
-def test_timed_latencies_match_timed_read_in_order():
-    cfg, mem = make_mem()
-    res = mem.access("load", 0x10440, 0)
-    mem.tick(res.ready_cycle)
-    addrs = [0x10fff, 0x10447, 0x10000, 0x10440, 0x10480]
-    assert mem.timed_latencies(addrs) == [mem.timed_read(a)[1] for a in addrs]
-    assert mem.timed_latencies(addrs)[1::2] == [cfg.l1_latency_cycles] * 2
-    mem.tlb[0x11000] = (False, False)
-    with pytest.raises(MemFault, match="unreadable 0x11008$"):
-        mem.timed_latencies([0x10000, 0x99999000, 0x11008, 0x11000])
-    assert 0x10000 not in mem.lines and list(mem.lines) == [0x10440]
+REFUSED_PAGE_CASES = [
+    (range(0x10000, 0x20000, 8), 0x11000),            # several addresses a page
+    (range(0x10ff8, 0x20000, 24), 0x11010),           # the page's first address
+    (range(0x10008, 0x20000, 0x1040), 0x11048),       # one address a page
+    (range(0x11ff8, 0x30000, 0x2000), 0x11ff8),
+    (range(0x1f000, 0x30000, 64), 0x20000),           # unmapped above
+]
+
+
+def test_check_readable_names_the_lowest_refused_page():
+    for addrs, first in REFUSED_PAGE_CASES:
+        cfg, mem = make_mem()
+        res = mem.access("load", 0x10440, 0)
+        mem.tick(res.ready_cycle)
+        if first != 0x20000:
+            mem.tlb[first & ~0xFFF] = (False, True)
+            mem.tlb[0x13000] = (False, False)
+        with pytest.raises(MemFault, match=f"unreadable {first:#x}$"):
+            mem.check_readable(addrs)
+        mem.check_readable(range(0x10000, 0x11000, 8))
+        assert list(mem.lines) == [0x10440] and not mem.mshrs
+        assert mem.timed_read(0x10447)[1] == cfg.l1_latency_cycles
+        assert mem.timed_read(0x10480)[1] == cfg.dram_latency_cycles
 
 
 def test_timed_read_unmapped_faults():
@@ -118,6 +130,18 @@ def test_rw_int_cross_page():
     mem.write_int(0x10FFC, 8, 0x1122334455667788)
     assert mem.read_int(0x10FFC, 8) == 0x1122334455667788
     assert mem.read_int(0x10FFC, 4) == 0x55667788
+
+
+@pytest.mark.parametrize("addr", [0x10000, 0x10FF8, 0x10FF9, 0x10FFF, 0x12FFE])
+@pytest.mark.parametrize("size", [1, 2, 4, 8])
+def test_rw_int_agrees_with_bytes_at_page_edges(addr, size):
+    cfg, mem = make_mem()
+    assert mem.read_int(addr, size) == 0 and not mem.pages
+    value = 0x8877665544332211 | (1 << 64)          # masked to the size
+    mem.write_int(addr, size, value)
+    assert mem.read_bytes(addr, size) == (value & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    assert mem.read_int(addr, size) == int.from_bytes(mem.read_bytes(addr, size), "little")
+    assert mem.read_bytes(addr - 1, 1) == mem.read_bytes(addr + size, 1) == b"\0"
 
 
 def test_committed_pages_prunes_zeros():

@@ -395,13 +395,112 @@ def test_probe_receive_faults_like_the_per_line_receiver(perm):
         assert str(got.value) == str(want.value)
 
 
+def _per_address_receive(mem, spec, cfg):
+    """The receiver as the per-address formula it replaced: one read check per
+    probe page (ascending), one latency per probe address, sums over runs of
+    `amplification` addresses coarsened by `// gran * gran`, and the unique
+    minimum below the hit/miss midpoint."""
+    addrs = range(spec.base, spec.base + spec.span, spec.stride)
+    for page in sorted({a & ~0xFFF for a in addrs}):
+        if not mem.permits(page, write=False):
+            addr = next(a for a in addrs if a & ~0xFFF == page)
+            raise MemFault(f"timed_read of unmapped/unreadable {addr:#x}")
+    hit, miss = cfg.l1_latency_cycles, cfg.dram_latency_cycles
+    lat = [hit if a & ~(LINE - 1) in mem.lines else miss for a in addrs]
+    gran, amp = cfg.timer_granularity_cycles, spec.amplification
+    readings = [(sum(run) // gran) * gran for run in zip(*[iter(lat)] * amp)]
+    lowest = min(readings)
+    if lowest >= amp * (hit + miss) // 2 or readings.count(lowest) != 1:
+        return None
+    return readings.index(lowest)
+
+
+def _lines_around_the_probe(rng, spec):
+    """Lines in L1 at probe time: whole or partial hot entries, stray probe
+    lines, lines inside the probe span that hold no probe address (between
+    strided lines, or misaligned to them), the lines just below and above
+    the array, and lines far outside it."""
+    lines = []
+    for entry in rng.sample(range(spec.entries), min(spec.entries, rng.choice([0, 1, 1, 2]))):
+        lines += [spec.line_addr(entry, k) for k in range(spec.amplification)
+                  if rng.random() < 0.8]
+    for _ in range(rng.randrange(4)):
+        lines.append(spec.line_addr(rng.randrange(spec.entries),
+                                    rng.randrange(spec.amplification)))
+    for _ in range(rng.randrange(6)):
+        lines.append(spec.line_addr(rng.randrange(spec.entries),
+                                    rng.randrange(spec.amplification))
+                     + rng.choice([LINE, -LINE, spec.stride // 2, rng.randrange(LINE, 4096)]))
+    lines += [spec.base - LINE, spec.base - 1, spec.base + spec.span,
+              spec.base + spec.span + LINE]
+    lines += [rng.randrange(0x10000, 0x80000) for _ in range(rng.randrange(8))]
+    return lines
+
+
+@pytest.mark.parametrize("stride", [64, 512, 4096, 8192])
+@pytest.mark.parametrize("gran", [1, 7, 64, 1000])
+@pytest.mark.parametrize("amplification", [1, 2, 4, 8])
+def test_probe_receive_matches_the_per_address_formula(amplification, gran, stride):
+    rng = random.Random(f"{amplification}/{gran}/{stride}")
+    cfg = CFG.replace(timer_granularity_cycles=gran)
+    for entries in (1, 3, 256):
+        for _ in range(3):
+            base = PROBE + rng.choice([0, 0, rng.randrange(1, LINE), rng.randrange(LINE, 4096)])
+            spec = ProbeSpec(base=base, stride=stride, entries=entries,
+                             amplification=amplification)
+            mem = MemorySystem(cfg)
+            mem.map_region(0x10000, 0x80000, "rw")
+            mem.map_region(spec.base - 4096, spec.span + 8192, "rw")
+            for cycle, addr in enumerate(_lines_around_the_probe(rng, spec)):
+                res = mem.access("load", addr, cycle)
+                mem.tick(max(res.ready_cycle, cycle))
+            lines, sets = dict(mem.lines), [list(s) for s in mem.sets]
+            got = probe_receive(mem, spec, cfg)
+            assert got == _per_address_receive(mem, spec, cfg)
+            assert mem.lines == lines and mem.sets == sets and not mem.mshrs
+
+
+@pytest.mark.parametrize("entries", [1, 2, 256])
+def test_probe_receive_coarse_timer_ties_every_entry(entries):
+    cfg = CFG.replace(timer_granularity_cycles=10 * 4 * CFG.dram_latency_cycles)
+    spec = ProbeSpec(entries=entries, amplification=4)
+    mem = _mem_with_resident_entry(spec, entries - 1, cfg)
+    assert len(mem.lines) == 4
+    # every entry reads 0, below the midpoint: one entry is found, more tie
+    want = 0 if entries == 1 else None
+    assert probe_receive(mem, spec, cfg) == _per_address_receive(mem, spec, cfg) == want
+
+
+@pytest.mark.parametrize("perm", [None, (False, True)])
+@pytest.mark.parametrize("stride", [64, 512, 4096, 8192])
+def test_probe_receive_faults_like_the_per_address_formula(stride, perm):
+    rng = random.Random(stride)
+    for _ in range(4):
+        spec = ProbeSpec(base=PROBE + rng.choice([0, rng.randrange(1, 4096)]),
+                         stride=stride, entries=rng.choice([1, 3, 256]),
+                         amplification=rng.choice([1, 2, 8]))
+        mem = _mem_with_resident_entry(spec, 0, CFG)
+        pages = sorted({a & ~0xFFF for a in range(spec.base, spec.base + spec.span,
+                                                  spec.stride)})
+        for page in rng.sample(pages, min(2, len(pages))):
+            if perm is None:
+                del mem.tlb[page]
+            else:
+                mem.tlb[page] = perm
+        with pytest.raises(MemFault) as want:
+            _per_address_receive(mem, spec, CFG)
+        with pytest.raises(MemFault) as got:
+            probe_receive(mem, spec, CFG)
+        assert str(got.value) == str(want.value)
+
+
 def test_report_state_is_set_when_priming_faults():
     victim = assemble("main:\n    movi r1, 0x900000\n    ld.8 r2, [r1]\n    halt\n")
     r = run_scenario(Scenario("faulty", victim, probe=ProbeSpec()), CFG,
                      collect_trace=True)
     assert r.fault and "unmapped_load" in r.fault
     assert r.attack_success is None
-    assert r.core.fault == r.fault and r.core.mem.is_mapped(PROBE)
+    assert r.core.fault == r.fault and r.core.mem.permits(PROBE, write=False)
     assert r.trace == []               # priming runs are not traced
     assert len(r.security_log) == 1
 
