@@ -257,12 +257,6 @@ def _split_operands(text: str) -> List[Tuple[str, int]]:
     comma splits when as many '[' as ']' precede it."""
     out = []
     depth = start = end = 0
-    if "[" not in text and "]" not in text:         # then every comma splits
-        for piece in text.split(","):
-            if piece.strip():
-                out.append((piece.strip(), start))
-            start += len(piece) + 1
-        return out
     for piece in text.split(","):
         end += len(piece)
         if "[" in piece or "]" in piece:

@@ -192,18 +192,19 @@ def probe_receive(mem: MemorySystem, spec: ProbeSpec, cfg: SimConfig) -> Optiona
     A reload hits exactly on a resident line, so the readings follow from the
     L1 line set: each resident line that holds a probe address counts one hit
     for that address's entry, and every entry with no such line shares one
-    all-miss reading."""
+    all-miss reading. The walk costs one step per resident line, at most the
+    L1's 512 lines whatever the number of probe entries."""
     gran, amp, stride = cfg.timer_granularity_cycles, spec.amplification, spec.stride
     hit, miss = cfg.l1_latency_cycles, cfg.dram_latency_cycles
     addrs = range(spec.base, spec.base + spec.span, stride)
     mem.check_readable(addrs)
-    lines_of: Dict[int, List[int]] = {}     # entry -> its resident lines
+    hot: Dict[int, int] = {}                # entry -> its resident line count
     for line in mem.lines:
         j = -((spec.base - line) // stride)  # first probe address at or above line
         if 0 <= j < len(addrs) and addrs[j] < line + LINE:
-            lines_of.setdefault(j // amp, []).append(line)
-    readings = {entry: (len(ls) * hit + (amp - len(ls)) * miss) // gran * gran
-                for entry, ls in lines_of.items()}
+            hot[j // amp] = hot.get(j // amp, 0) + 1
+    readings = {entry: (n * hit + (amp - n) * miss) // gran * gran
+                for entry, n in hot.items()}
     # the entries with no resident line share one reading; two show a tie
     cold = list(islice((e for e in range(spec.entries) if e not in readings), 2))
     readings.update(dict.fromkeys(cold, amp * miss // gran * gran))
