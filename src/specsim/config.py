@@ -42,8 +42,10 @@ class SimConfig:
     cycle_limit: int = 1_000_000
 
     def __post_init__(self):
+        # an L1 latency below 1 would finish a hit at or before its issue cycle
         for name in ("rob_capacity", "issue_width", "retire_width", "sb_capacity",
-                     "mshr_count", "rsb_depth", "bht_size"):
+                     "mshr_count", "rsb_depth", "bht_size", "l1_latency_cycles",
+                     "cycle_limit"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.bht_size & (self.bht_size - 1):

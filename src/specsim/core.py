@@ -17,9 +17,14 @@ execution finishing, an MSHR fill, a senior store's write-back becoming due,
 or the cycle limit), so `run` and `_drain` jump straight to it. Blocked
 micro-ops wait on a count of producers not yet done, which each producer
 decrements when it completes, instead of polling their operands every cycle.
-Issue walks only the entries that have not started executing (plus an undone
-fence), completion only the executing ones, and a program is decoded once,
-by the first core that runs it. With the trace off, no stage builds an event.
+Issue walks `ready`, the seq-ordered list of micro-ops whose producers are
+all done (plus WAITING loads and an undone fence): fetch appends an entry
+with no pending producer, and completion inserts a consumer whose count
+reaches 0. `executing` is a wheel from done cycle to the entries finishing
+then, so completion pops one bucket, and the memory system keeps its earliest
+fill cycle, so fills are installed only when one is due. A step calls a stage
+only when it has work, and a program is decoded once, by the first core that
+runs it. With the trace off, no stage builds an event.
 Issue reads operands from the register file unless a source was renamed, and
 computes ALU and CMP results itself. Stores seniorize in retirement order, so
 write-back drains the head of the seq-ordered store buffer.
@@ -32,7 +37,7 @@ cycle is left for the garbage collector.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, List, Optional, Set
@@ -96,9 +101,10 @@ class Core:
                                for uops in map(decode, program.instructions)]
 
         self.rob: List[ROBEntry] = []
-        # seq order: entries not yet executing, and a fence until it is done
-        self.unissued: List[ROBEntry] = []
-        self.executing: List[ROBEntry] = []  # status EXECUTING, in issue order
+        # seq order: entries whose producers are done but that have not
+        # started executing (WAITING loads too), and a fence until it is done
+        self.ready: List[ROBEntry] = []
+        self.executing: Dict[int, List[ROBEntry]] = {}   # done_cycle -> entries
         self.rename: Dict[int, ROBEntry] = {}
         self.arch_regs: List[int] = [0] * NUM_REGS
         self.live_tags: List[int] = []       # unresolved branch seqs, oldest first
@@ -126,16 +132,13 @@ class Core:
 
     # -- operand handling --------------------------------------------------------
 
-    def _srcs_ready(self, entry: ROBEntry) -> Optional[List[int]]:
-        """The source values of an entry with a renamed source, or None while
-        a producer is not done. A retired producer's result is the value it
-        wrote to the register file."""
+    def _srcs_ready(self, entry: ROBEntry) -> List[int]:
+        """The source values of a ready entry with a renamed source. A retired
+        producer's result is the value it wrote to the register file."""
         vals = []
         for reg, producer in zip(entry.uop.srcs, entry.producers):
             if producer is None:
                 vals.append(self.arch_regs[reg])
-            elif producer.status != DONE:
-                return None
             elif producer.uop.dst == reg:
                 vals.append(producer.result)
             else:
@@ -152,8 +155,15 @@ class Core:
             return
         removed = rob[cut:]
         del rob[cut:]
-        self.unissued = [e for e in self.unissued if e.seq <= seq]
-        self.executing = [e for e in self.executing if e.seq <= seq]
+        ready = self.ready
+        del ready[bisect_right(ready, seq, key=_seq):]
+        executing = self.executing
+        for done_cycle, bucket in list(executing.items()):
+            kept = [e for e in bucket if e.seq <= seq]
+            if not kept:
+                del executing[done_cycle]
+            elif len(kept) != len(bucket):
+                executing[done_cycle] = kept
         live_tags = self.live_tags
         while live_tags and live_tags[-1] > seq:
             live_tags.pop()
@@ -207,7 +217,7 @@ class Core:
             entry.forwarded_from = decision.store_seq
             entry.status = EXECUTING
             entry.done_cycle = self.cycle + 1
-            self.executing.append(entry)
+            self.executing.setdefault(entry.done_cycle, []).append(entry)
             self.forward_count += 1
             self.forward_log.append((entry.seq, uop.parent_pc, decision.store_seq,
                                      decision.value))
@@ -229,7 +239,7 @@ class Core:
                 entry.done_cycle = res.ready_cycle
             entry.status = EXECUTING
             entry.mem_pending = True
-            self.executing.append(entry)
+            self.executing.setdefault(entry.done_cycle, []).append(entry)
         else:
             entry.status = WAITING
 
@@ -238,19 +248,18 @@ class Core:
     def _stage_complete(self) -> None:
         cycle = self.cycle
         mem = self.mem
-        if mem.mshrs:
+        if mem.next_fill is not None and mem.next_fill <= cycle:
             for line in mem.tick(cycle):
                 self.progress = True
                 if self.trace is not None:
                     self._ev("fill", -1, 0, f"line={line:#x}")
-        executing = self.executing
-        due = [e for e in executing if e.done_cycle <= cycle]
-        if not due:
+        due = self.executing.pop(cycle, None)
+        if due is None:
             return
-        self.executing = [e for e in executing if e.done_cycle > cycle]
         if len(due) > 1:
             due.sort(key=_seq)
         trace = self.trace
+        ready = self.ready
         for entry in due:
             if entry.squashed:              # by an older branch resolved above
                 continue
@@ -263,6 +272,11 @@ class Core:
             if consumers is not None:
                 for consumer in consumers:
                     consumer.pending -= 1
+                    if not consumer.pending and not consumer.squashed:
+                        if not ready or ready[-1].seq < consumer.seq:
+                            ready.append(consumer)
+                        else:
+                            insort(ready, consumer, key=_seq)
                 entry.consumers = None
             if trace is not None:
                 self._ev("execute", entry.seq, entry.uop.parent_pc)
@@ -271,8 +285,8 @@ class Core:
                 self._resolve_branch(entry)
             elif kind is FENCE:
                 # it issued when everything older was done, and nothing younger
-                # issues before it is done, so it heads the unissued list
-                del self.unissued[0]
+                # issues before it is done, so it heads the ready list
+                del ready[0]
 
     def _stage_retire(self) -> None:
         """Retire DONE entries from the ROB head. The head is never
@@ -384,22 +398,20 @@ class Core:
         cycle = self.cycle
         arch_regs = self.arch_regs
         trace = self.trace
-        unissued = self.unissued
-        executing = self.executing
-        started = len(executing)
-        for entry in unissued:
+        ready = self.ready
+        bucket = None                       # the entries done next cycle
+        for entry in ready:
             if issued >= width:
                 break
-            if entry.pending:               # never a fence: it has no sources
-                continue
             uop = entry.uop
             kind = uop.kind
             if kind is FENCE:
-                # serializes: nothing younger issues until the fence completes.
-                # Everything older is done when nothing older is unissued or
-                # executing.
-                if not (entry.status == DISPATCHED and entry is unissued[0]
-                        and all(e.seq > entry.seq for e in executing)):
+                # serializes: nothing younger issues until the fence completes,
+                # so nothing younger executes. Everything older is done when
+                # nothing older is ready or executing: a pending entry waits,
+                # down its chain of producers, on one that is.
+                if not (entry.status == DISPATCHED and entry is ready[0]
+                        and not self.executing):
                     break
             elif kind is LDA:
                 if loads >= 2:
@@ -419,8 +431,6 @@ class Core:
                 vals = list(map(arch_regs.__getitem__, uop.srcs))
             else:
                 vals = self._srcs_ready(entry)
-                if vals is None:
-                    continue
             if kind is LDA:
                 loads += 1
             elif kind is STD:
@@ -438,18 +448,20 @@ class Core:
                 continue
             entry.status = EXECUTING
             entry.done_cycle = cycle + 1
-            executing.append(entry)
+            if bucket is None:
+                bucket = self.executing.setdefault(cycle + 1, [])
+            bucket.append(entry)
             if kind is FENCE:
                 break
-        if len(self.executing) != started:
-            self.unissued = [e for e in unissued
-                             if e.status < EXECUTING or e.uop.kind is FENCE]
+        if issued:
+            self.ready = [e for e in ready
+                          if e.status < EXECUTING or e.uop.kind is FENCE]
 
     def _stage_fetch(self) -> None:
         pc = self.fetch_pc
         decoded = self.program.decoded
         rob = self.rob
-        unissued = self.unissued
+        ready = self.ready
         rename = self.rename
         rename_get = rename.get
         live_tags = self.live_tags
@@ -525,7 +537,8 @@ class Core:
                 if uop.dst2 is not None:
                     rename[uop.dst2] = entry
                 rob.append(entry)
-                unissued.append(entry)
+                if not entry.pending:
+                    ready.append(entry)
                 if trace is not None:
                     self._ev("dispatch", seq, pc, kind.value)
                 seq += 1
@@ -537,14 +550,20 @@ class Core:
     def step(self) -> None:
         """Advance one cycle; `progress` tells whether any state changed."""
         self.progress = False
-        self._stage_complete()
-        self._stage_retire()
-        if self.fault:
-            return
-        if self.sb.entries:
+        fill = self.mem.next_fill
+        if self.cycle in self.executing or (fill is not None and fill <= self.cycle):
+            self._stage_complete()
+        if self.rob and self.rob[0].status == DONE:
+            self._stage_retire()
+            if self.fault:
+                return
+        sb_entries = self.sb.entries
+        if sb_entries and sb_entries[0].senior:
             self._stage_writeback()
-        self._stage_issue()
-        self._stage_fetch()
+        if self.ready:
+            self._stage_issue()
+        if self.fetch_pc is not None:
+            self._stage_fetch()
         self.cycle += 1
 
     # -- whole-run driver ------------------------------------------------------------
@@ -575,11 +594,11 @@ class Core:
         """After a cycle that changed nothing, every cycle up to the next event
         is the same idle cycle: jump to the earliest of an execution finishing,
         an MSHR fill, the oldest senior store's write-back, and `limit`."""
-        events = [e.done_cycle for e in self.executing]
-        events.append(limit)
-        fill = self.mem.next_fill_cycle()
-        if fill is not None:
-            events.append(fill)
+        events = [limit]
+        if self.executing:
+            events.append(min(self.executing))
+        if self.mem.next_fill is not None:
+            events.append(self.mem.next_fill)
         wb = self.sb.oldest_drainable()
         if wb is not None and wb.writeback_ready_cycle is not None:
             events.append(wb.writeback_ready_cycle)
@@ -591,7 +610,8 @@ class Core:
         limit = self.cycle + 10_000_000
         mem = self.mem
         while (self.sb.entries or mem.mshrs) and self.cycle < limit:
-            self.progress = bool(mem.mshrs) and bool(mem.tick(self.cycle))
+            self.progress = (mem.next_fill is not None and mem.next_fill <= self.cycle
+                             and bool(mem.tick(self.cycle)))
             if self.sb.entries:
                 self._stage_writeback()
             self.cycle += 1

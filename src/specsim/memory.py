@@ -52,6 +52,7 @@ class MemorySystem:
         self.rr: List[int] = [0] * N_SETS
         self.lines: Dict[int, int] = {}               # line addr -> fill cycle
         self.mshrs: Dict[int, MSHR] = {}
+        self.next_fill: Optional[int] = None          # earliest fill cycle of an MSHR
         self.mshr_peak = 0
 
     # -- address space -------------------------------------------------------
@@ -159,6 +160,8 @@ class MemorySystem:
             return AccessResult("mshr_full")
         ready = cycle + self.cfg.dram_latency_cycles
         self.mshrs[line_addr] = MSHR(line_addr, cycle, ready, seq)
+        if self.next_fill is None or ready < self.next_fill:
+            self.next_fill = ready
         self.mshr_peak = max(self.mshr_peak, len(self.mshrs))
         return AccessResult("miss", ready_cycle=ready, mshr_allocated=True)
 
@@ -168,12 +171,9 @@ class MemorySystem:
         for line_addr in done:
             self._install(line_addr, cycle)
             del self.mshrs[line_addr]
+        self.next_fill = min((m.fill_complete_cycle for m in self.mshrs.values()),
+                             default=None)
         return done
-
-    def next_fill_cycle(self) -> Optional[int]:
-        if not self.mshrs:
-            return None
-        return min(m.fill_complete_cycle for m in self.mshrs.values())
 
     # -- receiver primitives (non-speculative attacker side) ------------------
 

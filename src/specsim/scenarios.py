@@ -25,14 +25,14 @@ Memory layout used by the bundled scenarios (flat, byte-addressed):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .config import RunReport, SimConfig
 from .core import run_program
-from .isa import Imm, Program, assemble, operand_labels
+from .isa import Imm, Instruction, Program, assemble, operand_labels
 from .lsu import ForwardingPolicy
 from .memory import LINE, MemorySystem
 from .predictors import PredictorState, train_branch
@@ -81,13 +81,16 @@ def _insert_at_label(p: Program, label: str, new_lines: List[str]) -> Program:
         return addr + shift if addr > site else addr
 
     instructions = [
-        replace(instr, operands=tuple(
-            Imm(moved(op.value)) if name else op
-            for name, op in zip(operand_labels(p, instr), instr.operands)))
+        Instruction(instr.pc + shift if instr.pc >= site else instr.pc,
+                    instr.mnemonic,
+                    tuple(Imm(moved(op.value)) if name else op
+                          for name, op in zip(operand_labels(p, instr), instr.operands)),
+                    instr.forwardable)
         for instr in p.instructions]
-    instructions[site // 4:site // 4] = assemble("\n".join(new_lines)).instructions
-    return Program([replace(instr, pc=4 * i) for i, instr in enumerate(instructions)],
-                   {name: moved(addr) for name, addr in p.labels.items()},
+    instructions[site // 4:site // 4] = [
+        Instruction(site + instr.pc, instr.mnemonic, instr.operands, instr.forwardable)
+        for instr in assemble("\n".join(new_lines)).instructions]
+    return Program(instructions, {name: moved(addr) for name, addr in p.labels.items()},
                    list(p.data))
 
 

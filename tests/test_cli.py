@@ -184,14 +184,18 @@ def test_run_table_output(capsys):
 
 
 def test_invalid_config_value_exits_2(capsys):
-    code, out, err = run_cli(capsys, "run", "spectre_1_0", "--rob-capacity", "0")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "rob_capacity" in err
+    for flag, value in [("--rob-capacity", "0"), ("--l1-latency-cycles", "-3"),
+                        ("--l1-latency-cycles", "0"), ("--cycle-limit", "-5"),
+                        ("--cycle-limit", "0")]:
+        code, out, err = run_cli(capsys, "run", "spectre_1_0", flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag[2:].replace("-", "_") in err
 
 
 @pytest.mark.parametrize("text", [None, "rob_capacity\n", "mshr_count=x\n",
-                                  "no_such_knob=1\n", "dram_latency_cycles=2\n"])
+                                  "no_such_knob=1\n", "dram_latency_cycles=2\n",
+                                  "l1_latency_cycles=0\n", "cycle_limit=-1\n"])
 def test_bad_env_config_exits_2(capsys, monkeypatch, tmp_path, text):
     cfgfile = tmp_path / "specsim.conf"
     if text is not None:

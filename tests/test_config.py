@@ -50,3 +50,15 @@ def test_one_field_apart_means_a_different_digest():
         digests.add(cfg.digest())
         assert cfg.digest() == SimConfig(**dataclasses.asdict(cfg)).digest()
     assert len(digests) == len(dataclasses.fields(SimConfig)) + 1
+
+
+@pytest.mark.parametrize("name", ["l1_latency_cycles", "cycle_limit"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_unusable_latency_and_cycle_limit_are_rejected(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+        SimConfig(**{name: value})
+
+
+def test_smallest_latency_and_cycle_limit_are_accepted():
+    cfg = SimConfig(l1_latency_cycles=1, cycle_limit=1)
+    assert (cfg.l1_latency_cycles, cfg.cycle_limit) == (1, 1)

@@ -1,13 +1,17 @@
 """The event-driven core against plain per-cycle stepping.
 
-`Core.run` jumps over idle cycles and wakes blocked micro-ops when their
-producers complete. The reference below does neither: it calls `Core.step`
-once per cycle with every wakeup count cleared, so issue re-polls the operands
-of every waiting micro-op, and it drains the store buffer one cycle at a time.
-Both must leave identical traces, reports, registers, committed memory, cache
-footprint and final cycle. After every step the reference also checks the
-core's issue and completion lists against a full scan of the ROB, and the
-store buffer's order.
+`Core.run` jumps over idle cycles, wakes blocked micro-ops when their
+producers complete, keeps executing micro-ops in a wheel keyed by done cycle,
+installs fills only when the memory system's earliest one is due, and calls a
+stage only when it has work. The reference below does none of this: each
+cycle it clears every wakeup count, finds the ready micro-ops by reading their
+producers' status (at the start of the cycle and again right after
+completion), rebuilds the wheel and the earliest fill cycle from the ROB and
+the MSHRs, and calls every stage; after `halt` it drains the store buffer one
+cycle at a time. Both must leave identical traces, reports, registers,
+committed memory, cache footprint and final cycle. After every event-driven
+step, the ready list, the wheel and the earliest fill cycle must equal what
+the same scans find.
 """
 
 import random
@@ -25,18 +29,51 @@ from specsim.scenarios import BUILDERS, build_scenario, run_scenario
 from randprog import random_program, STACK_TOP
 
 
-def assert_lists_match_rob(core: Core) -> None:
-    """`unissued` is every entry not yet executing plus an undone fence, in
-    seq order; `executing` is every EXECUTING entry. Both hold the ROB's own
-    objects, each once."""
-    unissued = [e for e in core.rob if e.status < EXECUTING
-                or (e.uop.kind is UopKind.FENCE and e.status != DONE)]
-    assert [e.seq for e in core.unissued] == [e.seq for e in unissued]
-    assert all(a is b for a, b in zip(core.unissued, unissued))
-    executing = [e for e in core.rob if e.status == EXECUTING]
-    assert sorted(e.seq for e in core.executing) == [e.seq for e in executing]
-    in_rob = {id(e) for e in core.rob}
-    assert all(id(e) in in_rob for e in core.executing)
+def polled_ready(core: Core) -> list:
+    """The entries that have not started executing and whose producers are
+    all done, and an undone fence, in seq order: read from the producers'
+    status, never from the wakeup counts."""
+    return [e for e in core.rob
+            if (e.status < EXECUTING
+                and all(p is None or p.status == DONE for p in e.producers or ()))
+            or (e.uop.kind is UopKind.FENCE and e.status != DONE)]
+
+
+def polled_wheel(core: Core) -> dict:
+    """The EXECUTING entries of the ROB by done cycle, each in seq order."""
+    wheel = {}
+    for e in core.rob:
+        if e.status == EXECUTING:
+            wheel.setdefault(e.done_cycle, []).append(e)
+    return wheel
+
+
+def polled_next_fill(core: Core):
+    return min((m.fill_complete_cycle for m in core.mem.mshrs.values()), default=None)
+
+
+def assert_queues_match_scans(core: Core) -> None:
+    """`ready` is the polled ready set, in seq order and as the ROB's own
+    objects; the wheel holds each EXECUTING entry once, under its done cycle,
+    with no key below the current cycle and no empty bucket; `next_fill` is
+    the earliest MSHR fill cycle. An executing fence has every older entry
+    done, and nothing younger than an undone fence has started."""
+    ready = polled_ready(core)
+    assert [e.seq for e in core.ready] == [e.seq for e in ready]
+    assert all(a is b for a, b in zip(core.ready, ready))
+    wheel = {cycle: sorted(bucket, key=lambda e: e.seq)
+             for cycle, bucket in core.executing.items()}
+    expected = polled_wheel(core)
+    assert wheel.keys() == expected.keys()
+    for cycle, bucket in wheel.items():
+        assert [id(e) for e in bucket] == [id(e) for e in expected[cycle]]
+    assert all(cycle >= core.cycle for cycle in core.executing)
+    assert core.mem.next_fill == polled_next_fill(core)
+    for i, e in enumerate(core.rob):
+        if e.uop.kind is UopKind.FENCE and e.status != DONE:
+            if e.status == EXECUTING:
+                assert all(o.status == DONE for o in core.rob[:i])
+            assert all(y.status < EXECUTING for y in core.rob[i + 1:])
 
 
 def assert_speculation_matches_rob(core: Core) -> None:
@@ -60,17 +97,33 @@ def assert_store_buffer_ordered(core: Core) -> None:
     assert seniors == sorted(seniors, reverse=True)
 
 
+def step_polled(core: Core) -> None:
+    """One cycle with every queue rebuilt from scans and every stage called."""
+    for e in core.rob:
+        e.pending = 0
+        e.consumers = None
+    core.ready = polled_ready(core)
+    core.executing = polled_wheel(core)
+    core.mem.next_fill = polled_next_fill(core)
+    core.progress = False
+    core._stage_complete()
+    core.ready = polled_ready(core)
+    core._stage_retire()
+    if core.fault:
+        return
+    core._stage_writeback()
+    core._stage_issue()
+    core._stage_fetch()
+    core.cycle += 1
+
+
 def run_per_cycle(core: Core) -> RunReport:
     report = RunReport("", core.cfg.digest())
     while not core.halted and core.fault is None:
         if core.cycle - core.start_cycle >= core.cfg.cycle_limit:
             report.timed_out = True
             break
-        for e in core.rob:
-            e.pending = 0
-            e.consumers = None
-        core.step()
-        assert_lists_match_rob(core)
+        step_polled(core)
         assert_speculation_matches_rob(core)
         assert_store_buffer_ordered(core)
     if core.fault is None and not report.timed_out:
@@ -90,9 +143,20 @@ def run_per_cycle(core: Core) -> RunReport:
     return report
 
 
+def checked_step(core: Core, step=Core.step) -> None:
+    """`Core.step`, then the event-driven queues against the scans."""
+    step(core)
+    assert_queues_match_scans(core)
+    assert_speculation_matches_rob(core)
+    assert_store_buffer_ordered(core)
+
+
 def both(monkeypatch, run):
-    """`run()` under the event-driven core, then under per-cycle stepping."""
-    fast = run()
+    """`run()` under the event-driven core, checked after every step, then
+    under per-cycle stepping."""
+    with monkeypatch.context() as m:
+        m.setattr(Core, "step", checked_step)
+        fast = run()
     with monkeypatch.context() as m:
         m.setattr(Core, "run", run_per_cycle)
         slow = run()
@@ -181,12 +245,14 @@ main:
 
 
 def test_every_operand_poll_finds_operands_ready():
+    """Issue reads operands only of entries whose producers are all done."""
     polls = []
 
     class CountingCore(Core):
         def _srcs_ready(self, entry):
+            done = all(p is None or p.status == DONE for p in entry.producers)
             vals = super()._srcs_ready(entry)
-            polls.append(vals is not None)
+            polls.append(done and len(vals) == len(entry.uop.srcs))
             return vals
 
     cfg = SimConfig(dram_latency_cycles=20, l1_latency_cycles=2)
