@@ -21,6 +21,7 @@ import sys
 from dataclasses import fields
 
 from .config import CHOICES, FORWARDING_POLICIES, SimConfig, parse_config_file
+from .isa import AsmError
 from .lsu import ForwardingPolicy
 from .scenarios import (ALL_MITIGATIONS, BUILDERS, MATRIX_SCENARIOS, MITIGATIONS,
                         build_scenario, run_scenario, scenario_from_file)
@@ -73,6 +74,8 @@ def _resolve_scenario(args):
             scenario, _ = scenario_from_file(args.scenario_file)
         except (OSError, ValueError) as e:
             raise _CliError(2, f"cannot load scenario file: {e}") from e
+        except AsmError as e:
+            raise _CliError(2, f"cannot assemble the scenario's program: {e}") from None
         return scenario
     name = args.scenario
     if name is None:

@@ -7,7 +7,10 @@ priming instructions, and a probe layout. Running it follows the classic
 shape: prime the predictors with benign inputs, flush the probe array and the
 victim's bound variable, run the victim with attacker inputs (repeating
 attempts so values cached by earlier squashed tries feed later ones), then
-time every probe line and infer the secret from the fastest.
+time every probe line and infer the secret from the fastest. Each bundled
+victim (scenario, shape, mitigation) is assembled, transformed and decoded
+once per process and shared by every secret, which is planted in memory, not
+in the program; a scenario file is assembled on every load.
 
 Memory layout used by the bundled scenarios (flat, byte-addressed):
 
@@ -26,7 +29,7 @@ Memory layout used by the bundled scenarios (flat, byte-addressed):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -182,11 +185,6 @@ class Scenario:
                              "checked array region")
 
 
-def _saturate(pred: PredictorState, pc: int, taken: bool) -> None:
-    for _ in range(3):
-        train_branch(pred, pc, taken)
-
-
 def probe_receive(mem: MemorySystem, spec: ProbeSpec, cfg: SimConfig) -> Optional[int]:
     """Time every probe entry (amplification lines each, summed, coarsened to
     the timer granularity) and return the unique fastest entry, or None when
@@ -264,7 +262,8 @@ def run_scenario(s: Scenario, cfg: SimConfig,
     def run(regs: Dict[int, int], attempt: Optional[int]) -> bool:
         if attempt is not None:
             for pc, taken in s.prime_branches:
-                _saturate(pred, pc, taken)
+                for _ in range(3):                  # saturate the counter
+                    train_branch(pred, pc, taken)
             if attempt == 0 and s.probe:
                 flush_probe(mem, s.probe)
             for addr in s.slow_lines:
@@ -386,6 +385,11 @@ def apply_mitigation(name: str, p: Program,
     return p, f"{name}+{mitigation}", expected
 
 
+@lru_cache(maxsize=64)      # all 34 bundled victims fit; each is shared: never mutate it
+def _victim(name: str, src: str, mitigation: str) -> Tuple[Program, str, str]:
+    return apply_mitigation(name, assemble(src), mitigation)
+
+
 # the indirect-load transmit sequence: touch probe[secret << 9], probe in r12
 _TRANSMIT = (f"    movi r4, {hex(SECRET_ADDR)}\n"
              "    ld.1 r5, [r4]\n"
@@ -427,7 +431,7 @@ done:
     halt
 .data {hex(VARS)} rw 10 00 00 00 00 00 00 00
 """
-    p, name, expected = apply_mitigation("spectre_1_0", assemble(src), mitigation)
+    p, name, expected = _victim("spectre_1_0", src, mitigation)
     return Scenario(
         name=name, victim=p,
         attack_regs={10: SECRET_OFF, 11: ARR_B, 12: PROBE},
@@ -491,8 +495,8 @@ vret:
     ret
 {gadget}.data {hex(VARS)} rw 10 00 00 00 00 00 00 00
 """
-    p, name, expected = apply_mitigation(
-        "spectre_1_1_rop" if rop else "spectre_1_1_control", assemble(src), mitigation)
+    p, name, expected = _victim(
+        "spectre_1_1_rop" if rop else "spectre_1_1_control", src, mitigation)
     entry_label = "g1" if rop else "gbody"
     entry_bump = 4 if mitigation == "fence_gadget" else 0   # jump over the fence
 
@@ -552,7 +556,7 @@ done:
     halt
 .data {hex(VARS)} rw 10 00 00 00 00 00 00 00
 """
-    p, name, expected = apply_mitigation("spectre_1_1_data", assemble(src), mitigation)
+    p, name, expected = _victim("spectre_1_1_data", src, mitigation)
     y_attack = LIM_SLOT - ARR_C   # 0x800: within c's power-of-two padding
     attack_regs = {10: y_attack, 11: ARR_C, 13: 0xFFFFFFFF,
                    22: SECRET_OFF, 14: ARR_B, 12: PROBE}
@@ -599,7 +603,7 @@ gadget:
 {_TRANSMIT}    halt
 .data {hex(VARS)} rw 10 00 00 00 00 00 00 00
 """
-    p, name, expected = apply_mitigation("spectre_1_2", assemble(src), mitigation)
+    p, name, expected = _victim("spectre_1_2", src, mitigation)
     y_attack = RO_TABLE - ARR_C
     attack_regs = {10: y_attack, 11: ARR_C, 13: p.labels["gadget"],
                    12: PROBE, 31: SP0}
@@ -648,7 +652,7 @@ gadget:
 {_TRANSMIT}    halt
 .data {hex(VARS)} rw 10 00 00 00 00 00 00 00
 """
-    p, name, expected = apply_mitigation("ghost", assemble(src), mitigation)
+    p, name, expected = _victim("ghost", src, mitigation)
     ret_slot = SP0 - 8
     ghost_slot = ret_slot + 16
     attack_regs = {13: p.labels["gadget"], 12: PROBE, 31: SP0}
@@ -708,7 +712,7 @@ done:
     halt
 .data {hex(VARS)} rw 00 00 00 00 00 00 00 00
 """
-    p, name, expected = apply_mitigation("halo", assemble(src), mitigation)
+    p, name, expected = _victim("halo", src, mitigation)
     attack_regs = {16: HALO_IDX, 17: ARR_C, 18: HALO_PAYLOAD,
                    19: LIM_SLOT, 21: SECRET_OFF, 14: ARR_B, 12: PROBE,
                    30: 0x100}
@@ -771,7 +775,7 @@ bloop:
 loopx:
     halt
 """
-    p, name, expected = apply_mitigation("benign_spill", assemble(src), mitigation)
+    p, name, expected = _victim("benign_spill", src, mitigation)
     regs = {31: SP0}
     return Scenario(
         name=name, victim=p,
@@ -812,6 +816,7 @@ _FILE_KEYS = {"name", "program", "secret_addr", "secret_value", "priming",
               "probe_entries", "amplification", "flush"}
 _FILE_PREFIXES = {"reg", "benign_reg", "mem", "benign_mem", "map", "prime"}
 _DIRECTIONS = {"taken": True, "not_taken": False}      # prime.LABEL values
+_SIZED = {"mem": "ADDR.SIZE", "benign_mem": "ADDR.SIZE", "map": "BASE.SIZE"}
 
 
 def scenario_from_file(path: str) -> Tuple[Scenario, dict]:
@@ -834,9 +839,11 @@ def scenario_from_file(path: str) -> Tuple[Scenario, dict]:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             k, _, v = line.partition("=")
             k = k.strip()
-            kind, dot, _ = k.partition(".")
+            kind, dot, rest = k.partition(".")
             if k not in _FILE_KEYS and not (dot and kind in _FILE_PREFIXES):
                 raise ValueError(f"{path}:{lineno}: unknown key {k!r}")
+            if kind in _SIZED and rest.count(".") != 1:
+                raise ValueError(f"{path}:{lineno}: {k}: expected {kind}.{_SIZED[kind]}")
             opts[k] = v.strip()
     if "program" not in opts:
         raise ValueError(f"{path}: missing program=")

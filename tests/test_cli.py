@@ -309,3 +309,33 @@ def test_python_dash_m_runs_the_cli(tmp_path):
                        timeout=120)
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout.splitlines()[0])["attack_success"] is True
+
+
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_scenario_program_that_does_not_assemble_exits_2(capsys, tmp_path, command):
+    asm = tmp_path / "victim.asm"
+    asm.write_text("main:\n    bogus r1\n    halt\n")
+    sf = tmp_path / "bad.scenario"
+    sf.write_text(f"program = {asm}\n")
+    out_flag = ["--out", str(tmp_path / "t.jsonl")] if command == "trace" else []
+    code, out, err = run_cli(capsys, command, "--scenario-file", str(sf), *out_flag)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "line 2, col 4" in err and "bogus" in err
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+@pytest.mark.parametrize("line,shape", [("mem.0x10 = 8", "mem.ADDR.SIZE"),
+                                        ("benign_mem.0x10.8.1 = 8", "benign_mem.ADDR.SIZE"),
+                                        ("map.0x1000 = rw", "map.BASE.SIZE")])
+def test_scenario_file_sized_key_without_its_size_names_the_shape(capsys, tmp_path,
+                                                                  line, shape):
+    asm = tmp_path / "victim.asm"
+    asm.write_text("main:\n    halt\n")
+    sf = tmp_path / "bad.scenario"
+    sf.write_text(f"program = {asm}\n{line}\n")
+    code, out, err = run_cli(capsys, "run", "--scenario-file", str(sf))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    key = line.split(" =")[0]
+    assert f"bad.scenario:2: {key}: expected {shape}" in err

@@ -5,8 +5,9 @@ import pytest
 from specsim import SimConfig, assemble, run_reference
 from specsim.lsu import ForwardingPolicy
 from specsim.memory import LINE, MemFault, MemorySystem
-from specsim.scenarios import (ARR_B, BUILDERS, MATRIX_SCENARIOS, MITIGATION_SITES,
-                               MITIGATIONS, ProbeSpec, Scenario, build_benign_spill,
+from specsim.scenarios import (ALL_MITIGATIONS, ARR_B, BUILDERS, MATRIX_SCENARIOS,
+                               MITIGATION_SITES, MITIGATIONS, ProbeSpec, Scenario,
+                               build_benign_spill,
                                build_gadget_spectre_1_0,
                                build_gadget_spectre_1_1_control,
                                build_scenario, flush_probe, next_pow2,
@@ -21,6 +22,11 @@ CFG = SimConfig()
 ATTACKS = list(MATRIX_SCENARIOS)
 STORE_ATTACKS = ["spectre_1_1_control", "spectre_1_1_data", "spectre_1_2",
                  "ghost", "halo"]
+# every bundled scenario x mitigation build: 34 of them
+BUNDLED_BUILDS = [(name, mitigation)
+                  for name in BUILDERS for mitigation in ALL_MITIGATIONS
+                  if mitigation != "fence_gadget"
+                  or MITIGATION_SITES[name].fence_gadget is not None]
 
 
 @pytest.mark.parametrize("name", ATTACKS)
@@ -607,13 +613,9 @@ def test_scenario_file_rejects_unknown_keys(tmp_path, key):
 
 def test_bundled_victims_roundtrip_through_printer():
     from specsim import disassemble
-    for name in BUILDERS:
-        mitigations = list(MITIGATIONS)
-        if MITIGATION_SITES[name].fence_gadget is not None:
-            mitigations.append("fence_gadget")
-        for mitigation in mitigations:
-            p = build_scenario(name, mitigation=mitigation).victim
-            assert assemble(disassemble(p)) == p, (name, mitigation)
+    for name, mitigation in BUNDLED_BUILDS:
+        p = build_scenario(name, mitigation=mitigation).victim
+        assert assemble(disassemble(p)) == p, (name, mitigation)
 
 
 def test_config_file_parsing_errors():
@@ -623,3 +625,67 @@ def test_config_file_parsing_errors():
         parse_config_file("frobnication=9\n")
     with pytest.raises(ValueError, match="key=value"):
         parse_config_file("just words\n")
+
+
+# -- one shared victim per (scenario, shape, mitigation) -------------------------
+
+def test_every_secret_shares_one_decoded_victim():
+    first = build_scenario("spectre_1_0", secret=1)
+    run_scenario(first, CFG)
+    second = build_scenario("spectre_1_0", secret=2)
+    assert second.victim is first.victim
+    assert second.victim.decoded is first.victim.decoded is not None
+    assert build_scenario("spectre_1_0", secret=1).victim is first.victim
+    assert (first.secret_value, second.secret_value) == (1, 2)
+    assert run_scenario(second, CFG).inferred_secret == 2
+
+
+@pytest.mark.parametrize("one,other", [
+    (("spectre_1_0", {}), ("spectre_1_0", {"mitigation": "fence"})),
+    (("spectre_1_0", {"mitigation": "coarse_mask"}),
+     ("spectre_1_0", {"mitigation": "exact_mask"})),
+    (("spectre_1_0", {}), ("spectre_1_0", {"pad_uops": 3})),
+    (("spectre_1_0", {}), ("spectre_1_0", {"amplification": 4})),
+    (("spectre_1_1_control", {}), ("spectre_1_1_rop", {})),
+    (("spectre_1_1_control", {"mitigation": "fence_gadget"}),
+     ("spectre_1_1_rop", {"mitigation": "fence_gadget"})),
+])
+def test_distinct_victims_are_distinct_programs(one, other):
+    a, b = (build_scenario(name, **kw) for name, kw in (one, other))
+    assert a.victim is not b.victim and a.victim != b.victim
+
+
+def test_runs_leave_every_shared_victim_as_built(monkeypatch):
+    import specsim.scenarios as sc
+    from specsim.isa import decode
+    cached = sc._victim
+    keys = set()
+
+    def spy(*key):
+        keys.add(key)
+        return cached(*key)
+    monkeypatch.setattr(sc, "_victim", spy)
+    for name, mitigation in BUNDLED_BUILDS:
+        for policy in ("baseline", "slothbear_stores"):
+            run_scenario(build_scenario(name, mitigation=mitigation),
+                         CFG.replace(forwarding_policy=policy),
+                         policy=ForwardingPolicy(policy))
+    assert len(keys) == len(BUNDLED_BUILDS) == 34
+    assert len(keys) <= cached.cache_info().maxsize
+    for key in keys:
+        shared, fresh = cached(*key), cached.__wrapped__(*key)
+        assert shared is cached(*key) and shared[0] is not fresh[0]
+        assert shared == fresh and repr(shared) == repr(fresh), key
+        assert [uops for uops, _ in shared[0].decoded] == \
+            [decode(i) for i in fresh[0].instructions], key
+
+
+@pytest.mark.parametrize("name,mitigation", [("spectre_1_0", "none"),
+                                             ("spectre_1_1_rop", "fence_gadget"),
+                                             ("halo", "exact_mask"),
+                                             ("benign_spill", "none")])
+def test_a_scenario_run_twice_reports_and_traces_the_same(name, mitigation):
+    runs = [run_scenario(build_scenario(name, mitigation=mitigation), CFG,
+                         collect_trace=True) for _ in range(2)]
+    assert runs[0].to_dict() == runs[1].to_dict()
+    assert runs[0].trace == runs[1].trace and runs[0].trace
