@@ -70,6 +70,14 @@ def _build_config(args) -> SimConfig:
 
 def _resolve_scenario(args):
     if args.scenario_file:
+        ignored = [flag for flag, given in (
+            ("a scenario name", args.scenario is not None),
+            ("--mitigation", args.mitigation != "none"),
+            ("--secret", args.secret is not None),
+            ("--amplification", args.amplification is not None),
+            ("--pad-uops", args.pad_uops is not None)) if given]
+        if ignored:
+            raise _CliError(2, f"--scenario-file does not take {', '.join(ignored)}")
         try:
             scenario, _ = scenario_from_file(args.scenario_file)
         except (OSError, ValueError) as e:

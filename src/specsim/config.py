@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import dataclasses
+from functools import partial
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from .lsu import FORWARDING_POLICIES
 
@@ -86,8 +87,7 @@ class RunReport:
     """Outcome of one simulated run (or one whole scenario). `to_dict` emits
     the outcome; the fields declared compare=False are what the run leaves to
     inspect, set on every return path: the last run's `Core` (its `arch_regs`
-    and `mem` hold the committed state), the trace events when collected, and
-    per run the forwards and the squashed store seqs."""
+    and `mem` hold the committed state) and the trace events when collected."""
 
     scenario: str
     config_digest: str
@@ -102,8 +102,6 @@ class RunReport:
     timed_out: bool = False
     core: Optional[Core] = field(default=None, repr=False, compare=False)
     trace: Optional[List[TraceEvent]] = field(default=None, repr=False, compare=False)
-    security_log: List[Tuple[list, Set[int]]] = field(
-        default_factory=list, repr=False, compare=False)
 
     @property
     def ipc(self) -> float:
@@ -115,19 +113,33 @@ class RunReport:
         return d
 
 
-def parse_config_file(text: str) -> dict:
-    """key=value lines -> override dict with typed values; '#' comments allowed."""
+parse_int = partial(int, base=0)       # decimal, or 0x / 0o / 0b prefixed
+
+
+def read_key_values(text: str, convert: Callable[[str, str], object],
+                    where: str = "config line ") -> dict:
+    """key=value lines -> {key: convert(key, value)}; '#' comments allowed.
+    `convert` raises KeyError for an unknown key and ValueError for a bad
+    value; the ValueError raised here names `where`, the line and the key."""
     out = {}
-    valid = {f.name for f in fields(SimConfig)}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
+            raise ValueError(f"{where}{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in valid:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        out[key] = value if key in CHOICES else int(value, 0)
+        key = key.strip()
+        try:
+            out[key] = convert(key, value.strip())
+        except KeyError:
+            raise ValueError(f"{where}{lineno}: unknown key {key!r}") from None
+        except ValueError as e:
+            raise ValueError(f"{where}{lineno}: {key}: {e}") from None
     return out
+
+
+def parse_config_file(text: str) -> dict:
+    """key=value lines -> override dict with typed values."""
+    parsers = {f.name: str if f.name in CHOICES else parse_int for f in fields(SimConfig)}
+    return read_key_values(text, lambda key, value: parsers[key](value))

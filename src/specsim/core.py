@@ -40,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from .config import RunReport, SimConfig, TraceEvent
 from .isa import MASK64, NUM_REGS, MicroOp, Program, UopKind, decode
@@ -118,8 +118,6 @@ class Core:
         self.squash_count = 0
         self.forward_count = 0
         self.retired_instructions = 0
-        self.forward_log: List[tuple] = []   # (load_seq, load_pc, store_seq, value)
-        self.squashed_store_seqs: Set[int] = set()
         self.progress = False      # set by any stage that changes state this cycle
 
     # -- tracing ---------------------------------------------------------------
@@ -171,8 +169,6 @@ class Core:
         for e in removed:
             e.squashed = True
             e.producers = e.consumers = None
-            if e.uop.kind in (STA, CALL):
-                self.squashed_store_seqs.add(e.seq)
             if trace is not None:
                 self._ev("squash", e.seq, e.uop.parent_pc)
         self.sb.squash_younger(seq)
@@ -219,13 +215,11 @@ class Core:
             entry.done_cycle = self.cycle + 1
             self.executing.setdefault(entry.done_cycle, []).append(entry)
             self.forward_count += 1
-            self.forward_log.append((entry.seq, uop.parent_pc, decision.store_seq,
-                                     decision.value))
             if self.trace is not None:
                 self._ev("forward", entry.seq, uop.parent_pc,
                          f"value={decision.value:#x} from_seq={decision.store_seq}")
         elif kind == "memory":
-            res = self.mem.access("load", entry.addr, self.cycle, entry.seq)
+            res = self.mem.access("load", entry.addr, self.cycle)
             if res.status == "mshr_full":
                 entry.status = WAITING          # retry next cycle
                 return
@@ -640,5 +634,4 @@ def run_program(program: Program, cfg: SimConfig,
             core.arch_regs[r] = v & MASK64
     report = core.run()
     report.core, report.trace = core, trace
-    report.security_log = [(core.forward_log, core.squashed_store_seqs)]
     return report

@@ -193,12 +193,6 @@ class Program:
             return None
         return self.instructions[idx]
 
-    def label_at(self, pc: int) -> Optional[str]:
-        for name, addr in self.labels.items():
-            if addr == pc:
-                return name
-        return None
-
 
 class AsmError(Exception):
     """Assembly failure with source location."""
@@ -220,15 +214,6 @@ _SIGNATURES = {
     "jr": "r", "ret": "", "fence": "", "halt": "", "nop": "",
 }
 
-
-def operand_labels(program: Program, instr: Instruction) -> List[Optional[str]]:
-    """Per operand of `instr`, the label it names, or None. A code target names
-    the label at its address, and so does a movi immediate equal to a label's
-    address. disassemble prints these names; inserting code before a label
-    moves these operands with the labels they name."""
-    return [program.label_at(op.value)
-            if code == "l" or (code == "i" and instr.mnemonic == "movi") else None
-            for code, op in zip(_SIGNATURES[instr.mnemonic], instr.operands)]
 
 # register name -> operand; every operand naming a register shares one object
 _REGS = {f"r{n}": Reg(n) for n in range(32)}
@@ -456,8 +441,11 @@ def disassemble(program: Program) -> str:
             lines.append(f"{name}:")
         mnem = instr.mnemonic + ("!" if instr.forwardable else "")
         if instr.operands:
-            rendered = [name or str(op) for name, op in
-                        zip(operand_labels(program, instr), instr.operands)]
+            # code targets and movi immediates print as a label at their value
+            rendered = [by_pc[op.value][0]
+                        if (code == "l" or code == "i" and instr.mnemonic == "movi")
+                        and op.value in by_pc else str(op)
+                        for code, op in zip(_SIGNATURES[instr.mnemonic], instr.operands)]
             lines.append(f"    {mnem} " + ", ".join(rendered))
         else:
             lines.append(f"    {mnem}")

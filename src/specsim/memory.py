@@ -35,14 +35,6 @@ class AccessResult:
     mshr_allocated: bool = False
 
 
-@dataclass
-class MSHR:
-    line_addr: int
-    issue_cycle: int
-    fill_complete_cycle: int
-    originating_seq: int = -1
-
-
 class MemorySystem:
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
@@ -51,7 +43,7 @@ class MemorySystem:
         self.sets: List[List[int]] = [[] for _ in range(N_SETS)]
         self.rr: List[int] = [0] * N_SETS
         self.lines: Dict[int, int] = {}               # line addr -> fill cycle
-        self.mshrs: Dict[int, MSHR] = {}
+        self.mshrs: Dict[int, int] = {}               # line addr -> fill cycle
         self.next_fill: Optional[int] = None          # earliest fill cycle of an MSHR
         self.mshr_peak = 0
 
@@ -147,19 +139,18 @@ class MemorySystem:
         s = self.sets[self._set_index(line_addr)]
         s.remove(line_addr)
 
-    def access(self, kind: str, addr: int, cycle: int, seq: int = -1) -> AccessResult:
+    def access(self, kind: str, addr: int, cycle: int) -> AccessResult:
         """One cache access. kind in {load, store_writeback}."""
         line_addr = addr & ~(LINE - 1)
         if line_addr in self.lines:
             latency = 1 if kind == "store_writeback" else self.cfg.l1_latency_cycles
             return AccessResult("hit", latency=latency)
-        pending = self.mshrs.get(line_addr)
-        if pending is not None:
-            return AccessResult("miss", ready_cycle=pending.fill_complete_cycle)
+        if line_addr in self.mshrs:
+            return AccessResult("miss", ready_cycle=self.mshrs[line_addr])
         if len(self.mshrs) >= self.cfg.mshr_count:
             return AccessResult("mshr_full")
         ready = cycle + self.cfg.dram_latency_cycles
-        self.mshrs[line_addr] = MSHR(line_addr, cycle, ready, seq)
+        self.mshrs[line_addr] = ready
         if self.next_fill is None or ready < self.next_fill:
             self.next_fill = ready
         self.mshr_peak = max(self.mshr_peak, len(self.mshrs))
@@ -167,12 +158,11 @@ class MemorySystem:
 
     def tick(self, cycle: int) -> List[int]:
         """Install lines whose fills completed; returns installed line addresses."""
-        done = [a for a, m in self.mshrs.items() if m.fill_complete_cycle <= cycle]
+        done = [a for a, fill in self.mshrs.items() if fill <= cycle]
         for line_addr in done:
             self._install(line_addr, cycle)
             del self.mshrs[line_addr]
-        self.next_fill = min((m.fill_complete_cycle for m in self.mshrs.values()),
-                             default=None)
+        self.next_fill = min(self.mshrs.values(), default=None)
         return done
 
     # -- receiver primitives (non-speculative attacker side) ------------------

@@ -33,9 +33,9 @@ from functools import lru_cache, partial
 from itertools import islice
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .config import RunReport, SimConfig
+from .config import RunReport, SimConfig, parse_int, read_key_values
 from .core import run_program
-from .isa import Imm, Instruction, Program, assemble, operand_labels
+from .isa import Program, assemble, disassemble
 from .lsu import ForwardingPolicy
 from .memory import LINE, MemorySystem
 from .predictors import PredictorState, train_branch
@@ -71,30 +71,17 @@ def next_pow2(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _insert_at_label(p: Program, label: str, new_lines: List[str]) -> Program:
-    """Insert instructions at the position `label` names (before the
-    instruction the label points at). Labels at that position name the first
-    inserted instruction; later labels, and the operands that name them, move
-    past the insertion."""
+    """Insert instructions at the position `label` names: after that
+    position's label lines in the printed program, which `assemble` rebuilds,
+    moving later labels and the operands that name them."""
     if label not in p.labels:
         raise ValueError(f"unknown label {label!r}")
-    site = p.labels[label]
-    shift = 4 * len(new_lines)
-
-    def moved(addr: int) -> int:
-        return addr + shift if addr > site else addr
-
-    instructions = [
-        Instruction(instr.pc + shift if instr.pc >= site else instr.pc,
-                    instr.mnemonic,
-                    tuple(Imm(moved(op.value)) if name else op
-                          for name, op in zip(operand_labels(p, instr), instr.operands)),
-                    instr.forwardable)
-        for instr in p.instructions]
-    instructions[site // 4:site // 4] = [
-        Instruction(site + instr.pc, instr.mnemonic, instr.operands, instr.forwardable)
-        for instr in assemble("\n".join(new_lines)).instructions]
-    return Program(instructions, {name: moved(addr) for name, addr in p.labels.items()},
-                   list(p.data))
+    lines = disassemble(p).splitlines()
+    at = lines.index(f"{label}:")
+    while at < len(lines) and lines[at].endswith(":"):
+        at += 1
+    lines[at:at] = new_lines
+    return assemble("\n".join(lines))
 
 
 def transform_insert_fence(p: Program, after: str) -> Program:
@@ -279,7 +266,6 @@ def run_scenario(s: Scenario, cfg: SimConfig,
         report.fault = r.fault
         report.timed_out = report.timed_out or r.timed_out
         report.core = r.core
-        report.security_log += r.security_log
         return r.fault is None and not r.timed_out
 
     if _run_schedule(s, mem, run) and s.probe:
@@ -447,8 +433,7 @@ done:
 
 
 def build_gadget_spectre_1_1_control(secret: int = 0x2A, mitigation: str = "none",
-                                     rop: bool = False,
-                                     warm_bound: bool = False) -> Scenario:
+                                     rop: bool = False) -> Scenario:
     """Bounds check bypass on stores, control variant: the speculative store
     overwrites the on-stack return slot, `ret` forwards the corrupt target,
     and the front end is resteered into the transmit gadget.
@@ -505,8 +490,6 @@ vret:
     attack_regs = {10: y_attack, 11: ARR_C, 12: PROBE, 31: SP0,
                    13: p.labels[entry_label] + entry_bump, 2: 0}
     benign_regs = {10: 8, 11: ARR_C, 12: PROBE, 31: SP0, 13: 0}
-    if warm_bound:
-        expected = "attack_fails"
     return Scenario(
         name=name, victim=p,
         attack_regs=attack_regs, benign_regs=benign_regs,
@@ -515,7 +498,7 @@ vret:
         secret_value=secret,
         probe=ProbeSpec(),
         prime_branches=[(p.labels["vcheck"], False)],
-        slow_lines=[] if warm_bound else [VARS],
+        slow_lines=[VARS],
         expected=expected,
     )
 
@@ -734,7 +717,7 @@ done:
     )
 
 
-def build_benign_spill(mitigation: str = "none", iterations: int = 24) -> Scenario:
+def build_benign_spill(mitigation: str = "none") -> Scenario:
     """Register-spill loop: stores immediately reloaded, the hot path that
     store-to-load blocking penalizes. All spill accesses carry the forwardable
     mark. A dependency chain ahead of each spill delays retirement (so the
@@ -747,7 +730,7 @@ def build_benign_spill(mitigation: str = "none", iterations: int = 24) -> Scenar
     src = f"""
 main:
 {prologue}    ld.8 r6, [sp+8]
-    movi r1, {iterations}
+    movi r1, 24
     movi r2, 1
     movi r3, 2
     movi r9, 0
@@ -811,12 +794,40 @@ def build_scenario(name: str, mitigation: str = "none", **kw) -> Scenario:
 # declarative scenario files
 # ---------------------------------------------------------------------------
 
-_FILE_KEYS = {"name", "program", "secret_addr", "secret_value", "priming",
-              "attempts", "expected", "probe_base", "probe_stride",
-              "probe_entries", "amplification", "flush"}
-_FILE_PREFIXES = {"reg", "benign_reg", "mem", "benign_mem", "map", "prime"}
+_FILE_SCALARS = {
+    **dict.fromkeys(("name", "program", "expected"), str),
+    **dict.fromkeys(("secret_addr", "secret_value", "priming", "attempts", "probe_base",
+                     "probe_stride", "probe_entries", "amplification"), parse_int),
+    "flush": lambda v: [parse_int(a) for a in v.split(",") if a]}
 _DIRECTIONS = {"taken": True, "not_taken": False}      # prime.LABEL values
 _SIZED = {"mem": "ADDR.SIZE", "benign_mem": "ADDR.SIZE", "map": "BASE.SIZE"}
+_FILE_PREFIXES = ("reg", "benign_reg", "prime", *_SIZED)
+
+
+def _file_value(key: str, value: str):
+    """One scenario-file value parsed by its key: KeyError for an unknown key,
+    ValueError for a value or key shape that does not parse."""
+    kind, dot, rest = key.partition(".")
+    if key in _FILE_SCALARS:
+        return _FILE_SCALARS[key](value)
+    if not dot or kind not in _FILE_PREFIXES:
+        raise KeyError(key)
+    if kind in ("reg", "benign_reg"):
+        if rest[:1] != "r" or not rest[1:].isdigit() or int(rest[1:]) >= 32:
+            raise ValueError(f"registers are r0 to r31, got {rest!r}")
+        return int(rest[1:]), parse_int(value)
+    if kind == "prime":
+        if value not in _DIRECTIONS:
+            raise ValueError(f"expected taken or not_taken, got {value!r}")
+        return rest, _DIRECTIONS[value]
+    if rest.count(".") != 1:
+        raise ValueError(f"expected {kind}.{_SIZED[kind]}")
+    addr, size = rest.split(".")
+    if kind == "map":
+        if value not in ("rw", "ro"):
+            raise ValueError(f"permission must be rw or ro, got {value!r}")
+        return parse_int(addr), parse_int(size), value
+    return parse_int(addr), int(size), parse_int(value)
 
 
 def scenario_from_file(path: str) -> Tuple[Scenario, dict]:
@@ -827,83 +838,42 @@ def scenario_from_file(path: str) -> Tuple[Scenario, dict]:
     amplification, reg.rN / benign_reg.rN, mem.ADDR.SIZE / benign_mem...,
     map.BASE.SIZE=perm, flush=addr[,addr...], prime.LABEL=taken|not_taken
 
-    Any other key raises ValueError.
+    Returns the scenario and the parsed values by key. Any other key, and a
+    value that does not parse, raises ValueError naming the file and line.
     """
-    opts: Dict[str, str] = {}
     with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            k, _, v = line.partition("=")
-            k = k.strip()
-            kind, dot, rest = k.partition(".")
-            if k not in _FILE_KEYS and not (dot and kind in _FILE_PREFIXES):
-                raise ValueError(f"{path}:{lineno}: unknown key {k!r}")
-            if kind in _SIZED and rest.count(".") != 1:
-                raise ValueError(f"{path}:{lineno}: {k}: expected {kind}.{_SIZED[kind]}")
-            opts[k] = v.strip()
+        opts = read_key_values(f.read(), _file_value, f"{path}:")
     if "program" not in opts:
         raise ValueError(f"{path}: missing program=")
     with open(opts["program"]) as f:
         victim = assemble(f.read())
-
-    def num(key, default):
-        return int(opts[key], 0) if key in opts else default
-
-    def reg(name: str) -> int:
-        if name[:1] != "r" or not name[1:].isdigit() or int(name[1:]) >= 32:
-            raise ValueError(f"{path}: registers are r0 to r31, got {name!r}")
-        return int(name[1:])
-
+    lists = {kind: [v for k, v in opts.items() if k.startswith(kind + ".")]
+             for kind in _FILE_PREFIXES}
+    for label, _ in lists["prime"]:
+        if label not in victim.labels:
+            raise ValueError(f"{path}: prime target {label!r} not in program")
     probe = None
     if "probe_base" in opts:
-        probe = ProbeSpec(base=num("probe_base", PROBE),
-                          stride=num("probe_stride", 512),
-                          entries=num("probe_entries", 256),
-                          amplification=num("amplification", 1))
-    regs = {"reg": {}, "benign_reg": {}}
-    mems = {"mem": [], "benign_mem": []}
-    regions, slow, prime = [], [], []
-    for k, v in opts.items():
-        kind, _, rest = k.partition(".")
-        if kind in regs:
-            regs[kind][reg(rest)] = int(v, 0)
-        elif kind in mems:
-            addr, size = rest.split(".")
-            mems[kind].append((int(addr, 0), int(size), int(v, 0)))
-        elif kind == "map":
-            if v not in ("rw", "ro"):
-                raise ValueError(f"{path}: {k}: permission must be rw or ro, got {v!r}")
-            base, size = rest.split(".")
-            regions.append((int(base, 0), int(size, 0), v))
-        elif k == "flush":
-            slow = [int(a, 0) for a in v.split(",") if a]
-        elif kind == "prime":
-            if rest not in victim.labels:
-                raise ValueError(f"{path}: prime target {rest!r} not in program")
-            if v not in _DIRECTIONS:
-                raise ValueError(f"{path}: {k}: expected taken or not_taken, "
-                                 f"got {v!r}")
-            prime.append((victim.labels[rest], _DIRECTIONS[v]))
-    s = Scenario(
+        probe = ProbeSpec(base=opts["probe_base"],
+                          stride=opts.get("probe_stride", 512),
+                          entries=opts.get("probe_entries", 256),
+                          amplification=opts.get("amplification", 1))
+    return Scenario(
         name=opts.get("name", path),
         victim=victim,
-        attack_regs=regs["reg"], benign_regs=regs["benign_reg"] or dict(regs["reg"]),
-        attack_mem=mems["mem"], benign_mem=mems["benign_mem"],
-        regions=regions,
-        secret_addr=num("secret_addr", SECRET_ADDR),
-        secret_value=num("secret_value", 0x2A),
+        attack_regs=dict(lists["reg"]),
+        benign_regs=dict(lists["benign_reg"] or lists["reg"]),
+        attack_mem=lists["mem"], benign_mem=lists["benign_mem"],
+        regions=lists["map"],
+        secret_addr=opts.get("secret_addr", SECRET_ADDR),
+        secret_value=opts.get("secret_value", 0x2A),
         probe=probe,
-        priming=num("priming", 2),
-        attempts=num("attempts", 2),
-        prime_branches=prime,
-        slow_lines=slow,
+        priming=opts.get("priming", 2),
+        attempts=opts.get("attempts", 2),
+        prime_branches=[(victim.labels[label], taken) for label, taken in lists["prime"]],
+        slow_lines=opts.get("flush", []),
         expected=opts.get("expected", "attack_succeeds"),
-    )
-    return s, opts
+    ), opts
 
 
 def warm_whitelist(cfg: SimConfig) -> set:

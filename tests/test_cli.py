@@ -339,3 +339,56 @@ def test_scenario_file_sized_key_without_its_size_names_the_shape(capsys, tmp_pa
     assert err.startswith("error: ") and err.count("\n") == 1
     key = line.split(" =")[0]
     assert f"bad.scenario:2: {key}: expected {shape}" in err
+
+
+@pytest.mark.parametrize("command", ["run", "trace"])
+@pytest.mark.parametrize("line", ["mem.0x10.x = 5", "reg.r1 = zz", "flush = 0x10,q",
+                                  "secret_value = lots", "map.0x1000.z = rw"])
+def test_scenario_file_value_that_does_not_parse_names_line_and_key(
+        capsys, tmp_path, command, line):
+    asm = tmp_path / "victim.asm"
+    asm.write_text("main:\n    halt\n")
+    sf = tmp_path / "bad.scenario"
+    sf.write_text(f"# a comment line\nprogram = {asm}\n{line}\n")
+    out_flag = ["--out", str(tmp_path / "t.jsonl")] if command == "trace" else []
+    code, out, err = run_cli(capsys, command, "--scenario-file", str(sf), *out_flag)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    key = line.split(" =")[0]
+    assert f"bad.scenario:3: {key}: " in err
+
+
+def test_config_file_value_that_does_not_parse_names_line_and_key(
+        capsys, monkeypatch, tmp_path):
+    cfgfile = tmp_path / "specsim.conf"
+    cfgfile.write_text("rob_capacity = 112\n\nmshr_count = many\n")
+    monkeypatch.setenv("SPECSIM_CONFIG", str(cfgfile))
+    code, out, err = run_cli(capsys, "run", "spectre_1_0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "config line 3: mshr_count: " in err
+
+
+@pytest.mark.parametrize("command", ["run", "trace"])
+@pytest.mark.parametrize("flags,named", [
+    (["spectre_1_0"], "a scenario name"), (["--mitigation", "fence"], "--mitigation"),
+    (["--secret", "7"], "--secret"), (["--amplification", "4"], "--amplification"),
+    (["--pad-uops", "3"], "--pad-uops")])
+def test_scenario_file_rejects_the_scenario_flags(capsys, tmp_path, command, flags,
+                                                  named):
+    asm = tmp_path / "victim.asm"
+    asm.write_text("main:\n    halt\n")
+    sf = tmp_path / "ok.scenario"
+    sf.write_text(f"program = {asm}\n")
+    out_path = tmp_path / "t.jsonl"
+    out_flag = ["--out", str(out_path)] if command == "trace" else []
+    code, out, err = run_cli(capsys, command, "--scenario-file", str(sf), *out_flag,
+                             "--mitigation", "none")
+    assert code == 0 and err == ""
+    out_path.unlink(missing_ok=True)
+    code, out, err = run_cli(capsys, command, *flags, "--scenario-file", str(sf),
+                             *out_flag)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert not out_path.exists()

@@ -49,7 +49,7 @@ def polled_wheel(core: Core) -> dict:
 
 
 def polled_next_fill(core: Core):
-    return min((m.fill_complete_cycle for m in core.mem.mshrs.values()), default=None)
+    return min(core.mem.mshrs.values(), default=None)
 
 
 def assert_queues_match_scans(core: Core) -> None:
@@ -176,7 +176,7 @@ def snapshot_scenario(scenario, cfg):
                      collect_trace=True)
     mem = r.core.mem
     return (r.to_dict(), r.trace, r.core.arch_regs, r.core.cycle,
-            mem.committed_pages(), sorted(mem.lines.items()), r.security_log)
+            mem.committed_pages(), sorted(mem.lines.items()))
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))

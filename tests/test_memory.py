@@ -40,7 +40,7 @@ def test_eleventh_concurrent_miss_is_mshr_full():
 def test_fill_completes_even_without_requester():
     # allocation outlives any squash of the load that asked for it
     cfg, mem = make_mem()
-    res = mem.access("load", 0x10200, 0, seq=42)
+    res = mem.access("load", 0x10200, 0)
     mem.tick(res.ready_cycle)
     assert 0x10200 in mem.lines
     assert not mem.mshrs
