@@ -3,11 +3,12 @@ matrix, or capture and pretty-print traces.
 
 Reports are line-delimited JSON with field names matching RunReport, so CI
 can assert on attack_success without parsing tables; `--table` adds a human
-layer. Exit codes: 0 run completed (attack outcome does not matter), 2
-unknown scenario, a mitigation the scenario has no site for, an option the
-scenario does not take, an unreadable or invalid scenario file, an invalid
-config value, or an unreadable or malformed SPECSIM_CONFIG, whitelist or trace
-file, 3 cycle-limit timeout, 4 unwritable output path.
+layer. Exit codes: 0 run completed (attack outcome does not matter), 2 a
+malformed command line, unknown scenario, a mitigation the scenario has no
+site for, an option the scenario does not take, an unreadable or invalid
+scenario file, an invalid config value, or an unreadable or malformed
+SPECSIM_CONFIG, whitelist or trace file, 3 cycle-limit timeout, 4 unwritable
+output path.
 
 SPECSIM_CONFIG may name a key=value file applied before flags.
 """
@@ -20,7 +21,8 @@ import os
 import sys
 from dataclasses import fields
 
-from .config import CHOICES, FORWARDING_POLICIES, SimConfig, parse_config_file
+from .config import (CHOICES, FORWARDING_POLICIES, SimConfig, parse_config_file,
+                     parse_int)
 from .isa import AsmError
 from .lsu import ForwardingPolicy
 from .scenarios import (ALL_MITIGATIONS, BUILDERS, MATRIX_SCENARIOS, MITIGATIONS,
@@ -40,13 +42,18 @@ class _CliError(Exception):
         self.code = code
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):        # one `error:` line and exit 2, like the rest
+        raise _CliError(2, message)
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     for name in _CONFIG_FIELDS:
         flag = "--" + name.replace("_", "-")
         if name in CHOICES:
             parser.add_argument(flag, choices=CHOICES[name])
         else:
-            parser.add_argument(flag, type=lambda v: int(v, 0))
+            parser.add_argument(flag, type=parse_int)
 
 
 def _build_config(args) -> SimConfig:
@@ -213,7 +220,7 @@ def cmd_print_trace(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specsim",
         description="speculative out-of-order core simulator: attacks, "
                     "mitigations, and forwarding policies")
@@ -225,10 +232,10 @@ def main(argv=None) -> int:
     one.add_argument("--scenario-file")
     one.add_argument("--mitigation", default="none", choices=ALL_MITIGATIONS,
                      help=_MITIGATION_HELP)
-    one.add_argument("--secret", type=lambda v: int(v, 0))
-    one.add_argument("--amplification", type=int,
+    one.add_argument("--secret", type=parse_int)
+    one.add_argument("--amplification", type=parse_int,
                      help="probe lines per secret value (spectre_1_0)")
-    one.add_argument("--pad-uops", type=int,
+    one.add_argument("--pad-uops", type=parse_int,
                      help="filler micro-ops between check and payload (spectre_1_0)")
     one.add_argument("--arctic-whitelist")
     _add_config_flags(one)
@@ -255,8 +262,8 @@ def main(argv=None) -> int:
     p_pt.add_argument("path")
     p_pt.set_defaults(func=cmd_print_trace)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)

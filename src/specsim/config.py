@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import dataclasses
-from functools import partial
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Callable, List, Optional
 
@@ -113,7 +112,8 @@ class RunReport:
         return d
 
 
-parse_int = partial(int, base=0)       # decimal, or 0x / 0o / 0b prefixed
+def parse_int(text: str) -> int:      # config and scenario files, CLI number flags
+    return int(text, 0)                 # decimal, or 0x / 0o / 0b prefixed
 
 
 def read_key_values(text: str, convert: Callable[[str, str], object],

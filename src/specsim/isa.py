@@ -38,6 +38,7 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
 MASK64 = (1 << 64) - 1
+_setattr = object.__setattr__      # how a frozen record's own __init__ stores
 
 # internal register file indices beyond the 32 architectural registers
 REG_FLAGS = 32   # written by cmp/cmpi, read by conditional branches and csel
@@ -107,15 +108,6 @@ def _move(a: int, b: int) -> int:
     return a
 
 
-# mnemonic -> (kind, fn) of the one ALU or CMP micro-op that computes
-# fn(a, b): b is the immediate unless a second source register gives it, and
-# an op without a source register (movi, nop) takes the immediate as a too
-_COMPUTED = {**{m: (UopKind.ALU, fn) for m, fn in ALU_OPS.items()},
-             "mov": (UopKind.ALU, _move), "movi": (UopKind.ALU, _move),
-             "nop": (UopKind.ALU, _move),
-             "cmp": (UopKind.CMP, flags_for), "cmpi": (UopKind.CMP, flags_for)}
-
-
 @dataclass(frozen=True, slots=True)
 class Reg:
     n: int
@@ -145,29 +137,51 @@ class Mem:
         return f"[{reg}{sign}{abs(self.offset)}]"
 
 
-@dataclass(frozen=True, slots=True)
+# Instruction and MicroOp write their fields in a hand-written __init__, at
+# half the cost of the frozen dataclass's; the defaults live in its signature
+@dataclass(frozen=True, slots=True, init=False)
 class Instruction:
     pc: int
     mnemonic: str
-    operands: Tuple = ()
-    forwardable: bool = False       # marked '!'
+    operands: Tuple
+    forwardable: bool               # marked '!'
+
+    def __init__(self, pc, mnemonic, operands=(), forwardable=False):
+        _setattr(self, "pc", pc)
+        _setattr(self, "mnemonic", mnemonic)
+        _setattr(self, "operands", operands)
+        _setattr(self, "forwardable", forwardable)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MicroOp:
     kind: UopKind
     parent_pc: int
-    dst: Optional[int] = None
-    dst2: Optional[int] = None
-    srcs: Tuple[int, ...] = ()
-    imm: int = 0
-    size: int = 8
+    dst: Optional[int]
+    dst2: Optional[int]
+    srcs: Tuple[int, ...]
+    imm: int
+    size: int
     # ALU and CMP: result = fn(a, b); BR_COND and CSEL: the condition,
     # fn(flags) -> bool, None for the unconditional jmp
-    fn: Optional[Callable] = None
-    is_return: bool = False
-    forwardable: bool = False
-    last: bool = True        # last micro-op of its parent instruction
+    fn: Optional[Callable]
+    is_return: bool
+    forwardable: bool
+    last: bool               # last micro-op of its parent instruction
+
+    def __init__(self, kind, parent_pc, dst=None, dst2=None, srcs=(), imm=0, size=8,
+                 fn=None, is_return=False, forwardable=False, last=True):
+        _setattr(self, "kind", kind)
+        _setattr(self, "parent_pc", parent_pc)
+        _setattr(self, "dst", dst)
+        _setattr(self, "dst2", dst2)
+        _setattr(self, "srcs", srcs)
+        _setattr(self, "imm", imm)
+        _setattr(self, "size", size)
+        _setattr(self, "fn", fn)
+        _setattr(self, "is_return", is_return)
+        _setattr(self, "forwardable", forwardable)
+        _setattr(self, "last", last)
 
 
 @dataclass
@@ -213,6 +227,24 @@ _SIGNATURES = {
     **dict.fromkeys(LOAD_SIZES, "rm"), **dict.fromkeys(STORE_SIZES, "rm"),
     "jr": "r", "ret": "", "fence": "", "halt": "", "nop": "",
 }
+
+
+def _roles(mnem: str, kind: UopKind, fn: Callable) -> Tuple:
+    """(kind, fn, writes operand 0, else its dst, source count, has an immediate)"""
+    sig = _SIGNATURES[mnem]
+    writes = kind is UopKind.ALU and sig != ""      # a CMP writes the flags
+    fixed = REG_FLAGS if kind is UopKind.CMP else None
+    return kind, fn, writes, fixed, sig.count("r") - writes, sig[-1:] == "i"
+
+
+# mnemonic -> roles of the one ALU or CMP micro-op that computes fn(a, b): b
+# is the immediate unless a second source register gives it, and an op
+# without a source register (movi, nop) takes the immediate as a too
+_COMPUTED = {m: _roles(m, kind, fn) for m, (kind, fn) in {
+    **{m: (UopKind.ALU, fn) for m, fn in ALU_OPS.items()},
+    "mov": (UopKind.ALU, _move), "movi": (UopKind.ALU, _move),
+    "nop": (UopKind.ALU, _move),
+    "cmp": (UopKind.CMP, flags_for), "cmpi": (UopKind.CMP, flags_for)}.items()}
 
 
 # register name -> operand; every operand naming a register shares one object
@@ -329,41 +361,43 @@ def assemble(source: str) -> Program:
         pending.append((lineno, col, mnem, forwardable, rest))
         pc += 4
 
-    # second pass: operands, with labels now known
+    # second pass: operands, with labels now known; a text is parsed once per
+    # signature, so an error is raised at the first line that has it
     instructions: List[Instruction] = []
+    parsed: Dict[Tuple[str, str], Tuple] = {}   # (signature, text) -> operands
     for idx, (lineno, col, mnem, forwardable, rest) in enumerate(pending):
         sig = _SIGNATURES[mnem]
-        toks = _split_operands(rest)
-        if len(toks) != len(sig):
-            raise AsmError(f"{mnem} expects {len(sig)} operand(s), got {len(toks)}",
-                           lineno, col)
-        operands = []
-        for code, (tok, tcol) in zip(sig, toks):
-            tcol += col
-            if code == "r":
-                operands.append(_parse_reg(tok, lineno, tcol))
-            elif code == "m":
-                m = _MEM_RE.match(tok)
-                if not m:
-                    raise AsmError(f"expected [reg], [reg+off] or [reg-off], got {tok!r}",
-                                   lineno, tcol)
-                base = _parse_reg(m.group(1), lineno, tcol).n
-                off = 0
-                if m.group(3) is not None:
-                    off = _parse_int(m.group(3), lineno, tcol)
-                    if m.group(2) == "-":
-                        off = -off
-                operands.append(Mem(base, off))
-            else:  # immediate or label
-                if _IDENT_RE.match(tok):
+        operands = parsed.get((sig, rest))
+        if operands is None:
+            toks = _split_operands(rest)
+            if len(toks) != len(sig):
+                raise AsmError(f"{mnem} expects {len(sig)} operand(s), got {len(toks)}",
+                               lineno, col)
+            ops = []
+            for code, (tok, tcol) in zip(sig, toks):
+                tcol += col
+                if code == "r":
+                    ops.append(_REGS.get(tok) or _parse_reg(tok, lineno, tcol))
+                elif code == "m":
+                    m = _MEM_RE.match(tok)
+                    if not m:
+                        raise AsmError(f"expected [reg], [reg+off] or [reg-off], got "
+                                       f"{tok!r}", lineno, tcol)
+                    base, sign, off = m.groups()
+                    base = _parse_reg(base, lineno, tcol).n
+                    off = 0 if off is None else _parse_int(off, lineno, tcol)
+                    ops.append(Mem(base, -off if sign == "-" else off))
+                # immediate or label; only a token starting like a name can be one
+                elif (tok[0].isalpha() or tok[0] == "_") and _IDENT_RE.match(tok):
                     if tok not in labels:
                         raise AsmError(f"undefined label {tok!r}", lineno, tcol)
-                    operands.append(Imm(labels[tok]))
+                    ops.append(Imm(labels[tok]))
+                elif code == "l":
+                    raise AsmError(f"expected label, got {tok!r}", lineno, tcol)
                 else:
-                    if code == "l":
-                        raise AsmError(f"expected label, got {tok!r}", lineno, tcol)
-                    operands.append(Imm(_parse_int(tok, lineno, tcol)))
-        instructions.append(Instruction(idx * 4, mnem, tuple(operands), forwardable))
+                    ops.append(Imm(_parse_int(tok, lineno, tcol)))
+            operands = parsed[sig, rest] = tuple(ops)
+        instructions.append(Instruction(idx * 4, mnem, operands, forwardable))
 
     # trailing labels point one past the last instruction; that is allowed only
     # if nothing jumps there, which label resolution above already guarantees.
@@ -381,45 +415,40 @@ def decode(instr: Instruction) -> List[MicroOp]:
     mnem = instr.mnemonic
     ops = instr.operands
 
-    if mnem in _COMPUTED:
-        kind, fn = _COMPUTED[mnem]
-        if kind is UopKind.CMP:
-            dst, ins = REG_FLAGS, ops
-        else:
-            dst, ins = (ops[0].n if ops else None), ops[1:]
-        imm = ins[-1].value & MASK64 if ins and isinstance(ins[-1], Imm) else 0
-        return [MicroOp(kind, pc, dst=dst, imm=imm, fn=fn,
-                        srcs=tuple(op.n for op in ins if isinstance(op, Reg)))]
+    roles = _COMPUTED.get(mnem)
+    if roles is not None:
+        kind, fn, writes, dst, nsrcs, has_imm = roles     # sources follow a dst
+        srcs = ((ops[writes].n, ops[writes + 1].n) if nsrcs == 2
+                else (ops[writes].n,) if nsrcs else ())
+        return [MicroOp(kind, pc, ops[0].n if writes else dst, None, srcs,
+                        ops[-1].value & MASK64 if has_imm else 0, 8, fn)]
     if mnem in BRANCHES:
-        return [MicroOp(UopKind.BR_COND, pc, srcs=(REG_FLAGS,), imm=ops[0].value,
-                        fn=BRANCHES[mnem])]
+        return [MicroOp(UopKind.BR_COND, pc, None, None, (REG_FLAGS,), ops[0].value,
+                        8, BRANCHES[mnem])]
     if mnem == "jmp":
-        return [MicroOp(UopKind.BR_COND, pc, imm=ops[0].value)]
+        return [MicroOp(UopKind.BR_COND, pc, None, None, (), ops[0].value)]
     if mnem in SELECTS:
-        return [MicroOp(UopKind.CSEL, pc, dst=ops[0].n,
-                        srcs=(ops[1].n, ops[2].n, REG_FLAGS), fn=SELECTS[mnem])]
+        return [MicroOp(UopKind.CSEL, pc, ops[0].n, None,
+                        (ops[1].n, ops[2].n, REG_FLAGS), 0, 8, SELECTS[mnem])]
     if mnem in LOAD_SIZES:
-        return [MicroOp(UopKind.LDA, pc, dst=ops[0].n, srcs=(ops[1].base,),
-                        imm=ops[1].offset, size=LOAD_SIZES[mnem],
-                        forwardable=instr.forwardable)]
+        return [MicroOp(UopKind.LDA, pc, ops[0].n, None, (ops[1].base,), ops[1].offset,
+                        LOAD_SIZES[mnem], None, False, instr.forwardable)]
     if mnem in STORE_SIZES:
-        size = STORE_SIZES[mnem]
-        sta = MicroOp(UopKind.STA, pc, srcs=(ops[1].base,), imm=ops[1].offset,
-                      size=size, forwardable=instr.forwardable, last=False)
-        std = MicroOp(UopKind.STD, pc, srcs=(ops[0].n,), size=size,
-                      forwardable=instr.forwardable)
-        return [sta, std]
+        size, mem, fwd = STORE_SIZES[mnem], ops[1], instr.forwardable
+        return [MicroOp(UopKind.STA, pc, None, None, (mem.base,), mem.offset, size,
+                        None, False, fwd, False),
+                MicroOp(UopKind.STD, pc, None, None, (ops[0].n,), 0, size, None,
+                        False, fwd)]
     if mnem == "call":
         # one micro-op: sp -= 8, store return address at new sp, jump
-        return [MicroOp(UopKind.CALL, pc, dst=SP, srcs=(SP,), size=8,
-                        imm=ops[0].value)]
+        return [MicroOp(UopKind.CALL, pc, SP, None, (SP,), ops[0].value, 8)]
     if mnem == "ret":
-        lda = MicroOp(UopKind.LDA, pc, dst=REG_RETTMP, dst2=SP, srcs=(SP,),
-                      size=8, last=False)
-        jr = MicroOp(UopKind.JR_INDIRECT, pc, srcs=(REG_RETTMP,), is_return=True)
-        return [lda, jr]
+        return [MicroOp(UopKind.LDA, pc, REG_RETTMP, SP, (SP,), 0, 8, None, False,
+                        False, False),
+                MicroOp(UopKind.JR_INDIRECT, pc, None, None, (REG_RETTMP,), 0, 8,
+                        None, True)]
     if mnem == "jr":
-        return [MicroOp(UopKind.JR_INDIRECT, pc, srcs=(ops[0].n,))]
+        return [MicroOp(UopKind.JR_INDIRECT, pc, None, None, (ops[0].n,))]
     if mnem == "fence":
         return [MicroOp(UopKind.FENCE, pc)]
     if mnem == "halt":

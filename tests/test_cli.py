@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import specsim
 from specsim.cli import main
+from specsim.config import CHOICES, SimConfig
 
 
 def run_cli(capsys, *argv):
@@ -392,3 +394,53 @@ def test_scenario_file_rejects_the_scenario_flags(capsys, tmp_path, command, fla
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
     assert not out_path.exists()
+
+
+# every number-valued flag, with a value other than its default
+NUMBER_FLAGS = [("--secret", 43), ("--amplification", 4), ("--pad-uops", 8),
+                ("--rob-capacity", 64), ("--issue-width", 4), ("--retire-width", 2),
+                ("--sb-capacity", 16), ("--mshr-count", 4), ("--rsb-depth", 8),
+                ("--bht-size", 512), ("--dram-latency-cycles", 200),
+                ("--l1-latency-cycles", 3), ("--timer-granularity-cycles", 2),
+                ("--seed", 7), ("--cycle-limit", 500_000)]
+
+
+def test_number_flags_cover_every_integer_config_field():
+    ints = {f.name for f in fields(SimConfig) if f.name not in CHOICES}
+    assert {flag[2:].replace("-", "_") for flag, _ in NUMBER_FLAGS[3:]} == ints
+
+
+@pytest.mark.parametrize("flag,value", NUMBER_FLAGS)
+def test_number_flag_takes_hex_and_rejects_a_non_number(capsys, flag, value):
+    _, default, _ = run_cli(capsys, "run", "spectre_1_0")
+    code, dec, err = run_cli(capsys, "run", "spectre_1_0", flag, str(value))
+    assert code == 0 and err == "" and dec != default     # the value reached the run
+    code, hexed, err = run_cli(capsys, "run", "spectre_1_0", flag, hex(value))
+    assert code == 0 and err == "" and hexed == dec
+    code, out, err = run_cli(capsys, "run", "spectre_1_0", flag, "zz")
+    assert code == 2 and out == ""
+    assert err == f"error: argument {flag}: invalid parse_int value: 'zz'\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["trace", "spectre_1_0"], "the following arguments are required: --out"),
+    (["run", "spectre_1_0", "--bogus"], "unrecognized arguments: --bogus"),
+    (["matrix", "--rob-capacity", "1x"],
+     "argument --rob-capacity: invalid parse_int value: '1x'"),
+    (["trace", "spectre_1_0", "--out", "t.jsonl", "--pad-uops", "0x"],
+     "argument --pad-uops: invalid parse_int value: '0x'"),
+    (["run", "spectre_1_0", "--mitigation", "nope"],
+     "argument --mitigation: invalid choice: 'nope'"),
+    ([], "the following arguments are required: command")])
+def test_malformed_command_line_prints_one_error_line_and_exits_2(capsys, argv,
+                                                                   message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["run", "--help"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: specsim run")

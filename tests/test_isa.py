@@ -283,3 +283,166 @@ def test_assemble_errors_match_the_character_walk(monkeypatch, block):
                         errors += 1
             assert outcomes[0] == outcomes[1], src
     assert errors > 100      # the mutations do reach the error paths
+
+
+# -- decode, pinned field by field for every mnemonic ------------------------
+
+DECODE_SOURCE = """
+top:
+    movi r1, top
+    mov r2, r3
+    cmp r4, r5
+    cmpi r6, 0x20
+    add r1, r2, r3
+    sub r4, r5, r6
+    and r7, r8, r9
+    or r10, r11, r12
+    xor r13, r14, r15
+    addi r1, r2, -1
+    subi r3, r4, 2
+    andi r5, r6, 0xff
+    ori r7, r8, 4
+    xori r9, r10, 5
+    shli r11, r12, 9
+    shri r13, sp, 63
+    jb top
+    jbe top
+    jae end
+    ja end
+    je top
+    jne end
+    jmp end
+    call top
+    csel.b r1, r2, r3
+    csel.be r4, r5, r6
+    csel.ae r7, r8, r9
+    csel.a r10, r11, r12
+    csel.e r13, r14, r15
+    csel.ne r16, r17, r18
+    ld.1! r2, [r1+8]
+    ld.2 r3, [sp-16]
+    ld.4 r4, [r5]
+    ld.8 r6, [r7+0x10]
+    st.1! r2, [r1+8]
+    st.2 r3, [sp-16]
+    st.4 r4, [r5]
+    st.8 r6, [r7+0x10]
+    jr r20
+    ret
+    fence
+    halt
+    nop
+end:
+"""
+
+ALU, CMP, BR, JR = UopKind.ALU, UopKind.CMP, UopKind.BR_COND, UopKind.JR_INDIRECT
+LDA, STA, STD, CSEL = UopKind.LDA, UopKind.STA, UopKind.STD, UopKind.CSEL
+OPS, BRS, SELS = isa.ALU_OPS, isa.BRANCHES, isa.SELECTS
+FLAGS, END = isa.REG_FLAGS, 43 * 4
+
+DECODED = [
+    [MicroOp(ALU, 0, dst=1, imm=0, fn=isa._move)],
+    [MicroOp(ALU, 4, dst=2, srcs=(3,), fn=isa._move)],
+    [MicroOp(CMP, 8, dst=FLAGS, srcs=(4, 5), fn=isa.flags_for)],
+    [MicroOp(CMP, 12, dst=FLAGS, srcs=(6,), imm=0x20, fn=isa.flags_for)],
+    [MicroOp(ALU, 16, dst=1, srcs=(2, 3), fn=OPS["add"])],
+    [MicroOp(ALU, 20, dst=4, srcs=(5, 6), fn=OPS["sub"])],
+    [MicroOp(ALU, 24, dst=7, srcs=(8, 9), fn=OPS["and"])],
+    [MicroOp(ALU, 28, dst=10, srcs=(11, 12), fn=OPS["or"])],
+    [MicroOp(ALU, 32, dst=13, srcs=(14, 15), fn=OPS["xor"])],
+    [MicroOp(ALU, 36, dst=1, srcs=(2,), imm=isa.MASK64, fn=OPS["addi"])],
+    [MicroOp(ALU, 40, dst=3, srcs=(4,), imm=2, fn=OPS["subi"])],
+    [MicroOp(ALU, 44, dst=5, srcs=(6,), imm=0xFF, fn=OPS["andi"])],
+    [MicroOp(ALU, 48, dst=7, srcs=(8,), imm=4, fn=OPS["ori"])],
+    [MicroOp(ALU, 52, dst=9, srcs=(10,), imm=5, fn=OPS["xori"])],
+    [MicroOp(ALU, 56, dst=11, srcs=(12,), imm=9, fn=OPS["shli"])],
+    [MicroOp(ALU, 60, dst=13, srcs=(SP,), imm=63, fn=OPS["shri"])],
+    [MicroOp(BR, 64, srcs=(FLAGS,), imm=0, fn=BRS["jb"])],
+    [MicroOp(BR, 68, srcs=(FLAGS,), imm=0, fn=BRS["jbe"])],
+    [MicroOp(BR, 72, srcs=(FLAGS,), imm=END, fn=BRS["jae"])],
+    [MicroOp(BR, 76, srcs=(FLAGS,), imm=END, fn=BRS["ja"])],
+    [MicroOp(BR, 80, srcs=(FLAGS,), imm=0, fn=BRS["je"])],
+    [MicroOp(BR, 84, srcs=(FLAGS,), imm=END, fn=BRS["jne"])],
+    [MicroOp(BR, 88, imm=END)],
+    [MicroOp(UopKind.CALL, 92, dst=SP, srcs=(SP,), imm=0, size=8)],
+    [MicroOp(CSEL, 96, dst=1, srcs=(2, 3, FLAGS), fn=SELS["csel.b"])],
+    [MicroOp(CSEL, 100, dst=4, srcs=(5, 6, FLAGS), fn=SELS["csel.be"])],
+    [MicroOp(CSEL, 104, dst=7, srcs=(8, 9, FLAGS), fn=SELS["csel.ae"])],
+    [MicroOp(CSEL, 108, dst=10, srcs=(11, 12, FLAGS), fn=SELS["csel.a"])],
+    [MicroOp(CSEL, 112, dst=13, srcs=(14, 15, FLAGS), fn=SELS["csel.e"])],
+    [MicroOp(CSEL, 116, dst=16, srcs=(17, 18, FLAGS), fn=SELS["csel.ne"])],
+    [MicroOp(LDA, 120, dst=2, srcs=(1,), imm=8, size=1, forwardable=True)],
+    [MicroOp(LDA, 124, dst=3, srcs=(SP,), imm=-16, size=2)],
+    [MicroOp(LDA, 128, dst=4, srcs=(5,), imm=0, size=4)],
+    [MicroOp(LDA, 132, dst=6, srcs=(7,), imm=0x10, size=8)],
+    [MicroOp(STA, 136, srcs=(1,), imm=8, size=1, forwardable=True, last=False),
+     MicroOp(STD, 136, srcs=(2,), size=1, forwardable=True)],
+    [MicroOp(STA, 140, srcs=(SP,), imm=-16, size=2, last=False),
+     MicroOp(STD, 140, srcs=(3,), size=2)],
+    [MicroOp(STA, 144, srcs=(5,), imm=0, size=4, last=False),
+     MicroOp(STD, 144, srcs=(4,), size=4)],
+    [MicroOp(STA, 148, srcs=(7,), imm=0x10, size=8, last=False),
+     MicroOp(STD, 148, srcs=(6,), size=8)],
+    [MicroOp(JR, 152, srcs=(20,))],
+    [MicroOp(LDA, 156, dst=REG_RETTMP, dst2=SP, srcs=(SP,), size=8, last=False),
+     MicroOp(JR, 156, srcs=(REG_RETTMP,), is_return=True)],
+    [MicroOp(UopKind.FENCE, 160)],
+    [MicroOp(UopKind.HALT, 164)],
+    [MicroOp(ALU, 168, fn=isa._move)],
+]
+
+
+def test_decode_pins_every_mnemonic_field_by_field():
+    p = assemble(DECODE_SOURCE)
+    assert sorted(i.mnemonic for i in p.instructions) == sorted(isa._SIGNATURES)
+    assert p.labels["end"] == END
+    names = [f.name for f in dataclasses.fields(MicroOp)]
+    for ins, want in zip(p.instructions, DECODED, strict=True):
+        got = decode(ins)
+        assert len(got) == len(want), ins
+        for g, w in zip(got, want):
+            for name in names:
+                if name == "fn":
+                    assert g.fn is w.fn, (ins, name)
+                else:
+                    assert (getattr(g, name), type(getattr(g, name))) == \
+                        (getattr(w, name), type(getattr(w, name))), (ins, name)
+
+
+# -- each operand text is parsed once per assemble call ----------------------
+
+def test_repeated_operand_text_gives_equal_operands():
+    p = assemble("top:\n    add r1, r2, r3\n    ld.8 r4, [sp-8]\n"
+                 "    add r1, r2, r3\n    ld.4 r4, [sp-8]\n    jmp top\n")
+    a, b, c, d, _ = p.instructions
+    assert a.operands == c.operands == (Reg(1), Reg(2), Reg(3))
+    assert b.operands == d.operands == (Reg(4), Mem(SP, -8))
+    assert (c.pc, c.mnemonic, d.pc, d.mnemonic) == (8, "add", 12, "ld.4")
+    assert assemble(disassemble(p)) == p
+
+
+def test_repeated_bad_operand_text_is_reported_at_its_first_line():
+    src = "    nop\n    add r1, r2, q\n    add r1, r2, q\n"
+    with pytest.raises(AsmError) as e:
+        assemble(src)
+    assert (str(e.value), e.value.line, e.value.col) == \
+        ("line 2, col 11: expected register, got 'q'", 2, 11)
+
+
+def test_reused_operands_are_keyed_by_signature():
+    src = "top:\n    movi r1, top\n  mov r1, top\n"
+    p = assemble(src.replace("  mov r1, top\n", ""))
+    assert p.instructions[0].operands == (Reg(1), Imm(0))
+    with pytest.raises(AsmError) as e:
+        assemble(src)
+    assert (str(e.value), e.value.line, e.value.col) == \
+        ("line 3, col 5: expected register, got 'top'", 3, 5)
+
+
+def test_label_operand_resolves_to_its_pc():
+    p = assemble("    movi r1, done\n    jmp done\n    nop\ndone:\n    halt\n"
+                 "    movi r2, done\n")
+    assert p.labels == {"done": 12}
+    assert p.instructions[0].operands == (Reg(1), Imm(12))
+    assert p.instructions[1].operands == (Imm(12),)
+    assert p.instructions[4].operands == (Reg(2), Imm(12))
