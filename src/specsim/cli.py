@@ -168,7 +168,9 @@ def cmd_matrix(args) -> int:
                     elif rep.fault:
                         row["error"] = rep.fault
                 except Exception as e:       # a broken cell must not stop the sweep
-                    row["error"] = str(e)
+                    # a KeyError's str() is its message quoted
+                    row["error"] = str(e.args[0] if isinstance(e, KeyError) and e.args
+                                       else e)
                 rows.append(row)
     rows.sort(key=lambda r: (r["scenario"], r["policy"], r["mitigation"]))
     for row in rows:

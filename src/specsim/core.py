@@ -49,7 +49,10 @@ from .memory import MemorySystem
 from .predictors import (PredictorState, predict_branch, rsb_pop, rsb_push,
                          train_branch)
 
-DISPATCHED, WAITING, EXECUTING, DONE = 0, 1, 2, 3
+# a micro-op's status: DISPATCHED; WAITING, a load that retries the store
+# buffer or the MSHRs next cycle; EXECUTING until its done cycle, or LOADING,
+# a load whose result is read from memory then; DONE; SQUASHED once removed
+DISPATCHED, WAITING, EXECUTING, LOADING, DONE, SQUASHED = range(6)
 
 # micro-op kinds as module globals: the stages test kinds on every micro-op,
 # and a global lookup costs a tenth of a lookup on the Enum class
@@ -73,13 +76,11 @@ class ROBEntry:
     done_cycle: int = 0
     result: Optional[int] = None
     result2: Optional[int] = None
-    addr: Optional[int] = None
-    mem_pending: bool = False          # result read from memory at completion
+    addr: Optional[int] = None          # LDA only
     predicted: Optional[object] = None  # taken (bool) for BR_COND, target for JR
     actual: Optional[object] = None
     forwarded_from: Optional[int] = None
     fault: Optional[str] = None
-    squashed: bool = False
     pending: int = 0                    # source operands whose producer is not DONE
     consumers: Optional[List[ROBEntry]] = None   # woken when this entry is DONE
 
@@ -167,7 +168,7 @@ class Core:
             live_tags.pop()
         trace = self.trace
         for e in removed:
-            e.squashed = True
+            e.status = SQUASHED
             e.producers = e.consumers = None
             if trace is not None:
                 self._ev("squash", e.seq, e.uop.parent_pc)
@@ -219,20 +220,16 @@ class Core:
                 self._ev("forward", entry.seq, uop.parent_pc,
                          f"value={decision.value:#x} from_seq={decision.store_seq}")
         elif kind == "memory":
-            res = self.mem.access("load", entry.addr, self.cycle)
+            res = self.mem.access(entry.addr, self.cycle)
             if res.status == "mshr_full":
                 entry.status = WAITING          # retry next cycle
                 return
             self.progress = True
-            if res.status == "hit":
-                entry.done_cycle = self.cycle + res.latency
-            else:  # miss
-                if res.mshr_allocated and self.trace is not None:
-                    self._ev("mshr_alloc", entry.seq, uop.parent_pc,
-                             f"line={entry.addr & ~63:#x}")
-                entry.done_cycle = res.ready_cycle
-            entry.status = EXECUTING
-            entry.mem_pending = True
+            if res.mshr_allocated and self.trace is not None:
+                self._ev("mshr_alloc", entry.seq, uop.parent_pc,
+                         f"line={entry.addr & ~63:#x}")
+            entry.status = LOADING
+            entry.done_cycle = res.ready_cycle
             self.executing.setdefault(entry.done_cycle, []).append(entry)
         else:
             entry.status = WAITING
@@ -255,18 +252,18 @@ class Core:
         trace = self.trace
         ready = self.ready
         for entry in due:
-            if entry.squashed:              # by an older branch resolved above
+            status = entry.status
+            if status == SQUASHED:          # by an older branch resolved above
                 continue
-            if entry.mem_pending:
+            if status == LOADING:
                 entry.result = mem.read_int(entry.addr, entry.uop.size)
-                entry.mem_pending = False
             entry.status = DONE
             self.progress = True
             consumers = entry.consumers
             if consumers is not None:
                 for consumer in consumers:
                     consumer.pending -= 1
-                    if not consumer.pending and not consumer.squashed:
+                    if not consumer.pending and consumer.status != SQUASHED:
                         if not ready or ready[-1].seq < consumer.seq:
                             ready.append(consumer)
                         else:
@@ -307,7 +304,8 @@ class Core:
                     self.fault = f"write_fault pc={uop.parent_pc:#x} addr={sbe.addr:#x}"
                     self._ev("fault", entry.seq, uop.parent_pc, self.fault)
                     return
-                sbe.mark_uop_retired()
+                if uop.last:                # the STD, or a call's one micro-op
+                    sbe.senior = True
             if uop.dst is not None:
                 arch_regs[uop.dst] = entry.result
                 if rename.get(uop.dst) is entry:
@@ -336,7 +334,7 @@ class Core:
         if e is None:
             return
         if e.writeback_ready_cycle is None:
-            res = self.mem.access("store_writeback", e.addr, self.cycle)
+            res = self.mem.access(e.addr, self.cycle)
             if res.status == "hit":
                 self.mem.write_int(e.addr, e.size, e.data)
                 self.sb.drop()
@@ -374,13 +372,12 @@ class Core:
             entry.fault = f"unmapped_load pc={uop.parent_pc:#x} addr={addr:#x}"
             entry.result = 0
         elif kind is STA:
-            addr = (vals[0] + uop.imm) & MASK64
-            entry.addr = entry.sbe.addr = addr
+            addr = entry.sbe.addr = (vals[0] + uop.imm) & MASK64
             entry.sbe.write_fault = not self.mem.permits(addr, write=True)
         elif kind is STD:
             entry.sbe.data = vals[0] & MASK64
         elif kind is CALL:
-            addr = entry.result = entry.addr = entry.sbe.addr = (vals[0] - 8) & MASK64
+            addr = entry.result = entry.sbe.addr = (vals[0] - 8) & MASK64
             entry.sbe.write_fault = not self.mem.permits(addr, write=True)
             entry.sbe.data = (uop.parent_pc + 4) & MASK64
         # FENCE and HALT carry no operands and produce no result
@@ -516,7 +513,7 @@ class Core:
                 elif kind is STD:
                     entry.sbe = sbe
                 elif kind is CALL:
-                    entry.sbe = StoreBufferEntry(seq, uop.size, uop_count=1)
+                    entry.sbe = StoreBufferEntry(seq, uop.size)
                     sb.insert(entry.sbe)
                     rsb_push(self.pred, pc + 4)
                     next_pc = uop.imm

@@ -294,7 +294,8 @@ def _split_operands(text: str) -> List[Tuple[str, int]]:
 def assemble(source: str) -> Program:
     """Assemble toy-dialect text into a Program. Deterministic; raises AsmError."""
     labels: Dict[str, int] = {}
-    pending: List[Tuple] = []   # (lineno, col, mnemonic, forwardable, raw_operands)
+    # (lineno, mnemonic's column, mnemonic, forwardable, operand text, its column)
+    pending: List[Tuple] = []
     segments: List[DataSegment] = []
     pc = 0
 
@@ -345,6 +346,7 @@ def assemble(source: str) -> Program:
             text = m.group(2)
             if not text:
                 continue
+            col += m.start(2)
 
         parts = text.split(None, 1)
         mnem = parts[0]
@@ -358,14 +360,15 @@ def assemble(source: str) -> Program:
         if mnem not in _SIGNATURES:
             raise AsmError(f"unknown mnemonic {mnem!r}", lineno, col)
         rest = parts[1] if len(parts) > 1 else ""
-        pending.append((lineno, col, mnem, forwardable, rest))
+        pending.append((lineno, col, mnem, forwardable, rest,
+                        col + len(text) - len(rest)))
         pc += 4
 
     # second pass: operands, with labels now known; a text is parsed once per
     # signature, so an error is raised at the first line that has it
     instructions: List[Instruction] = []
     parsed: Dict[Tuple[str, str], Tuple] = {}   # (signature, text) -> operands
-    for idx, (lineno, col, mnem, forwardable, rest) in enumerate(pending):
+    for idx, (lineno, col, mnem, forwardable, rest, rcol) in enumerate(pending):
         sig = _SIGNATURES[mnem]
         operands = parsed.get((sig, rest))
         if operands is None:
@@ -375,7 +378,7 @@ def assemble(source: str) -> Program:
                                lineno, col)
             ops = []
             for code, (tok, tcol) in zip(sig, toks):
-                tcol += col
+                tcol = rcol + rest.find(tok, tcol)   # its piece may start blank
                 if code == "r":
                     ops.append(_REGS.get(tok) or _parse_reg(tok, lineno, tcol))
                 elif code == "m":

@@ -41,21 +41,13 @@ class StoreBufferEntry:
     size: int
     addr: Optional[int] = None
     data: Optional[int] = None
-    senior: bool = False
+    senior: bool = False              # its last micro-op retired: it may drain
     forwardable: bool = False
     write_fault: bool = False         # the TLB refuses the write
-    uop_count: int = 2                # call-pushed entries resolve in one micro-op
-    retired_uops: int = 0
     writeback_ready_cycle: Optional[int] = None
 
     def overlaps(self, addr: int, size: int) -> bool:
         return self.addr is not None and self.addr < addr + size and addr < self.addr + self.size
-
-    def mark_uop_retired(self) -> None:
-        """Seniorize once every micro-op of the store has retired."""
-        self.retired_uops += 1
-        if self.retired_uops >= self.uop_count:
-            self.senior = True
 
 
 @dataclass
@@ -111,12 +103,9 @@ class StoreBuffer:
         self.entries.append(entry)
         return True
 
-    def squash_younger(self, seq: int) -> List[StoreBufferEntry]:
-        """Drop non-senior entries younger than seq; returns what was removed."""
-        gone = [e for e in self.entries if e.seq > seq and not e.senior]
-        if gone:
-            self.entries = [e for e in self.entries if not (e.seq > seq and not e.senior)]
-        return gone
+    def squash_younger(self, seq: int) -> None:
+        """Drop non-senior entries younger than seq."""
+        self.entries = [e for e in self.entries if e.seq <= seq or e.senior]
 
     def drop(self) -> None:
         """Remove the head, once it is written back."""

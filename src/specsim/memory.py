@@ -30,8 +30,7 @@ class MemFault(Exception):
 @dataclass
 class AccessResult:
     status: str                 # "hit" | "miss" | "mshr_full"
-    latency: int = 0
-    ready_cycle: int = 0
+    ready_cycle: int = 0        # when the line is resident (hit or miss)
     mshr_allocated: bool = False
 
 
@@ -139,12 +138,11 @@ class MemorySystem:
         s = self.sets[self._set_index(line_addr)]
         s.remove(line_addr)
 
-    def access(self, kind: str, addr: int, cycle: int) -> AccessResult:
-        """One cache access. kind in {load, store_writeback}."""
+    def access(self, addr: int, cycle: int) -> AccessResult:
+        """One cache access by a load or a store's write-back."""
         line_addr = addr & ~(LINE - 1)
         if line_addr in self.lines:
-            latency = 1 if kind == "store_writeback" else self.cfg.l1_latency_cycles
-            return AccessResult("hit", latency=latency)
+            return AccessResult("hit", cycle + self.cfg.l1_latency_cycles)
         if line_addr in self.mshrs:
             return AccessResult("miss", ready_cycle=self.mshrs[line_addr])
         if len(self.mshrs) >= self.cfg.mshr_count:

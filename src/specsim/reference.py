@@ -21,7 +21,6 @@ class RefResult:
     regs: list
     mem: MemorySystem
     fault: Optional[str] = None
-    executed: int = 0
 
 
 def run_reference(program: Program, cfg: SimConfig,
@@ -36,17 +35,15 @@ def run_reference(program: Program, cfg: SimConfig,
         for k, v in regs.items():
             r[k] = v & MASK64
     pc = 0
-    executed = 0
 
     def value(op) -> int:
         """A register operand's value, or an immediate's as 64 bits."""
         return r[op.n] if isinstance(op, Reg) else op.value & MASK64
 
-    while executed < max_steps:
+    for _ in range(max_steps):
         instr = program.instr_at(pc)
         if instr is None:
-            return RefResult(r, mem, f"fetch off map at {pc:#x}", executed)
-        executed += 1
+            return RefResult(r, mem, f"fetch off map at {pc:#x}")
         m = instr.mnemonic
         ops = instr.operands
         next_pc = pc + 4
@@ -67,28 +64,24 @@ def run_reference(program: Program, cfg: SimConfig,
         elif m in LOAD_SIZES:
             addr = (r[ops[1].base] + ops[1].offset) & MASK64
             if not mem.permits(addr, write=False):
-                return RefResult(r, mem, f"unmapped_load pc={pc:#x} addr={addr:#x}",
-                                 executed)
+                return RefResult(r, mem, f"unmapped_load pc={pc:#x} addr={addr:#x}")
             r[ops[0].n] = mem.read_int(addr, LOAD_SIZES[m])
         elif m in STORE_SIZES:
             addr = (r[ops[1].base] + ops[1].offset) & MASK64
             if not mem.permits(addr, write=True):
-                return RefResult(r, mem, f"write_fault pc={pc:#x} addr={addr:#x}",
-                                 executed)
+                return RefResult(r, mem, f"write_fault pc={pc:#x} addr={addr:#x}")
             mem.write_int(addr, STORE_SIZES[m], r[ops[0].n])
         elif m == "call":
             sp_val = (r[SP] - 8) & MASK64
             if not mem.permits(sp_val, write=True):
-                return RefResult(r, mem, f"write_fault pc={pc:#x} addr={sp_val:#x}",
-                                 executed)
+                return RefResult(r, mem, f"write_fault pc={pc:#x} addr={sp_val:#x}")
             mem.write_int(sp_val, 8, pc + 4)
             r[SP] = sp_val
             next_pc = ops[0].value
         elif m == "ret":
             addr = r[SP]
             if not mem.permits(addr, write=False):
-                return RefResult(r, mem, f"unmapped_load pc={pc:#x} addr={addr:#x}",
-                                 executed)
+                return RefResult(r, mem, f"unmapped_load pc={pc:#x} addr={addr:#x}")
             next_pc = mem.read_int(addr, 8)
             r[SP] = (addr + 8) & MASK64
         elif m == "jr":
@@ -96,12 +89,12 @@ def run_reference(program: Program, cfg: SimConfig,
         elif m in ("fence", "nop"):
             pass
         elif m == "halt":
-            return RefResult(r, mem, None, executed)
+            return RefResult(r, mem, None)
         else:
             raise ValueError(f"reference cannot execute {m!r}")
         pc = next_pc
 
-    return RefResult(r, mem, "step limit exceeded", executed)
+    return RefResult(r, mem, "step limit exceeded")
 
 
 def arch_state(regs, mem: MemorySystem):

@@ -164,6 +164,9 @@ class Scenario:
         if not 0 <= self.secret_value <= 0xFF:
             raise ValueError(f"secret_value must be a byte (0 to 255), "
                              f"got {self.secret_value}")
+        for runs in ("priming", "attempts"):
+            if getattr(self, runs) < 0:
+                raise ValueError(f"{runs} must be >= 0, got {getattr(self, runs)}")
         # the secret must sit outside every region the victim's checks declare
         # reachable (the arrays' checked lengths)
         if (self.secret_addr in range(ARR_B, ARR_B + 16)

@@ -1,0 +1,136 @@
+"""A catalogue of mutants: small deliberate faults in the program, each with
+the tests that must fail once it is applied.
+
+    python tests/mutants.py [NAME ...]
+
+copies the repository (without `.git` and build output) to a temporary
+directory, applies one mutant there, runs only that mutant's tests, and
+reports it as killed when every one of them fails, or as a survivor naming
+the tests that passed. It does that for each named mutant, or for all of
+them, and exits 1 if any survives. The working tree is never changed; set
+TMPDIR to choose where the copies go. Each mutant costs one pytest run of its
+tests, so the runner is not part of the tier-1 suite; `tests/test_mutants.py`
+only checks that every entry's old text occurs exactly once in its file, so a
+refactor has to update an entry instead of orphaning it.
+
+Standard library only.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 1800
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str                 # relative to the repository root
+    old: str                  # exact text; occurs once in `file`
+    new: str
+    tests: Tuple[str, ...]    # pytest node ids that must all fail
+
+
+MUTANTS = (
+    Mutant("complete_runs_a_squashed_entry", "src/specsim/core.py",
+           "if status == SQUASHED:          # by an older branch resolved above",
+           "if False:",
+           ("tests/test_event_core.py::test_random_programs_match_per_cycle_stepping",
+            "tests/test_oracle.py::test_random_programs_match_reference")),
+    Mutant("wakeup_ignores_squashed", "src/specsim/core.py",
+           "if not consumer.pending and consumer.status != SQUASHED:",
+           "if not consumer.pending:",
+           ("tests/test_event_core.py::test_random_programs_match_per_cycle_stepping",)),
+    Mutant("senior_at_sta_retire", "src/specsim/core.py",
+           "if uop.last:                # the STD, or a call's one micro-op",
+           "if True:",
+           ("tests/test_lsu.py::test_store_seniorizes_when_its_last_uop_retires",)),
+    Mutant("load_hit_one_cycle_early", "src/specsim/memory.py",
+           'return AccessResult("hit", cycle + self.cfg.l1_latency_cycles)',
+           'return AccessResult("hit", cycle + self.cfg.l1_latency_cycles - 1)',
+           ("tests/test_memory.py::test_miss_then_fill_then_hit",
+            "tests/test_perfbench_smoke.py::test_untraced_oracle_matches_golden")),
+    Mutant("slothbear_stores_allows_every_store", "src/specsim/lsu.py",
+           '"slothbear_stores": lambda store, spec, pc, marked, whitelist: store.senior,',
+           '"slothbear_stores": lambda store, spec, pc, marked, whitelist: True,',
+           ("tests/test_scenarios.py::"
+            "test_security_property_slothbear_never_uses_squashed_stores",)),
+    Mutant("slothbear_loads_allows_every_store", "src/specsim/lsu.py",
+           '"slothbear_loads": lambda store, spec, pc, marked, whitelist: not spec,',
+           '"slothbear_loads": lambda store, spec, pc, marked, whitelist: True,',
+           ("tests/test_scenarios.py::"
+            "test_security_property_slothbear_never_uses_squashed_stores",)),
+    Mutant("ready_appended_not_insorted", "src/specsim/core.py",
+           "insort(ready, consumer, key=_seq)", "ready.append(consumer)",
+           ("tests/test_event_core.py::test_random_programs_match_per_cycle_stepping",)),
+    Mutant("csel_operands_swapped", "src/specsim/core.py",
+           "entry.result = vals[0] if uop.fn(vals[2]) else vals[1]",
+           "entry.result = vals[1] if uop.fn(vals[2]) else vals[0]",
+           ("tests/test_oracle.py::test_every_mnemonic_matches_reference[csel.b]",)),
+    Mutant("decode_immediate_unmasked", "src/specsim/isa.py",
+           "ops[-1].value & MASK64 if has_imm else 0", "ops[-1].value if has_imm else 0",
+           ("tests/test_isa.py::test_decode_pins_every_mnemonic_field_by_field",)),
+    Mutant("receiver_takes_a_negative_index", "src/specsim/scenarios.py",
+           "if 0 <= j < len(addrs) and addrs[j] < line + LINE:",
+           "if j < len(addrs) and addrs[j] < line + LINE:",
+           ("tests/test_scenarios.py::test_attack_succeeds_under_baseline",)),
+)
+
+
+def failed_ids(output: str) -> set:
+    """The node ids pytest's `-rfE` summary names as failed or in error."""
+    return {line.split()[1] for line in output.splitlines()
+            if line.startswith(("FAILED ", "ERROR ")) and len(line.split()) > 1}
+
+
+def run_mutant(mutant: Mutant) -> Tuple[str, list]:
+    """('killed' | 'survived' | 'timeout', the listed tests that passed)."""
+    with tempfile.TemporaryDirectory(prefix=f"mutant-{mutant.name}-") as tmp:
+        tree = Path(tmp) / "repo"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", "out", "*.egg-info"))
+        target = tree / mutant.file
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            raise SystemExit(f"{mutant.name}: old text occurs "
+                             f"{text.count(mutant.old)} times in {mutant.file}")
+        target.write_text(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+                 *mutant.tests], cwd=tree, env=env, capture_output=True, text=True,
+                timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "timeout", []
+    failed = failed_ids(proc.stdout)
+    passed = [t for t in mutant.tests
+              if not any(f == t or f.startswith(t + "[") for f in failed)]
+    return ("survived" if passed else "killed"), passed
+
+
+def main(argv) -> int:
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in argv if n not in by_name]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}; known: "
+              f"{', '.join(by_name)}", file=sys.stderr)
+        return 2
+    survivors = 0
+    for mutant in [by_name[n] for n in argv] or MUTANTS:
+        outcome, passed = run_mutant(mutant)
+        survivors += outcome != "killed"
+        detail = f" (passed: {', '.join(passed)})" if passed else ""
+        print(f"{outcome:<8} {mutant.name}{detail}", flush=True)
+    print(f"{len(argv) or len(MUTANTS)} mutants, {survivors} survivors")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -109,6 +109,14 @@ def test_matrix_cell_error_does_not_abort(capsys):
     assert by_name["spectre_1_0"]["attack_success"] is True
 
 
+def test_matrix_unknown_scenario_error_is_the_plain_message(capsys):
+    code, out, _ = run_cli(capsys, "matrix", "--scenarios", "nope",
+                           "--policies", "baseline", "--mitigations", "none")
+    assert code == 0
+    (row,) = map(json.loads, out.splitlines())
+    assert row["error"] == "unknown scenario 'nope'"
+
+
 def test_benign_matrix_row_cycle_ordering(capsys):
     code, out, _ = run_cli(capsys, "matrix", "--scenarios", "benign_spill",
                            "--policies", "baseline,slothbear_stores",
@@ -291,7 +299,8 @@ def test_unwritable_save_whitelist_exits_4(capsys, tmp_path):
     ("atempts = 5", 2), ("secret_value = 0xFF", 0), ("secret_value = 0x1FF", 2),
     ("secret_value = -1", 2), ("probe_base = 0x100000\nprobe_entries = 1", 0),
     ("probe_base = 0x100000\nprobe_entries = 0", 2),
-    ("probe_base = 0x100000\nprobe_entries = -3", 2)])
+    ("probe_base = 0x100000\nprobe_entries = -3", 2), ("priming = 0", 0),
+    ("priming = -1", 2), ("attempts = -2", 2)])
 def test_scenario_file_bad_value_exits_2(capsys, tmp_path, line, want):
     asm = tmp_path / "victim.asm"
     asm.write_text("main:\n    halt\n")

@@ -7,7 +7,7 @@ import pytest
 from specsim import (RunReport, SimConfig, assemble, run_program, run_reference,
                      arch_state)
 from specsim.config import FORWARDING_POLICIES, TRACE_KINDS
-from specsim.core import Core, DONE
+from specsim.core import Core, DONE, SQUASHED
 from specsim.lsu import ForwardingPolicy
 from specsim.memory import MemorySystem
 from specsim.predictors import PredictorState
@@ -149,7 +149,7 @@ out:
     while not core.halted and core.fault is None:
         core.step()
         assert_speculation_matches_rob(core)
-        assert not any(e.squashed for e in core.rob)
+        assert not any(e.status == SQUASHED for e in core.rob)
     assert core.squash_count == 1 and core.arch_regs[3] == 0
 
 

@@ -20,7 +20,7 @@ import pytest
 
 from specsim import SimConfig, assemble, run_program
 from specsim.config import FORWARDING_POLICIES, RunReport
-from specsim.core import DONE, EXECUTING, Core
+from specsim.core import DONE, EXECUTING, LOADING, Core
 from specsim.isa import UopKind
 from specsim.lsu import ForwardingPolicy
 from specsim.memory import MemorySystem
@@ -40,10 +40,11 @@ def polled_ready(core: Core) -> list:
 
 
 def polled_wheel(core: Core) -> dict:
-    """The EXECUTING entries of the ROB by done cycle, each in seq order."""
+    """The EXECUTING and LOADING entries of the ROB by done cycle, each in
+    seq order."""
     wheel = {}
     for e in core.rob:
-        if e.status == EXECUTING:
+        if e.status in (EXECUTING, LOADING):
             wheel.setdefault(e.done_cycle, []).append(e)
     return wheel
 
@@ -54,10 +55,10 @@ def polled_next_fill(core: Core):
 
 def assert_queues_match_scans(core: Core) -> None:
     """`ready` is the polled ready set, in seq order and as the ROB's own
-    objects; the wheel holds each EXECUTING entry once, under its done cycle,
-    with no key below the current cycle and no empty bucket; `next_fill` is
-    the earliest MSHR fill cycle. An executing fence has every older entry
-    done, and nothing younger than an undone fence has started."""
+    objects; the wheel holds each EXECUTING or LOADING entry once, under its
+    done cycle, with no key below the current cycle and no empty bucket;
+    `next_fill` is the earliest MSHR fill cycle. An executing fence has every
+    older entry done, and nothing younger than an undone fence has started."""
     ready = polled_ready(core)
     assert [e.seq for e in core.ready] == [e.seq for e in ready]
     assert all(a is b for a, b in zip(core.ready, ready))

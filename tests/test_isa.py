@@ -426,7 +426,7 @@ def test_repeated_bad_operand_text_is_reported_at_its_first_line():
     with pytest.raises(AsmError) as e:
         assemble(src)
     assert (str(e.value), e.value.line, e.value.col) == \
-        ("line 2, col 11: expected register, got 'q'", 2, 11)
+        ("line 2, col 16: expected register, got 'q'", 2, 16)
 
 
 def test_reused_operands_are_keyed_by_signature():
@@ -436,7 +436,20 @@ def test_reused_operands_are_keyed_by_signature():
     with pytest.raises(AsmError) as e:
         assemble(src)
     assert (str(e.value), e.value.line, e.value.col) == \
-        ("line 3, col 5: expected register, got 'top'", 3, 5)
+        ("line 3, col 10: expected register, got 'top'", 3, 10)
+
+
+@pytest.mark.parametrize("line,col,msg", [
+    ("x: add r1, r2, zz", 15, "expected register, got 'zz'"),
+    ("x: frob r1", 3, "unknown mnemonic 'frob'"),
+    ("  x :  ld.8 r1, [q]", 16, "expected [reg], [reg+off] or [reg-off], got '[q]'"),
+    ("x:\tjmp  nowhere", 8, "undefined label 'nowhere'"),
+])
+def test_errors_after_label_sugar_give_the_column_in_the_line(line, col, msg):
+    with pytest.raises(AsmError) as e:
+        assemble(f"    nop\n{line}\n")
+    assert (str(e.value), e.value.line, e.value.col) == \
+        (f"line 2, col {col}: {msg}", 2, col)
 
 
 def test_label_operand_resolves_to_its_pc():

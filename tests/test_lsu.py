@@ -1,7 +1,7 @@
 import pytest
 
 from specsim import SimConfig, assemble
-from specsim.core import DONE, EXECUTING, STA, STD, Core
+from specsim.core import CALL, DONE, EXECUTING, STA, STD, Core
 from specsim.lsu import (ForwardDecision, ForwardingPolicy, StoreBuffer,
                          StoreBufferEntry, forward_decision)
 from specsim.memory import MemorySystem
@@ -170,8 +170,7 @@ def test_squash_removes_only_younger_non_senior():
     senior = entry(2, addr=0x10, data=1, senior=True)
     younger = entry(7, addr=0x20, data=2)
     sb = sb_with(entry(1, addr=0x8, data=0), senior, younger)
-    gone = sb.squash_younger(5)
-    assert gone == [younger]
+    sb.squash_younger(5)
     assert [e.seq for e in sb.entries] == [1, 2]
 
 
@@ -197,15 +196,34 @@ def test_capacity_stall_at_fifty_seventh():
     assert len(sb) == 56
 
 
-def test_seniorize_after_both_uops_retire():
-    e = StoreBufferEntry(1, 8)
-    e.mark_uop_retired()
-    assert not e.senior
-    e.mark_uop_retired()
-    assert e.senior
-    pushed = StoreBufferEntry(2, 8, uop_count=1)      # a call's return address
-    pushed.mark_uop_retired()
-    assert pushed.senior
+def drainable_at_retire(src):
+    """Per store micro-op in retirement order: its kind, and whether its
+    store-buffer entry is the drainable head right after it retires. Retires
+    one micro-op a cycle; every write-back misses, so no entry drains early."""
+    p = assemble(src)
+    cfg = SimConfig(dram_latency_cycles=20, l1_latency_cycles=2, retire_width=1)
+    mem = MemorySystem(cfg)
+    mem.load_program_data(p)
+    core = Core(p, cfg, mem, PredictorState(cfg.bht_size, cfg.rsb_depth),
+                ForwardingPolicy("baseline"))
+    core.arch_regs[31] = 0x10100
+    seen = []
+    while not core.halted:
+        before = list(core.rob)
+        core.step()
+        left = {id(e) for e in core.rob}
+        seen += [(e.uop.kind, e.sbe is core.sb.oldest_drainable())
+                 for e in before if e.sbe is not None and id(e) not in left]
+    return seen
+
+
+def test_store_seniorizes_when_its_last_uop_retires():
+    data = ".data 0x10000 rw 00\n"      # maps the page, stack included
+    assert drainable_at_retire(
+        "main:\n    movi r1, 0x10000\n    movi r2, 7\n    st.8 r2, [r1]\n"
+        "    halt\n" + data) == [(STA, False), (STD, True)]
+    assert drainable_at_retire(
+        "main:\n    call f\nf:\n    halt\n" + data) == [(CALL, True)]
 
 
 def test_whitelist_file_roundtrip(tmp_path):

@@ -13,17 +13,19 @@ def make_mem(**kw):
 
 def test_miss_then_fill_then_hit():
     cfg, mem = make_mem()
-    res = mem.access("load", 0x10040, 5)
+    res = mem.access(0x10040, 5)
     assert res.status == "miss" and res.mshr_allocated
     assert res.ready_cycle == 5 + cfg.dram_latency_cycles
     mem.tick(res.ready_cycle)
-    assert mem.access("load", 0x10044, res.ready_cycle).status == "hit"
+    hit = mem.access(0x10044, res.ready_cycle)
+    assert hit.status == "hit" and not hit.mshr_allocated
+    assert hit.ready_cycle == res.ready_cycle + cfg.l1_latency_cycles
 
 
 def test_secondary_miss_shares_mshr():
     cfg, mem = make_mem()
-    first = mem.access("load", 0x10080, 0)
-    second = mem.access("load", 0x10088, 3)       # same line
+    first = mem.access(0x10080, 0)
+    second = mem.access(0x10088, 3)       # same line
     assert second.status == "miss" and not second.mshr_allocated
     assert second.ready_cycle == first.ready_cycle
     assert len(mem.mshrs) == 1
@@ -32,15 +34,15 @@ def test_secondary_miss_shares_mshr():
 def test_eleventh_concurrent_miss_is_mshr_full():
     cfg, mem = make_mem()
     for i in range(10):
-        assert mem.access("load", 0x10000 + i * LINE, 0).status == "miss"
-    assert mem.access("load", 0x10000 + 10 * LINE, 0).status == "mshr_full"
+        assert mem.access(0x10000 + i * LINE, 0).status == "miss"
+    assert mem.access(0x10000 + 10 * LINE, 0).status == "mshr_full"
     assert mem.mshr_peak == 10
 
 
 def test_fill_completes_even_without_requester():
     # allocation outlives any squash of the load that asked for it
     cfg, mem = make_mem()
-    res = mem.access("load", 0x10200, 0)
+    res = mem.access(0x10200, 0)
     mem.tick(res.ready_cycle)
     assert 0x10200 in mem.lines
     assert not mem.mshrs
@@ -60,7 +62,7 @@ def test_timed_read_latencies():
     cfg, mem = make_mem()
     mem.write_int(0x10100, 1, 0x7F)
     assert mem.timed_read(0x10100) == (0x7F, cfg.dram_latency_cycles)
-    res = mem.access("load", 0x10100, 0)
+    res = mem.access(0x10100, 0)
     mem.tick(res.ready_cycle)
     assert mem.timed_read(0x10100) == (0x7F, cfg.l1_latency_cycles)
 
@@ -73,7 +75,7 @@ def test_timed_read_does_not_install():
 
 def test_flush_totality():
     cfg, mem = make_mem()
-    res = mem.access("load", 0x10400, 0)
+    res = mem.access(0x10400, 0)
     mem.tick(res.ready_cycle)
     assert mem.timed_read(0x10400)[1] == cfg.l1_latency_cycles
     mem.flush_line(0x10400)
@@ -92,7 +94,7 @@ REFUSED_PAGE_CASES = [
 def test_check_readable_names_the_lowest_refused_page():
     for addrs, first in REFUSED_PAGE_CASES:
         cfg, mem = make_mem()
-        res = mem.access("load", 0x10440, 0)
+        res = mem.access(0x10440, 0)
         mem.tick(res.ready_cycle)
         if first != 0x20000:
             mem.tlb[first & ~0xFFF] = (False, True)
@@ -117,7 +119,7 @@ def test_round_robin_replacement_is_deterministic():
     set_stride = 64 * LINE        # same set every time
     lines = [0x100000 + i * set_stride for i in range(10)]
     for addr in lines:
-        res = mem.access("load", addr, 0)
+        res = mem.access(addr, 0)
         mem.tick(res.ready_cycle)
     # 8 ways: the first two victims are the two oldest installs
     assert lines[0] not in mem.lines
@@ -152,9 +154,9 @@ def test_committed_pages_prunes_zeros():
     assert list(mem.committed_pages()) == [0x10000]
 
 
-def test_store_writeback_hit_latency_one():
+def test_store_writeback_hits_a_resident_line():
     cfg, mem = make_mem()
-    res = mem.access("load", 0x10500, 0)
+    res = mem.access(0x10500, 0)
     mem.tick(res.ready_cycle)
-    wb = mem.access("store_writeback", 0x10500, 400)
-    assert wb.status == "hit" and wb.latency == 1
+    wb = mem.access(0x10500, 400)
+    assert wb.status == "hit"

@@ -1,0 +1,19 @@
+"""The mutant catalogue stays applicable: each entry's old text occurs
+exactly once in its file. Running the mutants is `python tests/mutants.py`."""
+
+import pytest
+
+from mutants import MUTANTS, ROOT
+
+
+def test_mutant_names_are_unique_and_name_tests():
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+    for m in MUTANTS:
+        assert m.tests and m.old != m.new, m.name
+        for node in m.tests:
+            assert (ROOT / node.split("::")[0]).is_file(), (m.name, node)
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_mutant_old_text_occurs_once_in_its_file(mutant):
+    assert (ROOT / mutant.file).read_text().count(mutant.old) == 1

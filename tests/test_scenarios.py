@@ -303,7 +303,7 @@ def _mem_with_resident_entry(spec, resident_entry, cfg):
     mem = MemorySystem(cfg)
     mem.map_region(spec.base, spec.span, "rw")
     for k in range(spec.amplification):
-        res = mem.access("load", spec.line_addr(resident_entry, k), 0)
+        res = mem.access(spec.line_addr(resident_entry, k), 0)
         mem.tick(res.ready_cycle)
     return mem
 
@@ -386,7 +386,7 @@ def _random_probe_state(rng, spec, cfg):
     lines += [rng.randrange(0x10000, 0x80000) for _ in range(rng.randrange(20))]
     rng.shuffle(lines)
     for cycle, addr in enumerate(lines):
-        res = mem.access("load", addr, cycle)
+        res = mem.access(addr, cycle)
         mem.tick(max(res.ready_cycle, cycle))
     return mem
 
@@ -487,7 +487,7 @@ def test_probe_receive_matches_the_per_address_formula(amplification, gran, stri
             mem.map_region(0x10000, 0x80000, "rw")
             mem.map_region(spec.base - 4096, spec.span + 8192, "rw")
             for cycle, addr in enumerate(_lines_around_the_probe(rng, spec)):
-                res = mem.access("load", addr, cycle)
+                res = mem.access(addr, cycle)
                 mem.tick(max(res.ready_cycle, cycle))
             lines, sets = dict(mem.lines), [list(s) for s in mem.sets]
             got = probe_receive(mem, spec, cfg)
