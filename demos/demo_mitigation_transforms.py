@@ -16,8 +16,8 @@ masking once a speculative store corrupts the bound the mask compares against.
 
 from specsim import SimConfig
 from specsim.scenarios import (build_gadget_spectre_1_0,
-                               build_gadget_spectre_1_1_control,
-                               build_gadget_spectre_1_1_data, run_scenario)
+                               build_gadget_spectre_1_1_control, build_scenario,
+                               run_scenario)
 
 cfg = SimConfig()
 
@@ -35,7 +35,7 @@ for mit in ("none", "fence", "fence_gadget", "coarse_mask", "exact_mask"):
 
 print("\nexact mask vs bound overwrite:")
 direct = run_scenario(build_gadget_spectre_1_0(mitigation="exact_mask"), cfg)
-overwrite = run_scenario(build_gadget_spectre_1_1_data(), cfg)
+overwrite = run_scenario(build_scenario("spectre_1_1_data"), cfg)
 print(f"  masked 1.0, direct attack          -> "
       f"{'leaks' if direct.attack_success else 'safe'}")
 print(f"  masked 1.0 after bound overwrite   -> "

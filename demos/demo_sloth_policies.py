@@ -17,8 +17,8 @@ None of them touches the plain load-bypass attack, which never forwards.
 
 from specsim import SimConfig
 from specsim.lsu import ForwardingPolicy
-from specsim.scenarios import (MATRIX_SCENARIOS, build_benign_spill,
-                               build_scenario, run_scenario, warm_whitelist)
+from specsim.scenarios import (MATRIX_SCENARIOS, build_scenario, run_scenario,
+                               warm_whitelist)
 
 cfg = SimConfig()
 
@@ -38,6 +38,6 @@ whitelist = warm_whitelist(cfg)
 for policy in ("baseline", "arctic_sloth", "sloth_marked",
                "slothbear_loads", "slothbear_stores"):
     pol = ForwardingPolicy(policy, set(whitelist) if policy == "arctic_sloth" else set())
-    r = run_scenario(build_benign_spill(), cfg.replace(forwarding_policy=policy),
+    r = run_scenario(build_scenario("benign_spill"), cfg.replace(forwarding_policy=policy),
                      policy=pol)
     print(f"  {policy:<18} {r.cycles}")

@@ -30,8 +30,8 @@ from .scenarios import (ALL_MITIGATIONS, BUILDERS, MATRIX_SCENARIOS, MITIGATIONS
 
 _CONFIG_FIELDS = [f.name for f in fields(SimConfig)]
 
-_MITIGATION_HELP = ("software mitigation, applied at the scenario's site in "
-                    "scenarios.MITIGATION_SITES; only spectre_1_1_control and "
+_MITIGATION_HELP = ("software mitigation, applied at the site the scenario names "
+                    "(a scenario file's site.* keys); only spectre_1_1_control and "
                     "spectre_1_1_rop accept fence_gadget, and the masks leave "
                     "ghost and benign_spill unchanged")
 
@@ -76,27 +76,24 @@ def _build_config(args) -> SimConfig:
 
 
 def _resolve_scenario(args):
+    kw = {k: getattr(args, k) for k in ("secret", "amplification", "pad_uops")
+          if getattr(args, k) is not None}
     if args.scenario_file:
-        ignored = [flag for flag, given in (
+        rejected = [flag for flag, given in (
             ("a scenario name", args.scenario is not None),
-            ("--mitigation", args.mitigation != "none"),
-            ("--secret", args.secret is not None),
             ("--amplification", args.amplification is not None),
             ("--pad-uops", args.pad_uops is not None)) if given]
-        if ignored:
-            raise _CliError(2, f"--scenario-file does not take {', '.join(ignored)}")
+        if rejected:
+            raise _CliError(2, f"--scenario-file does not take {', '.join(rejected)}")
         try:
-            scenario, _ = scenario_from_file(args.scenario_file)
-        except (OSError, ValueError) as e:
+            return scenario_from_file(args.scenario_file, mitigation=args.mitigation, **kw)
+        except (OSError, ValueError, TypeError) as e:
             raise _CliError(2, f"cannot load scenario file: {e}") from e
         except AsmError as e:
             raise _CliError(2, f"cannot assemble the scenario's program: {e}") from None
-        return scenario
     name = args.scenario
     if name is None:
         raise _CliError(2, "give a scenario name or --scenario-file")
-    kw = {k: getattr(args, k) for k in ("secret", "amplification", "pad_uops")
-          if getattr(args, k) is not None}
     try:
         return build_scenario(name, mitigation=args.mitigation, **kw)
     except KeyError:

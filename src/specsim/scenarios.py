@@ -7,10 +7,14 @@ priming instructions, and a probe layout. Running it follows the classic
 shape: prime the predictors with benign inputs, flush the probe array and the
 victim's bound variable, run the victim with attacker inputs (repeating
 attempts so values cached by earlier squashed tries feed later ones), then
-time every probe line and infer the secret from the fastest. Each bundled
-victim (scenario, shape, mitigation) is assembled, transformed and decoded
-once per process and shared by every secret, which is planted in memory, not
-in the program; a scenario file is assembled on every load.
+time every probe line and infer the secret from the fastest. The fixed
+victims (spectre_1_1_data, spectre_1_2, ghost, halo, benign_spill) are
+scenario files under `data/`, read and parsed once per process on first use,
+like `--scenario-file`s; spectre_1_0 and spectre_1_1_control/_rop, which take
+parameters, are built here. Each one names its own mitigation sites. Every
+victim (scenario or file text, shape, sites, mitigation) is assembled,
+transformed and decoded once per process and shared by every build and every
+secret, which is planted in memory, not in the program.
 
 Memory layout used by the bundled scenarios (flat, byte-addressed):
 
@@ -28,9 +32,11 @@ Memory layout used by the bundled scenarios (flat, byte-addressed):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
+from importlib import resources
 from itertools import islice
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .config import RunReport, SimConfig, parse_int, read_key_values
@@ -43,11 +49,7 @@ from .reference import arch_state, run_reference
 
 VARS = 0x10000
 ARR_B = 0x20000
-HALO_IDX = 0x24000
-HALO_PAYLOAD = 0x25000
 ARR_C = 0x30000
-LIM_SLOT = 0x30800
-RO_TABLE = 0x50000
 STACK = 0x40000
 SP0 = 0x40800
 PROBE = 0x100000
@@ -295,7 +297,7 @@ def no_attack_state(s: Scenario, cfg: SimConfig):
 
 
 # ---------------------------------------------------------------------------
-# bundled gadgets
+# mitigation sites and the parametric victims
 # ---------------------------------------------------------------------------
 
 _COMMON_REGIONS = [
@@ -310,81 +312,55 @@ NO_INDEX = ()    # a mask site for a victim with no index to mask: it runs uncha
 
 @dataclass(frozen=True)
 class MitigationSites:
-    """Where each software mitigation goes in one bundled victim.
+    """Where each software mitigation goes in one victim, and under which
+    mitigations its attack still leaks.
 
-    fence and fence_gadget name the label a fence goes before; fence_gadget
-    is None where the victim has no separate transmit gadget. coarse_mask is
-    (label, index_reg, region_size), exact_mask (label, index_reg, bound_reg).
-    leaks lists the mitigations under which the attack still succeeds."""
-    fence: str
-    coarse_mask: tuple
-    exact_mask: tuple
-    leaks: Tuple[str, ...]
+    fence and fence_gadget name the label a fence goes before. coarse_mask is
+    (label, index_reg, region_size) and exact_mask (label, index_reg,
+    bound_reg), or NO_INDEX. A site left None is no site: that mitigation is
+    rejected."""
+    fence: Optional[str] = None
+    coarse_mask: Optional[tuple] = None
+    exact_mask: Optional[tuple] = None
     fence_gadget: Optional[str] = None
+    leaks: Tuple[str, ...] = ()
 
 
-MITIGATION_SITES = {
-    "spectre_1_0": MitigationSites(
-        "body", ("body", 10, 4096), ("body", 10, 2), leaks=("none",)),
-    "spectre_1_1_control": MitigationSites(
-        "vstore", ("vstore", 10, 0x20000), ("vstore", 10, 2),
-        leaks=("none", "coarse_mask", "fence_gadget"), fence_gadget="gbody"),
-    "spectre_1_1_rop": MitigationSites(
-        "vstore", ("vstore", 10, 0x20000), ("vstore", 10, 2),
-        leaks=("none", "coarse_mask", "fence_gadget"), fence_gadget="g1"),
-    "spectre_1_1_data": MitigationSites(
-        "astore", ("astore", 10, 0x1000), ("astore", 10, 2),
-        leaks=("none", "coarse_mask")),
-    "spectre_1_2": MitigationSites(
-        "vstore", ("vstore", 10, 0x40000), ("vstore", 10, 2),
-        leaks=("none", "coarse_mask")),
-    # the ghost store goes through a raw pointer: there is no index to mask
-    "ghost": MitigationSites(
-        "gload", NO_INDEX, NO_INDEX, leaks=("none", "coarse_mask", "exact_mask")),
-    "halo": MitigationSites(
-        "hstore", ("hclamp", 6, 0x1000), ("hclamp", 6, 30),
-        leaks=("none", "coarse_mask")),
-    "benign_spill": MitigationSites("bloop", NO_INDEX, NO_INDEX, leaks=()),
-}
+def apply_mitigation(p: Program, sites: MitigationSites, mitigation: str) -> Program:
+    """`p` with `mitigation` applied at its site in `sites`, which must have
+    one; "none" and a NO_INDEX mask return `p` itself."""
+    if mitigation == "none":
+        return p
+    site = getattr(sites, mitigation)
+    if mitigation in ("fence", "fence_gadget"):
+        return transform_insert_fence(p, site)
+    if site == NO_INDEX:
+        return p
+    label, index_reg, bound = site
+    transform = (transform_coarse_mask if mitigation == "coarse_mask"
+                 else transform_exact_mask)
+    return transform(p, index_reg, bound, label)
 
 
-def apply_mitigation(name: str, p: Program,
-                     mitigation: str) -> Tuple[Program, str, str]:
-    """Apply `mitigation` to scenario `name`'s victim at the site
-    MITIGATION_SITES gives. Returns the victim, the scenario name (suffixed
-    with the mitigation) and the expected outcome. A mitigation the scenario
-    has no site for raises ValueError."""
-    sites = MITIGATION_SITES[name]
+@lru_cache(maxsize=64)      # all 34 bundled victims fit; each is shared: never mutate it
+def _victim(name: str, src: str, sites: MitigationSites,
+            mitigation: str) -> Tuple[Program, str, str]:
+    """Scenario `name`'s victim assembled from `src` and mitigated, the
+    scenario name (suffixed with the mitigation) and the expected outcome. A
+    mitigation `sites` has no site for raises ValueError."""
     accepted = [m for m in ALL_MITIGATIONS
                 if m == "none" or getattr(sites, m) is not None]
     if mitigation not in accepted:
         raise ValueError(f"scenario {name!r} has no {mitigation!r} site "
                          f"(accepts: {', '.join(accepted)})")
     expected = "attack_succeeds" if mitigation in sites.leaks else "attack_fails"
-    if mitigation == "none":
-        return p, name, expected
-    site = getattr(sites, mitigation)
-    if mitigation in ("fence", "fence_gadget"):
-        p = transform_insert_fence(p, site)
-    elif site != NO_INDEX:
-        label, index_reg, bound = site
-        transform = (transform_coarse_mask if mitigation == "coarse_mask"
-                     else transform_exact_mask)
-        p = transform(p, index_reg, bound, label)
-    return p, f"{name}+{mitigation}", expected
+    return (apply_mitigation(assemble(src), sites, mitigation),
+            name if mitigation == "none" else f"{name}+{mitigation}", expected)
 
 
-@lru_cache(maxsize=64)      # all 34 bundled victims fit; each is shared: never mutate it
-def _victim(name: str, src: str, mitigation: str) -> Tuple[Program, str, str]:
-    return apply_mitigation(name, assemble(src), mitigation)
-
-
-# the indirect-load transmit sequence: touch probe[secret << 9], probe in r12
-_TRANSMIT = (f"    movi r4, {hex(SECRET_ADDR)}\n"
-             "    ld.1 r5, [r4]\n"
-             "    shli r5, r5, 9\n"
-             "    add r6, r12, r5\n"
-             "    ld.1 r7, [r6]\n")
+_SPECTRE_1_0_SITES = MitigationSites(
+    fence="body", coarse_mask=("body", 10, 4096), exact_mask=("body", 10, 2),
+    leaks=("none",))
 
 
 def build_gadget_spectre_1_0(secret: int = 0x2A, mitigation: str = "none",
@@ -420,7 +396,7 @@ done:
     halt
 .data {hex(VARS)} rw 10 00 00 00 00 00 00 00
 """
-    p, name, expected = _victim("spectre_1_0", src, mitigation)
+    p, name, expected = _victim("spectre_1_0", src, _SPECTRE_1_0_SITES, mitigation)
     return Scenario(
         name=name, victim=p,
         attack_regs={10: SECRET_OFF, 11: ARR_B, 12: PROBE},
@@ -433,6 +409,12 @@ done:
         attempts=2 if amplification == 1 else 12,
         expected=expected,
     )
+
+
+_CONTROL_SITES = MitigationSites(
+    fence="vstore", coarse_mask=("vstore", 10, 0x20000), exact_mask=("vstore", 10, 2),
+    fence_gadget="gbody", leaks=("none", "coarse_mask", "fence_gadget"))
+_ROP_SITES = replace(_CONTROL_SITES, fence_gadget="g1")
 
 
 def build_gadget_spectre_1_1_control(secret: int = 0x2A, mitigation: str = "none",
@@ -463,7 +445,12 @@ gadget:
 gcheck:
     jae gdone
 gbody:
-{_TRANSMIT}gdone:
+    movi r4, {hex(SECRET_ADDR)}
+    ld.1 r5, [r4]
+    shli r5, r5, 9
+    add r6, r12, r5
+    ld.1 r7, [r6]
+gdone:
     halt
 """
     src = f"""
@@ -483,9 +470,10 @@ vret:
     ret
 {gadget}.data {hex(VARS)} rw 10 00 00 00 00 00 00 00
 """
+    sites = _ROP_SITES if rop else _CONTROL_SITES
     p, name, expected = _victim(
-        "spectre_1_1_rop" if rop else "spectre_1_1_control", src, mitigation)
-    entry_label = "g1" if rop else "gbody"
+        "spectre_1_1_rop" if rop else "spectre_1_1_control", src, sites, mitigation)
+    entry_label = sites.fence_gadget                        # the gadget's entry
     entry_bump = 4 if mitigation == "fence_gadget" else 0   # jump over the fence
 
     ret_slot = SP0 - 8
@@ -506,281 +494,191 @@ vret:
     )
 
 
-def build_gadget_spectre_1_1_data(secret: int = 0x2A,
-                                  mitigation: str = "none") -> Scenario:
-    """Bounds check bypass on stores, data variant: the speculative store
-    overwrites the spilled bound consumed by a later exact-masked load gadget,
-    so the mask passes for an out-of-bounds index."""
-    src = f"""
-main:
-    movi r1, {hex(VARS)}
-    ld.8 r2, [r1]
-    cmp r10, r2
-acheck:
-    jae part_b
-astore:
-    add r3, r11, r10
-    st.8 r13, [r3]
-part_b:
-    movi r20, {hex(LIM_SLOT)}
-    ld.8 r21, [r20]
-    cmp r22, r21
-bcheck:
-    jae done
-bbody:
-    movi r25, 0
-    subi r26, r25, 1
-    cmp r22, r21
-    csel.b r26, r26, r25
-    and r27, r22, r26
-    add r23, r14, r27
-    ld.1 r24, [r23]
-    shli r24, r24, 9
-    add r28, r12, r24
-    ld.1 r29, [r28]
-done:
-    halt
-.data {hex(VARS)} rw 10 00 00 00 00 00 00 00
-"""
-    p, name, expected = _victim("spectre_1_1_data", src, mitigation)
-    y_attack = LIM_SLOT - ARR_C   # 0x800: within c's power-of-two padding
-    attack_regs = {10: y_attack, 11: ARR_C, 13: 0xFFFFFFFF,
-                   22: SECRET_OFF, 14: ARR_B, 12: PROBE}
-    benign_regs = {10: 8, 11: ARR_C, 13: 0, 22: 2, 14: ARR_B, 12: PROBE}
-    return Scenario(
-        name=name, victim=p,
-        attack_regs=attack_regs, benign_regs=benign_regs,
-        benign_mem=[(LIM_SLOT, 8, 16)],
-        regions=list(_COMMON_REGIONS),
-        secret_value=secret,
-        probe=ProbeSpec(),
-        prime_branches=[(p.labels["acheck"], False),
-                        (p.labels["bcheck"], False)],
-        slow_lines=[VARS],
-        expected=expected,
-    )
+# ---------------------------------------------------------------------------
+# scenario files: the bundled fixed victims and custom scenarios
+# ---------------------------------------------------------------------------
+
+def _reg(text: str) -> int:
+    if text[:1] != "r" or not text[1:].isdigit() or int(text[1:]) >= 32:
+        raise ValueError(f"registers are r0 to r31, got {text!r}")
+    return int(text[1:])
 
 
-def build_gadget_spectre_1_2(secret: int = 0x2A, mitigation: str = "none") -> Scenario:
-    """Read-only overwrite: the speculative store targets a function-pointer
-    slot on a read-only page. Under lazy permission enforcement the corrupt
-    pointer is forwarded to the dependent load and the indirect jump lands in
-    the transmit gadget. Succeeds only with tlb_enforcement=lazy."""
-    src = f"""
-main:
-    call victim
-    halt
-victim:
-    movi r1, {hex(VARS)}
-    ld.8 r2, [r1]
-    cmp r10, r2
-vcheck:
-    jae vcall
-vstore:
-    add r3, r11, r10
-    st.8 r13, [r3]
-vcall:
-    movi r4, {hex(RO_TABLE)}
-    ld.8 r5, [r4]
-    jr r5
-fn_ok:
-    halt
-gadget:
-{_TRANSMIT}    halt
-.data {hex(VARS)} rw 10 00 00 00 00 00 00 00
-"""
-    p, name, expected = _victim("spectre_1_2", src, mitigation)
-    y_attack = RO_TABLE - ARR_C
-    attack_regs = {10: y_attack, 11: ARR_C, 13: p.labels["gadget"],
-                   12: PROBE, 31: SP0}
-    benign_regs = {10: 8, 11: ARR_C, 13: 0, 12: PROBE, 31: SP0}
-    return Scenario(
-        name=name, victim=p,
-        attack_regs=attack_regs, benign_regs=benign_regs,
-        benign_mem=[(RO_TABLE, 8, p.labels["fn_ok"])],
-        regions=list(_COMMON_REGIONS) + [(RO_TABLE, 0x1000, "ro")],
-        secret_value=secret,
-        probe=ProbeSpec(),
-        prime_branches=[(p.labels["vcheck"], False)],
-        slow_lines=[VARS],
-        expected=expected,
-    )
+def _number_or_label(text: str):
+    """A number, or `@label` / `@label+N` as (label, N): resolved against the
+    mitigated victim."""
+    if not text.startswith("@"):
+        return parse_int(text)
+    label, plus, offset = text[1:].partition("+")
+    return label, parse_int(offset) if plus else 0
 
 
-def build_gadget_ghost(secret: int = 0x2A, mitigation: str = "none") -> Scenario:
-    """Ghost write: an impossible path consumes an uninitialized stack slot as
-    a pointer. The first guard predicts correctly (skipping the initializer);
-    the second mispredicts into the store through the ghost pointer, which the
-    attacker aimed at the return slot via prior-call stack contents."""
-    src = f"""
-main:
-    call victim
-    halt
-victim:
-    movi r1, {hex(VARS + 0x20)}
-    ld.8 r2, [r1]
-    cmpi r2, 0
-gc1:
-    je noinit
-    movi r3, {hex(VARS + 0x100)}
-    st.8 r3, [sp+16]
-noinit:
-    cmpi r2, 0
-gc2:
-    je nostore
-gload:
-    ld.8 r4, [sp+16]
-gstore:
-    st.8 r13, [r4]
-nostore:
-    ret
-gadget:
-{_TRANSMIT}    halt
-.data {hex(VARS)} rw 10 00 00 00 00 00 00 00
-"""
-    p, name, expected = _victim("ghost", src, mitigation)
-    ret_slot = SP0 - 8
-    ghost_slot = ret_slot + 16
-    attack_regs = {13: p.labels["gadget"], 12: PROBE, 31: SP0}
-    benign_regs = {13: 0, 12: PROBE, 31: SP0}
-    return Scenario(
-        name=name, victim=p,
-        attack_regs=attack_regs, benign_regs=benign_regs,
-        benign_mem=[(VARS + 0x20, 8, 1)],
-        attack_mem=[(VARS + 0x20, 8, 0), (ghost_slot, 8, ret_slot)],
-        regions=list(_COMMON_REGIONS),
-        secret_value=secret,
-        probe=ProbeSpec(),
-        prime_branches=[(p.labels["gc1"], True), (p.labels["gc2"], False)],
-        slow_lines=[VARS],
-        expected=expected,
-    )
+def _leaks(text: str) -> Tuple[str, ...]:
+    leaks = tuple(m.strip() for m in text.split(",") if m.strip())
+    for m in leaks:
+        if m not in ALL_MITIGATIONS:
+            raise ValueError(f"unknown mitigation {m!r} (known: {', '.join(ALL_MITIGATIONS)})")
+    return leaks
 
 
-def build_gadget_halo(secret: int = 0x2A, mitigation: str = "none") -> Scenario:
-    """Halo write: a speculative loop overrun (the checked length is zero but
-    slow to load) consumes unsanitized index-array entries. The overrun store
-    lands on the spilled bound of the loop body's masked load gadget."""
-    src = f"""
-main:
-    movi r1, {hex(VARS)}
-    ld.8 r2, [r1]
-    movi r5, 0
-loop:
-    cmp r5, r2
-hcheck:
-    jae done
-hbody:
-    shli r4, r5, 3
-    add r3, r16, r4
-    ld.8 r6, [r3]
-hclamp:
-    add r7, r17, r6
-    shli r8, r5, 3
-    add r9, r18, r8
-    ld.8 r10, [r9]
-hstore:
-    st.8 r10, [r7]
-    ld.8 r20, [r19]
-    movi r25, 0
-    subi r26, r25, 1
-    cmp r21, r20
-    csel.b r26, r26, r25
-    and r27, r21, r26
-    add r23, r14, r27
-    ld.1 r24, [r23]
-    shli r24, r24, 9
-    add r28, r12, r24
-    ld.1 r29, [r28]
-    addi r5, r5, 1
-    jmp loop
-done:
-    halt
-.data {hex(VARS)} rw 00 00 00 00 00 00 00 00
-"""
-    p, name, expected = _victim("halo", src, mitigation)
-    attack_regs = {16: HALO_IDX, 17: ARR_C, 18: HALO_PAYLOAD,
-                   19: LIM_SLOT, 21: SECRET_OFF, 14: ARR_B, 12: PROBE,
-                   30: 0x100}
-    return Scenario(
-        name=name, victim=p,
-        attack_regs=attack_regs, benign_regs=dict(attack_regs),
-        benign_mem=[(HALO_IDX, 8, LIM_SLOT - ARR_C),
-                    (HALO_PAYLOAD, 8, 0xFFFFFFFF),
-                    (LIM_SLOT, 8, 16)],
-        regions=list(_COMMON_REGIONS) + [(HALO_IDX, 0x1000, "rw"),
-                                         (HALO_PAYLOAD, 0x1000, "rw")],
-        secret_value=secret,
-        probe=ProbeSpec(),
-        priming=0,
-        attempts=4,
-        prime_branches=[(p.labels["hcheck"], False)],
-        slow_lines=[VARS],
-        expected=expected,
-    )
+_MASK_SHAPES = {"coarse_mask": "LABEL, rINDEX, REGION_SIZE",
+                "exact_mask": "LABEL, rINDEX, rBOUND"}
 
 
-def build_benign_spill(mitigation: str = "none") -> Scenario:
-    """Register-spill loop: stores immediately reloaded, the hot path that
-    store-to-load blocking penalizes. All spill accesses carry the forwardable
-    mark. A dependency chain ahead of each spill delays retirement (so the
-    store is still speculative when the reload wants it) and a late-resolving
-    never-taken guard keeps the reloads colored, so both blocking variants pay
-    their cost while forwarding policies run at full speed."""
-    # the nop prologue stands in for a distinct link address: the whitelist is
-    # keyed on load addresses, so the benchmark must not alias the victims' code
-    prologue = "    nop\n" * 32
-    src = f"""
-main:
-{prologue}    ld.8 r6, [sp+8]
-    movi r1, 24
-    movi r2, 1
-    movi r3, 2
-    movi r9, 0
-    movi r20, 0x7fffffffffffffff
-loop:
-    add r9, r9, r2
-    add r9, r9, r3
-    add r9, r9, r2
-    add r9, r9, r3
-    add r9, r9, r2
-    add r9, r9, r3
-    cmp r9, r20
-guard:
-    jae loopx
-    st.8! r2, [sp+8]
-    st.8! r3, [sp+16]
-    ld.8! r6, [sp+8]
-    ld.8! r7, [sp+16]
-    add r2, r6, r7
-    add r3, r7, r6
-    subi r1, r1, 1
-    cmpi r1, 0
-bloop:
-    jne loop
-loopx:
-    halt
-"""
-    p, name, expected = _victim("benign_spill", src, mitigation)
-    regs = {31: SP0}
-    return Scenario(
-        name=name, victim=p,
-        attack_regs=dict(regs), benign_regs=dict(regs),
-        regions=[(STACK, 0x1000, "rw")],
-        probe=None, priming=0, attempts=1,
-        expected=expected,
-    )
+def _site(mitigation: str, text: str):
+    """A site.MITIGATION value: a label for a fence, NO_INDEX or (label,
+    index_reg, region_size or bound_reg) for a mask."""
+    if mitigation not in _MASK_SHAPES:
+        return text
+    if text == "unchanged":
+        return NO_INDEX
+    parts = [part.strip() for part in text.split(",")]
+    if len(parts) != 3:
+        raise ValueError(f"expected unchanged or {_MASK_SHAPES[mitigation]}")
+    label, index, bound = parts
+    return label, _reg(index), _reg(bound) if mitigation == "exact_mask" else parse_int(bound)
+
+
+_FILE_SCALARS = {
+    **dict.fromkeys(("name", "program"), str),
+    **dict.fromkeys(("secret_addr", "secret_value", "priming", "attempts", "probe_base",
+                     "probe_stride", "probe_entries", "amplification"), parse_int),
+    "flush": lambda v: [parse_int(a) for a in v.split(",") if a],
+    "leaks": _leaks}
+_SITE_KEYS = {f"site.{m}" for m in ALL_MITIGATIONS if m != "none"}
+_DIRECTIONS = {"taken": True, "not_taken": False}      # prime.LABEL values
+_SIZED = {"mem": "ADDR.SIZE", "benign_mem": "ADDR.SIZE", "map": "BASE.SIZE"}
+# list-valued keys, KIND.REST = value, and the Scenario field they fill
+_FILE_LISTS = {"reg": "attack_regs", "benign_reg": "benign_regs", "prime": "prime_branches",
+               "mem": "attack_mem", "benign_mem": "benign_mem", "map": "regions"}
+_PROBE_KEYS = {"probe_base": "base", "probe_stride": "stride",
+               "probe_entries": "entries", "amplification": "amplification"}
+
+
+def _file_value(key: str, value: str):
+    """One scenario-file value parsed by its key: KeyError for an unknown key,
+    ValueError for a value or key shape that does not parse."""
+    kind, dot, rest = key.partition(".")
+    if key in _FILE_SCALARS:
+        return _FILE_SCALARS[key](value)
+    if key in _SITE_KEYS:
+        return _site(rest, value)
+    if not dot or kind not in _FILE_LISTS:
+        raise KeyError(key)
+    if kind in ("reg", "benign_reg"):
+        return _reg(rest), _number_or_label(value)
+    if kind == "prime":
+        if value not in _DIRECTIONS:
+            raise ValueError(f"expected taken or not_taken, got {value!r}")
+        return (rest, 0), _DIRECTIONS[value]
+    if rest.count(".") != 1:
+        raise ValueError(f"expected {kind}.{_SIZED[kind]}")
+    addr, size = rest.split(".")
+    if kind == "map":
+        if value not in ("rw", "ro"):
+            raise ValueError(f"permission must be rw or ro, got {value!r}")
+        return parse_int(addr), parse_int(size), value
+    return parse_int(addr), int(size), _number_or_label(value)
+
+
+def _read_file(folder, filename: str, path: str) -> Tuple[dict, str, MitigationSites]:
+    """Parse the scenario file `folder / filename`, named `path` in errors:
+    its values by key (list-valued keys gathered under their Scenario field,
+    in file order; `name` defaults to `path`), the text of its program, which
+    lies next to it, and its mitigation sites."""
+    opts = {"name": path}
+    for key, value in read_key_values((folder / filename).read_text(), _file_value,
+                                      f"{path}:").items():
+        kind = key.partition(".")[0]
+        if kind in _FILE_LISTS:
+            opts.setdefault(_FILE_LISTS[kind], []).append(value)
+        else:
+            opts[key] = value
+    if "program" not in opts:
+        raise ValueError(f"{path}: missing program=")
+    sites = MitigationSites(leaks=opts.get("leaks", ()),
+                            **{k[5:]: v for k, v in opts.items() if k in _SITE_KEYS})
+    return opts, (folder / opts["program"]).read_text(), sites
+
+
+def _scenario(opts: dict, src: str, sites: MitigationSites, mitigation: str = "none",
+              secret: Optional[int] = None) -> Scenario:
+    """The scenario a parsed file describes, under `mitigation`, with `secret`
+    planted when given. Only the keys the file gives are passed on: the
+    Scenario and ProbeSpec defaults stand for the rest."""
+    victim, name, expected = _victim(opts["name"], src, sites, mitigation)
+    labels = victim.labels
+
+    def resolved(item: tuple) -> tuple:
+        """`item` with each (label, offset) in it replaced by its address."""
+        if tuple not in map(type, item):
+            return item
+        for value in item:
+            if type(value) is tuple and value[0] not in labels:
+                raise ValueError(f"scenario {opts['name']!r}: no label {value[0]!r} "
+                                 "in its program")
+        return tuple(labels[v[0]] + v[1] if type(v) is tuple else v for v in item)
+
+    kw = {key: opts[key] for key in ("secret_addr", "secret_value", "priming", "attempts")
+          if key in opts}
+    if secret is not None:
+        if "probe_base" not in opts:
+            raise TypeError(f"scenario {opts['name']!r} has no probe to receive a secret")
+        kw["secret_value"] = secret
+    if "flush" in opts:
+        kw["slow_lines"] = list(opts["flush"])
+    if "probe_base" in opts:
+        kw["probe"] = ProbeSpec(**{field: opts[key] for key, field in _PROBE_KEYS.items()
+                                   if key in opts})
+    if "leaks" in opts:
+        kw["expected"] = expected
+    for field_name in _FILE_LISTS.values():
+        if field_name in opts:
+            items = [resolved(item) for item in opts[field_name]]
+            kw[field_name] = dict(items) if field_name.endswith("_regs") else items
+    if "benign_regs" not in kw and "attack_regs" in kw:
+        kw["benign_regs"] = dict(kw["attack_regs"])
+    return Scenario(name=name, victim=victim, **kw)
+
+
+@lru_cache(maxsize=None)
+def _bundled_file(name: str) -> Tuple[dict, str, MitigationSites]:
+    """Bundled scenario `name`'s file, read and parsed on first use."""
+    return _read_file(resources.files(__package__) / "data", f"{name}.scenario",
+                      f"{name}.scenario")
+
+
+def _build_bundled(name: str, mitigation: str = "none",
+                   secret: Optional[int] = None) -> Scenario:
+    return _scenario(*_bundled_file(name), mitigation, secret)
+
+
+def scenario_from_file(path: str, mitigation: str = "none",
+                       secret: Optional[int] = None) -> Scenario:
+    """Load a custom scenario from key=value text. Recognized keys:
+
+    name, program (an .asm file, relative to the scenario file), secret_addr,
+    secret_value, priming, attempts, probe_base, probe_stride, probe_entries,
+    amplification, reg.rN / benign_reg.rN, mem.ADDR.SIZE / benign_mem...,
+    map.BASE.SIZE=perm, flush=addr[,addr...], prime.LABEL=taken|not_taken,
+    site.fence / site.fence_gadget = LABEL, site.coarse_mask = LABEL, rN,
+    SIZE | unchanged, site.exact_mask = LABEL, rN, rBOUND | unchanged, and
+    leaks=mitigation[,...]. reg and mem values may be @label or @label+N.
+
+    Any other key, and a value that does not parse, raises ValueError naming
+    the file and line; a mitigation the file gives no site for raises
+    ValueError too.
+    """
+    file = Path(path)
+    return _scenario(*_read_file(file.parent, file.name, path), mitigation, secret)
 
 
 BUILDERS = {
     "spectre_1_0": build_gadget_spectre_1_0,
     "spectre_1_1_control": build_gadget_spectre_1_1_control,
     "spectre_1_1_rop": partial(build_gadget_spectre_1_1_control, rop=True),
-    "spectre_1_1_data": build_gadget_spectre_1_1_data,
-    "spectre_1_2": build_gadget_spectre_1_2,
-    "ghost": build_gadget_ghost,
-    "halo": build_gadget_halo,
-    "benign_spill": build_benign_spill,
+    **{name: partial(_build_bundled, name) for name in (
+        "spectre_1_1_data", "spectre_1_2", "ghost", "halo", "benign_spill")},
 }
 
 MATRIX_SCENARIOS = ("spectre_1_0", "spectre_1_1_data", "spectre_1_1_control",
@@ -793,96 +691,10 @@ def build_scenario(name: str, mitigation: str = "none", **kw) -> Scenario:
     return BUILDERS[name](mitigation=mitigation, **kw)
 
 
-# ---------------------------------------------------------------------------
-# declarative scenario files
-# ---------------------------------------------------------------------------
-
-_FILE_SCALARS = {
-    **dict.fromkeys(("name", "program", "expected"), str),
-    **dict.fromkeys(("secret_addr", "secret_value", "priming", "attempts", "probe_base",
-                     "probe_stride", "probe_entries", "amplification"), parse_int),
-    "flush": lambda v: [parse_int(a) for a in v.split(",") if a]}
-_DIRECTIONS = {"taken": True, "not_taken": False}      # prime.LABEL values
-_SIZED = {"mem": "ADDR.SIZE", "benign_mem": "ADDR.SIZE", "map": "BASE.SIZE"}
-_FILE_PREFIXES = ("reg", "benign_reg", "prime", *_SIZED)
-
-
-def _file_value(key: str, value: str):
-    """One scenario-file value parsed by its key: KeyError for an unknown key,
-    ValueError for a value or key shape that does not parse."""
-    kind, dot, rest = key.partition(".")
-    if key in _FILE_SCALARS:
-        return _FILE_SCALARS[key](value)
-    if not dot or kind not in _FILE_PREFIXES:
-        raise KeyError(key)
-    if kind in ("reg", "benign_reg"):
-        if rest[:1] != "r" or not rest[1:].isdigit() or int(rest[1:]) >= 32:
-            raise ValueError(f"registers are r0 to r31, got {rest!r}")
-        return int(rest[1:]), parse_int(value)
-    if kind == "prime":
-        if value not in _DIRECTIONS:
-            raise ValueError(f"expected taken or not_taken, got {value!r}")
-        return rest, _DIRECTIONS[value]
-    if rest.count(".") != 1:
-        raise ValueError(f"expected {kind}.{_SIZED[kind]}")
-    addr, size = rest.split(".")
-    if kind == "map":
-        if value not in ("rw", "ro"):
-            raise ValueError(f"permission must be rw or ro, got {value!r}")
-        return parse_int(addr), parse_int(size), value
-    return parse_int(addr), int(size), parse_int(value)
-
-
-def scenario_from_file(path: str) -> Tuple[Scenario, dict]:
-    """Load a custom scenario from key=value text. Recognized keys:
-
-    name, program (path to .asm), secret_addr, secret_value, priming,
-    attempts, expected, probe_base, probe_stride, probe_entries,
-    amplification, reg.rN / benign_reg.rN, mem.ADDR.SIZE / benign_mem...,
-    map.BASE.SIZE=perm, flush=addr[,addr...], prime.LABEL=taken|not_taken
-
-    Returns the scenario and the parsed values by key. Any other key, and a
-    value that does not parse, raises ValueError naming the file and line.
-    """
-    with open(path) as f:
-        opts = read_key_values(f.read(), _file_value, f"{path}:")
-    if "program" not in opts:
-        raise ValueError(f"{path}: missing program=")
-    with open(opts["program"]) as f:
-        victim = assemble(f.read())
-    lists = {kind: [v for k, v in opts.items() if k.startswith(kind + ".")]
-             for kind in _FILE_PREFIXES}
-    for label, _ in lists["prime"]:
-        if label not in victim.labels:
-            raise ValueError(f"{path}: prime target {label!r} not in program")
-    probe = None
-    if "probe_base" in opts:
-        probe = ProbeSpec(base=opts["probe_base"],
-                          stride=opts.get("probe_stride", 512),
-                          entries=opts.get("probe_entries", 256),
-                          amplification=opts.get("amplification", 1))
-    return Scenario(
-        name=opts.get("name", path),
-        victim=victim,
-        attack_regs=dict(lists["reg"]),
-        benign_regs=dict(lists["benign_reg"] or lists["reg"]),
-        attack_mem=lists["mem"], benign_mem=lists["benign_mem"],
-        regions=lists["map"],
-        secret_addr=opts.get("secret_addr", SECRET_ADDR),
-        secret_value=opts.get("secret_value", 0x2A),
-        probe=probe,
-        priming=opts.get("priming", 2),
-        attempts=opts.get("attempts", 2),
-        prime_branches=[(victim.labels[label], taken) for label, taken in lists["prime"]],
-        slow_lines=opts.get("flush", []),
-        expected=opts.get("expected", "attack_succeeds"),
-    ), opts
-
-
 def warm_whitelist(cfg: SimConfig) -> set:
     """Run the benign spill benchmark under the baseline policy and return the
     load pcs that consumed forwarded data on the committed path."""
     base_cfg = cfg.replace(forwarding_policy="baseline")
     policy = ForwardingPolicy("baseline")
-    run_scenario(build_benign_spill(), base_cfg, policy=policy)
+    run_scenario(build_scenario("benign_spill"), base_cfg, policy=policy)
     return set(policy.whitelist)

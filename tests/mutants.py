@@ -79,6 +79,20 @@ MUTANTS = (
            "if 0 <= j < len(addrs) and addrs[j] < line + LINE:",
            "if j < len(addrs) and addrs[j] < line + LINE:",
            ("tests/test_scenarios.py::test_attack_succeeds_under_baseline",)),
+    Mutant("next_fill_kept_when_a_later_mshr_fills_sooner", "src/specsim/memory.py",
+           "if self.next_fill is None or ready < self.next_fill:",
+           "if self.next_fill is None:",
+           ("tests/test_memory.py::test_next_fill_is_the_earliest_mshr_fill",)),
+    Mutant("load_check_accepts_a_merely_mapped_page", "src/specsim/core.py",
+           "if self.mem.permits(addr, write=False):",
+           "if (addr & ~0xFFF) in self.mem.tlb:",
+           ("tests/test_core.py::test_unreadable_load_faults_like_the_reference",)),
+    Mutant("file_labels_resolve_against_the_unmitigated_victim",
+           "src/specsim/scenarios.py",
+           "labels = victim.labels",
+           "labels = assemble(src).labels",
+           ("tests/test_scenarios.py::test_bundled_builds_match_their_recorded_repr",
+            "tests/test_perfbench_smoke.py::test_traced_benchmark_matches_golden[matrix]")),
 )
 
 

@@ -12,10 +12,9 @@ import pytest
 from specsim import SimConfig, assemble, run_program, run_reference, arch_state
 from specsim.config import FORWARDING_POLICIES
 from specsim.lsu import ForwardingPolicy
-from specsim.scenarios import (MATRIX_SCENARIOS, build_benign_spill,
+from specsim.scenarios import (MATRIX_SCENARIOS,
                                build_gadget_spectre_1_0,
                                build_gadget_spectre_1_1_control,
-                               build_gadget_spectre_1_1_data,
                                build_scenario, no_attack_state, run_scenario,
                                transform_exact_mask, warm_whitelist)
 from specsim.reference import arch_state
@@ -56,7 +55,7 @@ def test_criterion_03_exact_mask_vs_bound_overwrite():
     masked = build_gadget_spectre_1_0(mitigation="exact_mask")
     r1 = run_scenario(masked, CFG)
     assert r1.attack_success is False
-    r2 = run_scenario(build_gadget_spectre_1_1_data(), CFG)
+    r2 = run_scenario(build_scenario("spectre_1_1_data"), CFG)
     assert r2.attack_success is True
     report(3, "exact-masked 1.0 resists direct attack; 1.1 bound overwrite defeats it")
 
@@ -110,7 +109,7 @@ def test_criterion_06_benign_performance_ordering():
         cfg = CFG.replace(forwarding_policy=policy)
         pol = ForwardingPolicy(policy, set(wl) if policy == "arctic_sloth" else set())
         t0 = time.time()
-        r = run_scenario(build_benign_spill(), cfg, policy=pol)
+        r = run_scenario(build_scenario("benign_spill"), cfg, policy=pol)
         assert time.time() - t0 < 1.0
         assert r.fault is None
         cycles[policy] = r.cycles

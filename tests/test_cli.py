@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -382,9 +383,9 @@ def test_config_file_value_that_does_not_parse_names_line_and_key(
 
 @pytest.mark.parametrize("command", ["run", "trace"])
 @pytest.mark.parametrize("flags,named", [
-    (["spectre_1_0"], "a scenario name"), (["--mitigation", "fence"], "--mitigation"),
-    (["--secret", "7"], "--secret"), (["--amplification", "4"], "--amplification"),
-    (["--pad-uops", "3"], "--pad-uops")])
+    pytest.param(["spectre_1_0"], "a scenario name", id="flags0-a scenario name"),
+    pytest.param(["--amplification", "4"], "--amplification", id="flags3---amplification"),
+    pytest.param(["--pad-uops", "3"], "--pad-uops", id="flags4---pad-uops")])
 def test_scenario_file_rejects_the_scenario_flags(capsys, tmp_path, command, flags,
                                                   named):
     asm = tmp_path / "victim.asm"
@@ -403,6 +404,28 @@ def test_scenario_file_rejects_the_scenario_flags(capsys, tmp_path, command, fla
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
     assert not out_path.exists()
+
+
+def test_scenario_file_takes_mitigation_and_secret_like_a_scenario_name(
+        capsys, tmp_path, monkeypatch):
+    data = Path(specsim.__file__).resolve().parent / "data"
+    for name in ("ghost.scenario", "ghost.asm"):
+        shutil.copy(data / name, tmp_path / name)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    copy = str(tmp_path / "ghost.scenario")
+    _, by_name, _ = run_cli(capsys, "run", "ghost", "--mitigation", "fence")
+    code, by_file, err = run_cli(capsys, "run", "--scenario-file", copy,
+                                 "--mitigation", "fence")
+    assert code == 0 and err == "" and by_file == by_name
+    assert json.loads(by_file)["scenario"] == "ghost+fence"
+    code, out, _ = run_cli(capsys, "run", "--scenario-file", copy, "--secret", "7")
+    rec = json.loads(out)
+    assert code == 0 and rec["inferred_secret"] == 7 and rec["attack_success"] is True
+    code, out, err = run_cli(capsys, "run", "--scenario-file", copy,
+                             "--mitigation", "fence_gadget")
+    assert code == 2 and out == "" and "has no 'fence_gadget' site" in err
 
 
 # every number-valued flag, with a value other than its default

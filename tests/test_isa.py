@@ -6,8 +6,7 @@ import pytest
 from specsim import isa
 from specsim.isa import (AsmError, Imm, Instruction, Mem, MicroOp, Reg, UopKind,
                          assemble, decode, disassemble, REG_RETTMP, SP)
-from specsim.scenarios import (ALL_MITIGATIONS, BUILDERS, MITIGATION_SITES,
-                               build_scenario)
+from specsim.scenarios import ALL_MITIGATIONS, BUILDERS, build_scenario
 from randprog import random_program
 
 
@@ -236,11 +235,11 @@ def test_split_operands_matches_the_character_walk(monkeypatch):
         texts += operand_texts(monkeypatch, lambda: assemble(src))
     for name in BUILDERS:
         for mitigation in ALL_MITIGATIONS:
-            if (mitigation != "none"
-                    and getattr(MITIGATION_SITES[name], mitigation) is None):
-                continue
-            texts += operand_texts(
-                monkeypatch, lambda: build_scenario(name, mitigation=mitigation))
+            try:
+                texts += operand_texts(
+                    monkeypatch, lambda: build_scenario(name, mitigation=mitigation))
+            except ValueError:          # the scenario has no site for it
+                pass
     assert len(texts) > 20_000 and any("[" in t for t in texts)
     for text in texts:
         assert isa._split_operands(text) == split_by_characters(text), text

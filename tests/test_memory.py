@@ -39,6 +39,17 @@ def test_eleventh_concurrent_miss_is_mshr_full():
     assert mem.mshr_peak == 10
 
 
+def test_next_fill_is_the_earliest_mshr_fill():
+    # an MSHR allocated later in host order may fill first
+    cfg, mem = make_mem()
+    mem.access(0x10000, 100)
+    assert mem.next_fill == min(mem.mshrs.values()) == 100 + cfg.dram_latency_cycles
+    mem.access(0x10000 + LINE, 10)
+    assert mem.next_fill == min(mem.mshrs.values()) == 10 + cfg.dram_latency_cycles
+    mem.tick(mem.next_fill)
+    assert mem.next_fill == min(mem.mshrs.values()) == 100 + cfg.dram_latency_cycles
+
+
 def test_fill_completes_even_without_requester():
     # allocation outlives any squash of the load that asked for it
     cfg, mem = make_mem()

@@ -1,14 +1,18 @@
 import dataclasses
+import hashlib
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import specsim
 from specsim import SimConfig, assemble, run_program, run_reference
 from specsim.lsu import ForwardingPolicy
 from specsim.memory import LINE, MemFault, MemorySystem
 from specsim.scenarios import (ALL_MITIGATIONS, ARR_B, BUILDERS, MATRIX_SCENARIOS,
-                               MITIGATION_SITES, MITIGATIONS, ProbeSpec, Scenario,
-                               build_benign_spill,
+                               MITIGATIONS, ProbeSpec, Scenario,
                                build_gadget_spectre_1_0,
                                build_gadget_spectre_1_1_control,
                                build_scenario, flush_probe, next_pow2,
@@ -23,11 +27,60 @@ CFG = SimConfig()
 ATTACKS = list(MATRIX_SCENARIOS)
 STORE_ATTACKS = ["spectre_1_1_control", "spectre_1_1_data", "spectre_1_2",
                  "ghost", "halo"]
+# sha256[:16] of repr(Scenario) for every bundled scenario x mitigation build
+# and for spectre_1_0's shapes under each mitigation: a change to a victim,
+# its inputs or its mitigation sites shows here
+BUILD_REPR_SHA256 = {
+    ("spectre_1_0", "none", ()): "8b931eb8b64e6644",
+    ("spectre_1_0", "fence", ()): "cf91b697d6509ab4",
+    ("spectre_1_0", "coarse_mask", ()): "3460f183a379433d",
+    ("spectre_1_0", "exact_mask", ()): "f2b5c16991e55318",
+    ("spectre_1_1_control", "none", ()): "27f5940105b20873",
+    ("spectre_1_1_control", "fence", ()): "87323d1d814b4947",
+    ("spectre_1_1_control", "coarse_mask", ()): "8585ced5758822a2",
+    ("spectre_1_1_control", "exact_mask", ()): "ae33d5cdbfdd2618",
+    ("spectre_1_1_control", "fence_gadget", ()): "a71dab776f7f2665",
+    ("spectre_1_1_rop", "none", ()): "f9d90f1affa05479",
+    ("spectre_1_1_rop", "fence", ()): "6f87e86e49d83ece",
+    ("spectre_1_1_rop", "coarse_mask", ()): "fad7beb0fae757c4",
+    ("spectre_1_1_rop", "exact_mask", ()): "92daf97483a42707",
+    ("spectre_1_1_rop", "fence_gadget", ()): "e1676854f3dd2399",
+    ("spectre_1_1_data", "none", ()): "f0d5ccb26f7891f5",
+    ("spectre_1_1_data", "fence", ()): "af149c97a77c3f95",
+    ("spectre_1_1_data", "coarse_mask", ()): "dd2ca8ea570c87df",
+    ("spectre_1_1_data", "exact_mask", ()): "b39d9bde95487bf2",
+    ("spectre_1_2", "none", ()): "c4cfa90c56ddf881",
+    ("spectre_1_2", "fence", ()): "646f990772d967ee",
+    ("spectre_1_2", "coarse_mask", ()): "5157d6de14bb9e7d",
+    ("spectre_1_2", "exact_mask", ()): "f0b5ff3624af0c5b",
+    ("ghost", "none", ()): "c05ad99e8e69b3fa",
+    ("ghost", "fence", ()): "1216baf023714ef5",
+    ("ghost", "coarse_mask", ()): "15c8b0451cbc4c07",
+    ("ghost", "exact_mask", ()): "bfdf40869a1ded06",
+    ("halo", "none", ()): "cfffc579ee6a3e5d",
+    ("halo", "fence", ()): "f21e46a9b670b43b",
+    ("halo", "coarse_mask", ()): "87335ac6d5be8a9b",
+    ("halo", "exact_mask", ()): "702c964ed991a2d2",
+    ("benign_spill", "none", ()): "636ed6023ea10077",
+    ("benign_spill", "fence", ()): "5a4d1b5f5262fe59",
+    ("benign_spill", "coarse_mask", ()): "1981d5af40748f6d",
+    ("benign_spill", "exact_mask", ()): "6991ad33c1b43a82",
+    ("spectre_1_0", "none", (("pad_uops", 3),)): "571c5531f6b1fd73",
+    ("spectre_1_0", "fence", (("pad_uops", 3),)): "b2f709af93caecda",
+    ("spectre_1_0", "coarse_mask", (("pad_uops", 3),)): "23888e0a0058dc38",
+    ("spectre_1_0", "exact_mask", (("pad_uops", 3),)): "0a5dba61c909ca1b",
+    ("spectre_1_0", "none", (("pad_uops", 240),)): "71d9b7acdee08766",
+    ("spectre_1_0", "fence", (("pad_uops", 240),)): "a5a50f8c96645386",
+    ("spectre_1_0", "coarse_mask", (("pad_uops", 240),)): "c14e35ec48e670c5",
+    ("spectre_1_0", "exact_mask", (("pad_uops", 240),)): "80677f9a79ed4852",
+    ("spectre_1_0", "none", (("amplification", 4),)): "d492b57495b9c0a5",
+    ("spectre_1_0", "fence", (("amplification", 4),)): "9e8659c6dab398e6",
+    ("spectre_1_0", "coarse_mask", (("amplification", 4),)): "d8dfa98ad276296f",
+    ("spectre_1_0", "exact_mask", (("amplification", 4),)): "14dc1f694bc21827",
+}
 # every bundled scenario x mitigation build: 34 of them
 BUNDLED_BUILDS = [(name, mitigation)
-                  for name in BUILDERS for mitigation in ALL_MITIGATIONS
-                  if mitigation != "fence_gadget"
-                  or MITIGATION_SITES[name].fence_gadget is not None]
+                  for name, mitigation, kw in BUILD_REPR_SHA256 if not kw]
 
 
 @pytest.mark.parametrize("name", ATTACKS)
@@ -64,7 +117,7 @@ def test_mitigation_matrix_matches_expected(name, mitigation):
 def test_mitigation_without_site_raises(name):
     with pytest.raises(ValueError, match="no 'bogus' site"):
         build_scenario(name, mitigation="bogus")
-    if MITIGATION_SITES[name].fence_gadget is None:
+    if (name, "fence_gadget") not in BUNDLED_BUILDS:
         with pytest.raises(ValueError, match="no 'fence_gadget' site"):
             build_scenario(name, mitigation="fence_gadget")
 
@@ -105,11 +158,11 @@ def test_arctic_learning_soundness():
     # data; under a cold arctic policy nothing forwards, so nothing is learned
     cfg = CFG.replace(forwarding_policy="arctic_sloth")
     pol = ForwardingPolicy("arctic_sloth")
-    run_scenario(build_benign_spill(), cfg, policy=pol)
+    run_scenario(build_scenario("benign_spill"), cfg, policy=pol)
     assert pol.whitelist == set()
     # under baseline, exactly the spill loads are learned
     base_pol = ForwardingPolicy("baseline")
-    s = build_benign_spill()
+    s = build_scenario("benign_spill")
     run_scenario(s, CFG, policy=base_pol)
     spill_pcs = {i.pc for i in s.victim.instructions
                  if i.mnemonic.startswith("ld.") and i.forwardable}
@@ -249,8 +302,8 @@ site:
 
 
 def test_fence_transform_preserves_semantics_and_adds_cycles():
-    plain = build_benign_spill()
-    fenced = build_benign_spill(mitigation="fence")
+    plain = build_scenario("benign_spill")
+    fenced = build_scenario("benign_spill", mitigation="fence")
     r1 = run_scenario(plain, CFG)
     r2 = run_scenario(fenced, CFG)
     assert arch_state(r1.core.arch_regs, r1.core.mem) == \
@@ -589,10 +642,10 @@ benign_reg.r12 = {hex(PROBE)}
 map.0x20000.0x2000 = rw
 flush = 0x10000
 prime.check = not_taken
-expected = attack_succeeds
+leaks = none
 """)
-    s, opts = scenario_from_file(str(sf))
-    assert s.name == "custom_1_0"
+    s = scenario_from_file(str(sf))
+    assert s.name == "custom_1_0" and s.expected == "attack_succeeds"
     r = run_scenario(s, CFG)
     assert r.inferred_secret == 0x5C and r.attack_success is True
 
@@ -725,3 +778,136 @@ def test_a_scenario_run_twice_reports_and_traces_the_same(name, mitigation):
                          collect_trace=True) for _ in range(2)]
     assert runs[0].to_dict() == runs[1].to_dict()
     assert runs[0].trace == runs[1].trace and runs[0].trace
+
+
+def _sha(scenario) -> str:
+    return hashlib.sha256(repr(scenario).encode()).hexdigest()[:16]
+
+
+def test_bundled_builds_match_their_recorded_repr():
+    for (name, mitigation, kw), want in BUILD_REPR_SHA256.items():
+        assert _sha(build_scenario(name, mitigation=mitigation, **dict(kw))) == want, \
+            (name, mitigation, kw)
+    # every other scenario x mitigation has no site
+    for name in BUILDERS:
+        for mitigation in ALL_MITIGATIONS:
+            if (name, mitigation) not in BUNDLED_BUILDS:
+                with pytest.raises(ValueError, match="has no .* site"):
+                    build_scenario(name, mitigation=mitigation)
+
+
+SITED_VICTIM = """
+main:
+    movi r1, 0x10000
+    ld.8 r2, [r1]
+site:
+    add r3, r2, r4
+    halt
+tail:
+    halt
+.data 0x10000 rw 10 00 00 00 00 00 00 00
+"""
+
+
+def _sited_file(tmp_path, lines: str):
+    (tmp_path / "victim.asm").write_text(SITED_VICTIM)
+    sf = tmp_path / "sited.scenario"
+    sf.write_text("name = sited\nprogram = victim.asm\n" + lines)
+    return str(sf)
+
+
+def test_scenario_file_labels_resolve_against_the_mitigated_victim(tmp_path):
+    path = _sited_file(tmp_path, "reg.r5 = @tail\nbenign_reg.r5 = @tail+4\n"
+                                 "mem.0x10008.8 = @site+0x10\nprime.site = taken\n"
+                                 "site.fence = site\n")
+    plain = scenario_from_file(path)
+    fenced = scenario_from_file(path, mitigation="fence")
+    for s, tail in ((plain, 16), (fenced, 20)):
+        assert s.victim.labels["tail"] == tail
+        assert s.attack_regs == {5: tail} and s.benign_regs == {5: tail + 4}
+        assert s.attack_mem == [(0x10008, 8, s.victim.labels["site"] + 0x10)]
+        assert s.prime_branches == [(s.victim.labels["site"], True)]
+    assert fenced.name == "sited+fence"
+    assert fenced.victim.instructions[2].mnemonic == "fence"
+
+
+def test_scenario_file_sites_and_leaks(tmp_path):
+    path = _sited_file(tmp_path, "site.coarse_mask = unchanged\n"
+                                 "site.exact_mask = site, r4, r2\nleaks = none, coarse_mask\n")
+    plain = scenario_from_file(path)
+    coarse = scenario_from_file(path, mitigation="coarse_mask")
+    exact = scenario_from_file(path, mitigation="exact_mask")
+    assert coarse.victim == plain.victim and coarse.name == "sited+coarse_mask"
+    assert len(exact.victim.instructions) == len(plain.victim.instructions) + 5
+    assert [s.expected for s in (plain, coarse, exact)] == \
+        ["attack_succeeds", "attack_succeeds", "attack_fails"]
+    with pytest.raises(ValueError, match=r"scenario 'sited' has no 'fence' site "
+                                         r"\(accepts: none, coarse_mask, exact_mask\)"):
+        scenario_from_file(path, mitigation="fence")
+
+
+def test_scenario_file_without_sites_or_leaks_keeps_the_defaults(tmp_path):
+    path = _sited_file(tmp_path, "")
+    s = scenario_from_file(path)
+    assert s.expected == Scenario("x", s.victim).expected
+    with pytest.raises(ValueError, match=r"has no 'coarse_mask' site \(accepts: none\)"):
+        scenario_from_file(path, mitigation="coarse_mask")
+
+
+def test_scenario_file_program_is_found_next_to_the_file(tmp_path, monkeypatch):
+    path = _sited_file(tmp_path, "")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert scenario_from_file(path).victim == assemble(SITED_VICTIM)
+
+
+@pytest.mark.parametrize("line,error", [
+    ("site.coarse_mask = site, r4", "expected unchanged or LABEL, rINDEX, REGION_SIZE"),
+    ("site.exact_mask = site, r4, 3", "registers are r0 to r31"),
+    ("site.exact_mask = site, r40, r2", "registers are r0 to r31"),
+    ("site.none = site", "unknown key 'site.none'"),
+    ("site = site", "unknown key 'site'"),
+    ("leaks = none, bogus", "unknown mitigation 'bogus'"),
+    ("reg.r5 = @tail+x", "reg.r5: invalid literal"),
+    ("expected = attack_succeeds", "unknown key 'expected'")])
+def test_scenario_file_rejects_a_bad_site_or_leak(tmp_path, line, error):
+    with pytest.raises(ValueError, match=error):
+        scenario_from_file(_sited_file(tmp_path, line + "\n"))
+
+
+@pytest.mark.parametrize("line", ["reg.r5 = @nowhere", "benign_mem.0x10008.8 = @nowhere+8",
+                                  "prime.nowhere = taken"])
+def test_scenario_file_label_not_in_the_program_raises(tmp_path, line):
+    with pytest.raises(ValueError, match="no label 'nowhere' in its program"):
+        scenario_from_file(_sited_file(tmp_path, line + "\n"))
+
+
+def test_secret_is_planted_only_where_a_probe_receives_it(tmp_path):
+    path = _sited_file(tmp_path, "secret_value = 9\n")
+    assert scenario_from_file(path).secret_value == 9
+    with pytest.raises(TypeError, match="no probe"):
+        scenario_from_file(path, secret=7)
+    probed = _sited_file(tmp_path, f"secret_value = 9\nprobe_base = {hex(PROBE)}\n")
+    assert scenario_from_file(probed, secret=7).secret_value == 7
+    with pytest.raises(TypeError, match="no probe"):
+        build_scenario("benign_spill", secret=7)
+
+
+def test_bundled_files_are_read_once_and_not_at_import():
+    code = """
+import specsim.scenarios as sc
+assert sc._bundled_file.cache_info().currsize == 0
+reads = []
+read_file = sc._read_file
+sc._read_file = lambda *args: reads.append(args[1]) or read_file(*args)
+for mitigation in sc.MITIGATIONS:
+    for secret in (1, 2):
+        sc.build_scenario("ghost", mitigation=mitigation, secret=secret)
+sc.build_scenario("halo")
+assert reads == ["ghost.scenario", "halo.scenario"], reads
+"""
+    src = str(Path(specsim.__file__).resolve().parent.parent)
+    r = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
