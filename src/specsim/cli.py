@@ -30,12 +30,6 @@ from .scenarios import (ALL_MITIGATIONS, BUILDERS, MATRIX_SCENARIOS, MITIGATIONS
 
 _CONFIG_FIELDS = [f.name for f in fields(SimConfig)]
 
-_MITIGATION_HELP = ("software mitigation, applied at the site the scenario names "
-                    "(a scenario file's site.* keys); only spectre_1_1_control and "
-                    "spectre_1_1_rop accept fence_gadget, and the masks leave "
-                    "ghost and benign_spill unchanged")
-
-
 class _CliError(Exception):
     def __init__(self, code: int, msg: str):
         super().__init__(msg)
@@ -230,7 +224,8 @@ def main(argv=None) -> int:
     one.add_argument("scenario", nargs="?")
     one.add_argument("--scenario-file")
     one.add_argument("--mitigation", default="none", choices=ALL_MITIGATIONS,
-                     help=_MITIGATION_HELP)
+                     help="software mitigation, inserted at the site the scenario "
+                          "names (a scenario file's site.* keys)")
     one.add_argument("--secret", type=parse_int)
     one.add_argument("--amplification", type=parse_int,
                      help="probe lines per secret value (spectre_1_0)")

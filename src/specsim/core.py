@@ -91,6 +91,10 @@ class Core:
     def __init__(self, program: Program, cfg: SimConfig, mem: MemorySystem,
                  pred: PredictorState, policy: ForwardingPolicy,
                  trace: Optional[list] = None, start_cycle: int = 0):
+        # the report's config digest names cfg's policy: the LSU must obey it
+        if policy.variant != cfg.forwarding_policy:
+            raise ValueError(f"forwarding policy {policy.variant!r} does not match "
+                             f"the config's forwarding_policy {cfg.forwarding_policy!r}")
         self.program = program
         self.cfg = cfg
         self.mem = mem
@@ -109,7 +113,7 @@ class Core:
         self.rename: Dict[int, ROBEntry] = {}
         self.arch_regs: List[int] = [0] * NUM_REGS
         self.live_tags: List[int] = []       # unresolved branch seqs, oldest first
-        self.sb = StoreBuffer(cfg.sb_capacity)
+        self.sb = StoreBuffer()
         self.fetch_pc: Optional[int] = 0
         self.start_cycle = start_cycle
         self.cycle = start_cycle
@@ -460,7 +464,7 @@ class Core:
         sb = self.sb
         width = self.cfg.issue_width
         rob_room = self.cfg.rob_capacity - len(rob)
-        sb_room = sb.capacity - len(sb.entries)
+        sb_room = self.cfg.sb_capacity - len(sb.entries)
         seq = self.seq_counter
         dispatched = 0
         n_instructions = len(decoded)

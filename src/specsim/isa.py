@@ -196,6 +196,10 @@ class Program:
     instructions: List[Instruction] = field(default_factory=list)
     labels: Dict[str, int] = field(default_factory=dict)
     data: List[DataSegment] = field(default_factory=list)
+    # instruction index -> positions of its operands written as a label name,
+    # which `disassemble` prints as a label again; not compared or printed
+    label_operands: Dict[int, Tuple[int, ...]] = field(
+        default_factory=dict, compare=False, repr=False)
     # per instruction (micro-ops, needs a store-buffer slot), filled by the
     # first Core to run it; not compared, printed or kept by `replace`
     decoded: Optional[List[Tuple[List[MicroOp], bool]]] = field(
@@ -367,16 +371,17 @@ def assemble(source: str) -> Program:
     # second pass: operands, with labels now known; a text is parsed once per
     # signature, so an error is raised at the first line that has it
     instructions: List[Instruction] = []
-    parsed: Dict[Tuple[str, str], Tuple] = {}   # (signature, text) -> operands
+    label_operands: Dict[int, Tuple[int, ...]] = {}
+    parsed: Dict[Tuple[str, str], Tuple] = {}   # (signature, text) -> (operands, named)
     for idx, (lineno, col, mnem, forwardable, rest, rcol) in enumerate(pending):
         sig = _SIGNATURES[mnem]
-        operands = parsed.get((sig, rest))
-        if operands is None:
+        memo = parsed.get((sig, rest))
+        if memo is None:
             toks = _split_operands(rest)
             if len(toks) != len(sig):
                 raise AsmError(f"{mnem} expects {len(sig)} operand(s), got {len(toks)}",
                                lineno, col)
-            ops = []
+            ops, named = [], []         # named: positions of operands written as labels
             for code, (tok, tcol) in zip(sig, toks):
                 tcol = rcol + rest.find(tok, tcol)   # its piece may start blank
                 if code == "r":
@@ -394,13 +399,16 @@ def assemble(source: str) -> Program:
                 elif (tok[0].isalpha() or tok[0] == "_") and _IDENT_RE.match(tok):
                     if tok not in labels:
                         raise AsmError(f"undefined label {tok!r}", lineno, tcol)
+                    named.append(len(ops))
                     ops.append(Imm(labels[tok]))
                 elif code == "l":
                     raise AsmError(f"expected label, got {tok!r}", lineno, tcol)
                 else:
                     ops.append(Imm(_parse_int(tok, lineno, tcol)))
-            operands = parsed[sig, rest] = tuple(ops)
-        instructions.append(Instruction(idx * 4, mnem, operands, forwardable))
+            memo = parsed[sig, rest] = tuple(ops), tuple(named)
+        if memo[1]:
+            label_operands[idx] = memo[1]
+        instructions.append(Instruction(idx * 4, mnem, memo[0], forwardable))
 
     # trailing labels point one past the last instruction; that is allowed only
     # if nothing jumps there, which label resolution above already guarantees.
@@ -408,7 +416,7 @@ def assemble(source: str) -> Program:
     for a, b in zip(segs, segs[1:]):
         if a.addr + max(len(a.data), 1) > b.addr:
             raise AsmError(f"data segments at {hex(a.addr)} and {hex(b.addr)} overlap", 0)
-    return Program(instructions, labels, segments)
+    return Program(instructions, labels, segments, label_operands)
 
 
 def decode(instr: Instruction) -> List[MicroOp]:
@@ -468,16 +476,16 @@ def disassemble(program: Program) -> str:
     for seg in program.data:
         body = " ".join(f"{b:02x}" for b in seg.data)
         lines.append(f".data {hex(seg.addr)} {seg.perm} {body}".rstrip())
-    for instr in program.instructions:
+    for idx, instr in enumerate(program.instructions):
         for name in by_pc.get(instr.pc, []):
             lines.append(f"{name}:")
         mnem = instr.mnemonic + ("!" if instr.forwardable else "")
         if instr.operands:
-            # code targets and movi immediates print as a label at their value
-            rendered = [by_pc[op.value][0]
-                        if (code == "l" or code == "i" and instr.mnemonic == "movi")
-                        and op.value in by_pc else str(op)
-                        for code, op in zip(_SIGNATURES[instr.mnemonic], instr.operands)]
+            # an operand written as a label prints as a label at its value, so
+            # it moves with that label when the text is edited and reassembled
+            named = program.label_operands.get(idx, ())
+            rendered = [by_pc[op.value][0] if i in named else str(op)
+                        for i, op in enumerate(instr.operands)]
             lines.append(f"    {mnem} " + ", ".join(rendered))
         else:
             lines.append(f"    {mnem}")

@@ -87,21 +87,15 @@ MEMORY = ForwardDecision("memory")
 
 class StoreBuffer:
     """Entries in seq order. Stores seniorize as they retire, in order, so
-    the senior entries are a prefix and the oldest drainable one is the head."""
+    the senior entries are a prefix and the oldest drainable one is the head.
+    Fetch checks for room (`sb_capacity`) before it inserts: a full buffer
+    stalls fetch."""
 
-    def __init__(self, capacity: int):
-        self.capacity = capacity
+    def __init__(self):
         self.entries: List[StoreBufferEntry] = []   # ordered by seq
 
-    def __len__(self):
-        return len(self.entries)
-
-    def insert(self, entry: StoreBufferEntry) -> bool:
-        """False signals a structural stall: dispatch must retry next cycle."""
-        if len(self.entries) >= self.capacity:
-            return False
+    def insert(self, entry: StoreBufferEntry) -> None:
         self.entries.append(entry)
-        return True
 
     def squash_younger(self, seq: int) -> None:
         """Drop non-senior entries younger than seq."""

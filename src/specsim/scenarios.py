@@ -1,6 +1,6 @@
 """Attack and mitigation library: victim gadgets (bounds-check bypass on loads
-and stores, read-only overwrite, ghost and halo writes), program transforms for
-the software mitigations, the flush+reload receiver, and the scenario runner.
+and stores, read-only overwrite, ghost and halo writes), the code the software
+mitigations insert, the flush+reload receiver, and the scenario runner.
 
 A scenario bundles a victim program with attacker inputs, a planted secret,
 priming instructions, and a probe layout. Running it follows the classic
@@ -37,7 +37,7 @@ from functools import lru_cache, partial
 from importlib import resources
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .config import RunReport, SimConfig, parse_int, read_key_values
 from .core import run_program
@@ -69,47 +69,37 @@ def next_pow2(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# program transforms
+# software mitigations: the code each one inserts at its site
 # ---------------------------------------------------------------------------
 
-def _insert_at_label(p: Program, label: str, new_lines: List[str]) -> Program:
-    """Insert instructions at the position `label` names: after that
+# a speculation fence: control transfers to its site meet the fence first
+FENCE = ("fence",)
+
+
+def coarse_mask(index_reg: int, region_size: int) -> Tuple[str, ...]:
+    """Bound index_reg by the next power of two of the region size."""
+    return (f"andi r{index_reg}, r{index_reg}, {hex(next_pow2(region_size) - 1)}",)
+
+
+def exact_mask(index_reg: int, bound_reg: int) -> Tuple[str, ...]:
+    """Branch-free data-dependent truncation: index becomes 0 whenever it is
+    not below the bound, even on speculative paths. Clobbers r25 and r26."""
+    return ("movi r25, 0", "subi r26, r25, 1", f"cmp r{index_reg}, r{bound_reg}",
+            "csel.b r26, r26, r25", f"and r{index_reg}, r{index_reg}, r26")
+
+
+def insert_at_label(p: Program, label: str, code: Sequence[str]) -> Program:
+    """Insert the lines `code` at the position `label` names: after that
     position's label lines in the printed program, which `assemble` rebuilds,
-    moving later labels and the operands that name them."""
+    moving later labels and the operands written as their names."""
     if label not in p.labels:
         raise ValueError(f"unknown label {label!r}")
     lines = disassemble(p).splitlines()
     at = lines.index(f"{label}:")
     while at < len(lines) and lines[at].endswith(":"):
         at += 1
-    lines[at:at] = new_lines
+    lines[at:at] = code
     return assemble("\n".join(lines))
-
-
-def transform_insert_fence(p: Program, after: str) -> Program:
-    """Place a speculation fence at the position named by `after`. Control
-    transfers to that label now meet the fence first."""
-    return _insert_at_label(p, after, ["fence"])
-
-
-def transform_coarse_mask(p: Program, index_reg: int, region_size: int,
-                          at: str) -> Program:
-    """Bound index_reg by the next power of two of the region size."""
-    mask = next_pow2(region_size) - 1
-    return _insert_at_label(p, at, [f"andi r{index_reg}, r{index_reg}, {hex(mask)}"])
-
-
-def transform_exact_mask(p: Program, index_reg: int, bound_reg: int, at: str) -> Program:
-    """Branch-free data-dependent truncation: index becomes 0 whenever it is
-    not below the bound, even on speculative paths. Clobbers r25 and r26."""
-    seq = [
-        "movi r25, 0",
-        "subi r26, r25, 1",
-        f"cmp r{index_reg}, r{bound_reg}",
-        "csel.b r26, r26, r25",
-        f"and r{index_reg}, r{index_reg}, r26",
-    ]
-    return _insert_at_label(p, at, seq)
 
 
 # ---------------------------------------------------------------------------
@@ -307,39 +297,17 @@ _COMMON_REGIONS = [
 ]
 
 
-NO_INDEX = ()    # a mask site for a victim with no index to mask: it runs unchanged
-
-
 @dataclass(frozen=True)
 class MitigationSites:
-    """Where each software mitigation goes in one victim, and under which
-    mitigations its attack still leaks.
-
-    fence and fence_gadget name the label a fence goes before. coarse_mask is
-    (label, index_reg, region_size) and exact_mask (label, index_reg,
-    bound_reg), or NO_INDEX. A site left None is no site: that mitigation is
-    rejected."""
-    fence: Optional[str] = None
+    """Where each software mitigation goes in one victim, as (label, code),
+    and under which mitigations its attack still leaks. Empty code leaves the
+    victim unchanged (it has no index to mask); a site left None is no site:
+    that mitigation is rejected."""
+    fence: Optional[tuple] = None
     coarse_mask: Optional[tuple] = None
     exact_mask: Optional[tuple] = None
-    fence_gadget: Optional[str] = None
+    fence_gadget: Optional[tuple] = None
     leaks: Tuple[str, ...] = ()
-
-
-def apply_mitigation(p: Program, sites: MitigationSites, mitigation: str) -> Program:
-    """`p` with `mitigation` applied at its site in `sites`, which must have
-    one; "none" and a NO_INDEX mask return `p` itself."""
-    if mitigation == "none":
-        return p
-    site = getattr(sites, mitigation)
-    if mitigation in ("fence", "fence_gadget"):
-        return transform_insert_fence(p, site)
-    if site == NO_INDEX:
-        return p
-    label, index_reg, bound = site
-    transform = (transform_coarse_mask if mitigation == "coarse_mask"
-                 else transform_exact_mask)
-    return transform(p, index_reg, bound, label)
 
 
 @lru_cache(maxsize=64)      # all 34 bundled victims fit; each is shared: never mutate it
@@ -354,13 +322,15 @@ def _victim(name: str, src: str, sites: MitigationSites,
         raise ValueError(f"scenario {name!r} has no {mitigation!r} site "
                          f"(accepts: {', '.join(accepted)})")
     expected = "attack_succeeds" if mitigation in sites.leaks else "attack_fails"
-    return (apply_mitigation(assemble(src), sites, mitigation),
+    label, code = getattr(sites, mitigation, (None, ()))    # "none" inserts nothing
+    p = assemble(src)
+    return (insert_at_label(p, label, code) if code else p,
             name if mitigation == "none" else f"{name}+{mitigation}", expected)
 
 
 _SPECTRE_1_0_SITES = MitigationSites(
-    fence="body", coarse_mask=("body", 10, 4096), exact_mask=("body", 10, 2),
-    leaks=("none",))
+    fence=("body", FENCE), coarse_mask=("body", coarse_mask(10, 4096)),
+    exact_mask=("body", exact_mask(10, 2)), leaks=("none",))
 
 
 def build_gadget_spectre_1_0(secret: int = 0x2A, mitigation: str = "none",
@@ -412,9 +382,10 @@ done:
 
 
 _CONTROL_SITES = MitigationSites(
-    fence="vstore", coarse_mask=("vstore", 10, 0x20000), exact_mask=("vstore", 10, 2),
-    fence_gadget="gbody", leaks=("none", "coarse_mask", "fence_gadget"))
-_ROP_SITES = replace(_CONTROL_SITES, fence_gadget="g1")
+    fence=("vstore", FENCE), coarse_mask=("vstore", coarse_mask(10, 0x20000)),
+    exact_mask=("vstore", exact_mask(10, 2)), fence_gadget=("gbody", FENCE),
+    leaks=("none", "coarse_mask", "fence_gadget"))
+_ROP_SITES = replace(_CONTROL_SITES, fence_gadget=("g1", FENCE))
 
 
 def build_gadget_spectre_1_1_control(secret: int = 0x2A, mitigation: str = "none",
@@ -473,8 +444,8 @@ vret:
     sites = _ROP_SITES if rop else _CONTROL_SITES
     p, name, expected = _victim(
         "spectre_1_1_rop" if rop else "spectre_1_1_control", src, sites, mitigation)
-    entry_label = sites.fence_gadget                        # the gadget's entry
-    entry_bump = 4 if mitigation == "fence_gadget" else 0   # jump over the fence
+    entry_label, fence = sites.fence_gadget                 # the gadget's entry
+    entry_bump = 4 * len(fence) if mitigation == "fence_gadget" else 0  # jump over it
 
     ret_slot = SP0 - 8
     y_attack = ret_slot - ARR_C
@@ -525,18 +496,21 @@ _MASK_SHAPES = {"coarse_mask": "LABEL, rINDEX, REGION_SIZE",
                 "exact_mask": "LABEL, rINDEX, rBOUND"}
 
 
-def _site(mitigation: str, text: str):
-    """A site.MITIGATION value: a label for a fence, NO_INDEX or (label,
-    index_reg, region_size or bound_reg) for a mask."""
+def _site(mitigation: str, text: str) -> tuple:
+    """A site.MITIGATION value as (label, the code inserted there): a fence's
+    label, or a mask's unchanged or label, index register and region size or
+    bound register."""
     if mitigation not in _MASK_SHAPES:
-        return text
+        return text, FENCE
     if text == "unchanged":
-        return NO_INDEX
+        return None, ()
     parts = [part.strip() for part in text.split(",")]
     if len(parts) != 3:
         raise ValueError(f"expected unchanged or {_MASK_SHAPES[mitigation]}")
     label, index, bound = parts
-    return label, _reg(index), _reg(bound) if mitigation == "exact_mask" else parse_int(bound)
+    if mitigation == "exact_mask":
+        return label, exact_mask(_reg(index), _reg(bound))
+    return label, coarse_mask(_reg(index), parse_int(bound))
 
 
 _FILE_SCALARS = {

@@ -93,6 +93,20 @@ MUTANTS = (
            "labels = assemble(src).labels",
            ("tests/test_scenarios.py::test_bundled_builds_match_their_recorded_repr",
             "tests/test_perfbench_smoke.py::test_traced_benchmark_matches_golden[matrix]")),
+    Mutant("printer_labels_every_immediate_at_a_label", "src/specsim/isa.py",
+           "if i in named else str(op)",
+           "if i in named or type(op) is Imm and op.value in by_pc else str(op)",
+           ("tests/test_scenarios.py::test_insertion_moves_only_operands_written_as_labels",)),
+    Mutant("policy_may_contradict_the_config", "src/specsim/core.py",
+           "if policy.variant != cfg.forwarding_policy:", "if False:",
+           ("tests/test_scenarios.py::test_a_policy_that_contradicts_the_config_is_rejected",)),
+    Mutant("split_test_reads_cached_victims", "tests/test_isa.py",
+           "scenarios._victim.cache_clear()     # so this build assembles again", "pass",
+           ("tests/test_isa.py::test_split_operands_matches_the_character_walk",)),
+    Mutant("fetch_ignores_store_buffer_capacity", "src/specsim/core.py",
+           "if not sb_room:", "if False:",
+           ("tests/test_core.py::"
+            "test_fetch_fills_the_store_buffer_to_its_capacity_and_no_further",)),
 )
 
 

@@ -16,7 +16,7 @@ from specsim.scenarios import (MATRIX_SCENARIOS,
                                build_gadget_spectre_1_0,
                                build_gadget_spectre_1_1_control,
                                build_scenario, no_attack_state, run_scenario,
-                               transform_exact_mask, warm_whitelist)
+                               warm_whitelist)
 from specsim.reference import arch_state
 from randprog import random_program, STACK_TOP
 

@@ -348,6 +348,24 @@ def test_sb_capacity_stalls_dispatch_not_correctness():
         assert r.core.mem.read_int(0x10000 + 8 * i, 8) == 5
 
 
+def test_fetch_fills_the_store_buffer_to_its_capacity_and_no_further():
+    stores = "\n".join(f"    st.8 r1, [r2+{8 * i}]" for i in range(12))
+    p = assemble(f"main:\n    movi r1, 5\n    movi r2, 0x10000\n{stores}\n    halt\n"
+                 ".data 0x10000 rw 00\n")
+    cfg = FAST.replace(sb_capacity=2)
+    mem = MemorySystem(cfg)
+    mem.load_program_data(p)
+    core = Core(p, cfg, mem, PredictorState(cfg.bht_size, cfg.rsb_depth),
+                ForwardingPolicy("baseline"))
+    peak = 0
+    for _ in range(10000):
+        if core.halted or core.fault is not None:
+            break
+        core.step()
+        peak = max(peak, len(core.sb.entries))
+    assert core.halted and peak == 2
+
+
 # -- decode once per Program --------------------------------------------------
 
 def test_program_is_decoded_once_across_policies(monkeypatch):

@@ -15,8 +15,8 @@ def entry(seq, addr=None, size=8, data=None, senior=False, forwardable=False,
                             write_fault=write_fault)
 
 
-def sb_with(*entries, capacity=56):
-    sb = StoreBuffer(capacity)
+def sb_with(*entries):
+    sb = StoreBuffer()
     for e in entries:
         sb.insert(e)
     return sb
@@ -186,14 +186,6 @@ def test_drain_acts_on_the_head():
     assert sb.entries[0] is second and sb.oldest_drainable() is second
     sb.drop()
     assert [e.seq for e in sb.entries] == [6] and sb.oldest_drainable() is None
-
-
-def test_capacity_stall_at_fifty_seventh():
-    sb = StoreBuffer(56)
-    for i in range(56):
-        assert sb.insert(StoreBufferEntry(i, 8))
-    assert not sb.insert(StoreBufferEntry(99, 8))
-    assert len(sb) == 56
 
 
 def drainable_at_retire(src):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,11 +16,11 @@ from specsim.scenarios import (ALL_MITIGATIONS, ARR_B, BUILDERS, MATRIX_SCENARIO
                                MITIGATIONS, ProbeSpec, Scenario,
                                build_gadget_spectre_1_0,
                                build_gadget_spectre_1_1_control,
-                               build_scenario, flush_probe, next_pow2,
+                               FENCE, build_scenario, coarse_mask, exact_mask,
+                               flush_probe, insert_at_label, next_pow2,
                                no_attack_state, probe_receive, run_scenario,
-                               scenario_from_file, transform_coarse_mask,
-                               transform_exact_mask, transform_insert_fence,
-                               warm_whitelist, PROBE, SECRET_ADDR)
+                               scenario_from_file, warm_whitelist, PROBE,
+                               SECRET_ADDR)
 from specsim.reference import arch_state
 
 CFG = SimConfig()
@@ -266,7 +267,20 @@ def test_architectural_cleanliness():
         assert got == no_attack_state(s, cfg), (name, policy)
 
 
-# -- transforms -------------------------------------------------------------
+def test_a_policy_that_contradicts_the_config_is_rejected():
+    # the report's config digest names cfg's policy, so the LSU may obey no other
+    with pytest.raises(ValueError, match="forwarding policy 'slothbear_stores' does "
+                                         "not match the config's forwarding_policy "
+                                         "'baseline'"):
+        run_scenario(build_scenario("spectre_1_1_data"), CFG,
+                     policy=ForwardingPolicy("slothbear_stores"))
+    with pytest.raises(ValueError, match="'baseline' does not match .* 'arctic_sloth'"):
+        run_program(assemble("main:\n    halt\n"),
+                    CFG.replace(forwarding_policy="arctic_sloth"),
+                    policy=ForwardingPolicy())
+
+
+# -- mitigation code and its insertion -----------------------------------------
 
 def test_next_pow2_values():
     assert next_pow2(4096) == 4096
@@ -277,10 +291,10 @@ def test_next_pow2_values():
 def test_coarse_mask_inserts_and_of_next_pow2():
     p = assemble("main:\n    movi r1, 0\nsite:\n    ld.8 r2, [r1]\n    halt\n"
                  ".data 0 rw 00\n")
-    t1 = transform_coarse_mask(p, 1, 4096, "site")
+    t1 = insert_at_label(p, "site", coarse_mask(1, 4096))
     assert t1.instructions[1].mnemonic == "andi"
     assert t1.instructions[1].operands[2].value == 0xFFF
-    t2 = transform_coarse_mask(p, 1, 5000, "site")
+    t2 = insert_at_label(p, "site", coarse_mask(1, 5000))
     assert t2.instructions[1].operands[2].value == 0x1FFF
 
 
@@ -295,7 +309,7 @@ site:
     mov r3, r1
     halt
 """
-    p = transform_exact_mask(assemble(src), 1, 2, "site")
+    p = insert_at_label(assemble(src), "site", exact_mask(1, 2))
     ref = run_reference(p, CFG)
     assert ref.fault is None
     assert ref.regs[3] == want
@@ -337,17 +351,30 @@ site:
 tail:
     halt
 """)
-    got = transform_insert_fence(p, "site")
+    got = insert_at_label(p, "site", FENCE)
     assert got == want
     assert got.labels == {"main": 0, "site": 16, "tail": 24}
     assert got.instructions[0].operands[1].value == 24
     assert got.instructions[2].operands[2].value == 20
 
 
+def test_insertion_moves_only_operands_written_as_labels():
+    # `movi r1, 12` equals tail's address but names no label: it must stay;
+    # `addi r3, r3, tail` names one in a non-movi immediate: it must move
+    p = assemble("main:\n    movi r1, 12\n    movi r2, 0x10\nsite:\n"
+                 "    ld.8 r2, [r1]\ntail:\n    halt\n    addi r3, r3, tail\n")
+    assert p.labels["tail"] == 12
+    got = insert_at_label(p, "site", FENCE)
+    assert got.labels["tail"] == 16
+    assert [ins.mnemonic for ins in got.instructions] == [
+        "movi", "movi", "fence", "ld.8", "halt", "addi"]
+    assert [got.instructions[i].operands[-1].value for i in (0, 1, 5)] == [12, 0x10, 16]
+
+
 def test_transform_unknown_label():
     p = assemble("main:\n    halt\n")
     with pytest.raises(ValueError, match="unknown label"):
-        transform_insert_fence(p, "nowhere")
+        insert_at_label(p, "nowhere", FENCE)
 
 
 # -- receiver ---------------------------------------------------------------
@@ -874,6 +901,15 @@ def test_scenario_file_program_is_found_next_to_the_file(tmp_path, monkeypatch):
 def test_scenario_file_rejects_a_bad_site_or_leak(tmp_path, line, error):
     with pytest.raises(ValueError, match=error):
         scenario_from_file(_sited_file(tmp_path, line + "\n"))
+
+
+def test_scenario_file_rejects_a_malformed_mask_when_read(tmp_path):
+    # the mask's code is built as the file is read, so a bad region size is
+    # reported with the file, line and key even when no mask is asked for
+    path = _sited_file(tmp_path, "site.coarse_mask = L, r1, 0\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:3: site.coarse_mask: region size must be positive")):
+        scenario_from_file(path)
 
 
 @pytest.mark.parametrize("line", ["reg.r5 = @nowhere", "benign_mem.0x10008.8 = @nowhere+8",
