@@ -33,18 +33,31 @@ A ROB entry holds its operands' producers and a store's store-buffer entry by
 reference. The producer links are dropped when the operands are read at issue
 and on a squash, so no chain of retired entries stays alive and no reference
 cycle is left for the garbage collector.
+
+The forwarding policy enters the core only at the allows test of
+`forward_decision` and in `ForwardingPolicy.learn`, so runs of one program
+under different policies are identical up to the first load whose allows
+answer differs. `run_program` called with fresh state runs them as one: the
+policy carries as peers the policies that have not been asked for yet. At a
+load where some peers answer differently, the issue stage files a `Snapshot`
+for them on the `Program` and goes on with the rest; peers that never split
+off get a snapshot of the end state. A later call for one of them resumes
+its snapshot instead of running the shared prefix again. A lone call pays for
+its snapshots, at most four of about a tenth of a millisecond each, and
+leaves them on the program.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Dict, List, Optional
 
 from .config import RunReport, SimConfig, TraceEvent
 from .isa import MASK64, NUM_REGS, MicroOp, Program, UopKind, decode
-from .lsu import ForwardingPolicy, StoreBuffer, StoreBufferEntry, forward_decision
+from .lsu import (FORWARDING_POLICIES, ForwardDecision, ForwardingPolicy, StoreBuffer,
+                  StoreBufferEntry, forward_decision)
 from .memory import MemorySystem
 from .predictors import (PredictorState, predict_branch, rsb_pop, rsb_push,
                          train_branch)
@@ -101,6 +114,9 @@ class Core:
         self.pred = pred
         self.policy = policy
         self.trace = trace
+        self.trace_start = 0 if trace is None else len(trace)   # where this run's events begin
+        # policy variant -> the snapshot its run resumes, for the policy's peers
+        self.forks: Optional[Dict[str, Snapshot]] = None
         if program.decoded is None:         # per instruction: (uops, needs_sb)
             program.decoded = [(uops, uops[0].kind in (STA, CALL))
                                for uops in map(decode, program.instructions)]
@@ -202,15 +218,21 @@ class Core:
 
     # -- memory micro-ops ----------------------------------------------------------
 
-    def _attempt_load(self, entry: ROBEntry) -> None:
+    def _attempt_load(self, entry: ROBEntry,
+                      decision: Optional[ForwardDecision] = None) -> Optional[ForwardDecision]:
         """Forward, access memory, or leave the load WAITING to retry next
-        cycle. A retry that stays WAITING changes no state."""
+        cycle, as `decision` (by default the LSU's) says. A retry that stays
+        WAITING changes no state. A decision that splits the policy's peers
+        is returned unapplied, for the issue stage to fork on."""
         uop = entry.uop
-        live_tags = self.live_tags
-        decision = forward_decision(entry.seq, entry.addr, uop.size,
-                                    bool(live_tags) and live_tags[0] < entry.seq,
-                                    uop.parent_pc, uop.forwardable, self.sb,
-                                    self.policy, self.cfg.tlb_enforcement)
+        if decision is None:
+            live_tags = self.live_tags
+            decision = forward_decision(entry.seq, entry.addr, uop.size,
+                                        bool(live_tags) and live_tags[0] < entry.seq,
+                                        uop.parent_pc, uop.forwardable, self.sb,
+                                        self.policy, self.cfg.tlb_enforcement)
+            if decision.split:
+                return decision
         kind = decision.kind
         if kind == "forward" or kind == "forward_zero":
             self.progress = True
@@ -227,7 +249,7 @@ class Core:
             res = self.mem.access(entry.addr, self.cycle)
             if res.status == "mshr_full":
                 entry.status = WAITING          # retry next cycle
-                return
+                return None
             self.progress = True
             if res.mshr_allocated and self.trace is not None:
                 self._ev("mshr_alloc", entry.seq, uop.parent_pc,
@@ -237,6 +259,22 @@ class Core:
             self.executing.setdefault(entry.done_cycle, []).append(entry)
         else:
             entry.status = WAITING
+        return None
+
+    def _fork(self, entry: ROBEntry, decision: ForwardDecision, issued: int,
+              loads: int, stds: int, branches: int) -> None:
+        """Some peers answer the allows test of `entry`, a load being issued,
+        the other way: file one snapshot for them, taken before the load
+        takes a decision and holding the issue loop's place and counts, then
+        go on with the rest and apply the running policy's decision."""
+        split = decision.split
+        after = bisect_right(self.ready, entry.seq, key=_seq)
+        snapshot = Snapshot(self, split, (decision.other,
+                                          (after, issued, loads, stds, branches)))
+        for peer in split:
+            self.forks[peer.variant] = snapshot
+        self.policy.peers = tuple(p for p in self.policy.peers if p not in split)
+        self._attempt_load(entry, decision)
 
     # -- one pipeline stage each ------------------------------------------------------
 
@@ -355,8 +393,8 @@ class Core:
 
     def _begin_execution(self, entry: ROBEntry, vals: List[int]) -> bool:
         """Issue's work for every kind but ALU and CMP. True when the micro-op
-        is a load handed to `_attempt_load`, which sets its status; any other
-        starts a one-cycle execution."""
+        is a load for `_attempt_load`, which sets its status; any other starts
+        a one-cycle execution."""
         uop = entry.uop
         kind = uop.kind
         if kind is CSEL:
@@ -371,7 +409,6 @@ class Core:
             if uop.dst2 is not None:                      # ret: bump sp
                 entry.result2 = (addr + 8) & MASK64
             if self.mem.permits(addr, write=False):
-                self._attempt_load(entry)
                 return True
             entry.fault = f"unmapped_load pc={uop.parent_pc:#x} addr={addr:#x}"
             entry.result = 0
@@ -387,15 +424,23 @@ class Core:
         # FENCE and HALT carry no operands and produce no result
         return False
 
-    def _stage_issue(self) -> None:
-        issued = loads = stds = branches = 0
+    def _stage_issue(self, loop: Optional[tuple] = None) -> None:
+        """Issue from `ready` in seq order. `loop`, from a snapshot taken at
+        a split load, resumes the walk after that load: its position after
+        the load and the issued, load, std and branch counts so far."""
+        ready = self.ready
+        if loop is None:
+            issued = loads = stds = branches = 0
+            entries = ready
+        else:
+            after, issued, loads, stds, branches = loop
+            entries = ready[after:]
         width = self.cfg.issue_width
         cycle = self.cycle
         arch_regs = self.arch_regs
         trace = self.trace
-        ready = self.ready
         bucket = None                       # the entries done next cycle
-        for entry in ready:
+        for entry in entries:
             if issued >= width:
                 break
             uop = entry.uop
@@ -420,7 +465,9 @@ class Core:
             if entry.status == WAITING:
                 loads += 1
                 issued += 1
-                self._attempt_load(entry)
+                split = self._attempt_load(entry)
+                if split is not None:
+                    self._fork(entry, split, issued, loads, stds, branches)
                 continue
             if entry.producers is None:
                 vals = list(map(arch_regs.__getitem__, uop.srcs))
@@ -440,6 +487,9 @@ class Core:
                 entry.result = uop.fn(vals[0] if vals else uop.imm,
                                       vals[1] if len(vals) == 2 else uop.imm)
             elif self._begin_execution(entry, vals):
+                split = self._attempt_load(entry)
+                if split is not None:
+                    self._fork(entry, split, issued, loads, stds, branches)
                 continue
             entry.status = EXECUTING
             entry.done_cycle = cycle + 1
@@ -563,9 +613,22 @@ class Core:
 
     # -- whole-run driver ------------------------------------------------------------
 
-    def run(self) -> RunReport:
+    def run(self, resume: Optional[tuple] = None) -> RunReport:
+        """Run to a halt, a fault or the cycle limit, then drain. `resume`, a
+        split snapshot's (decision, issue loop), first finishes the cycle the
+        snapshot was taken in: the split load takes the decision, issue goes
+        on after it, then fetch."""
         report = RunReport("", self.cfg.digest())
         limit = self.start_cycle + self.cfg.cycle_limit
+        if resume is not None:
+            decision, loop = resume
+            self._attempt_load(self.ready[loop[0] - 1], decision)
+            self._stage_issue(loop)
+            if self.fetch_pc is not None:
+                self._stage_fetch()
+            self.cycle += 1
+            if not self.progress:
+                self._skip_idle(limit)
         while not self.halted and self.fault is None:
             if self.cycle >= limit:
                 report.timed_out = True
@@ -577,6 +640,12 @@ class Core:
             e.producers = e.consumers = None
         if self.fault is None and not report.timed_out:
             self._drain()
+        peers = self.policy.peers
+        if peers:               # never split off: the end state is theirs too
+            snapshot = Snapshot(self, peers)
+            for peer in peers:
+                self.forks[peer.variant] = snapshot
+            self.policy.peers = ()
         report.cycles = self.cycle - self.start_cycle
         report.retired_instructions = self.retired_instructions
         report.squash_count = self.squash_count
@@ -614,6 +683,97 @@ class Core:
                 self._skip_idle(limit)
 
 
+class Snapshot:
+    """A core's state at one instant, kept for the policies that split off
+    its run there (`members`, with their whitelists), and consumed by the one
+    run that resumes it. `resume` is (the split load's decision, the issue
+    loop's state) for a split, or None for an end state.
+
+    Hand-written and acyclic: a ROB or store-buffer entry is a tuple of its
+    fields, with each link to another entry held as that entry's seq, so a
+    dropped snapshot leaves the collector nothing. Consumers already squashed
+    are left out, since they are never woken. The snapshot copies memory, the
+    predictors, the counters and the trace prefix, and holds no reference to
+    the `Program`: its micro-ops are the program's shared, read-only ones.
+    """
+
+    __slots__ = ("members", "retired", "rob", "sb", "ready", "executing", "rename",
+                 "live_tags", "arch_regs", "counters", "mem", "pred", "trace", "resume")
+
+    def __init__(self, core: Core, members, resume: Optional[tuple] = None):
+        rob = core.rob
+        oldest = rob[0].seq if rob else core.seq_counter
+        # a pending entry may read a producer that has retired since it dispatched
+        retired = {p.seq: p for e in rob if e.producers is not None
+                   for p in e.producers if p is not None and p.seq < oldest}
+        self.members = tuple((p.variant, frozenset(p.whitelist)) for p in members)
+        self.retired = [_pack(e) for e in retired.values()]
+        self.rob = [_pack(e) for e in rob]
+        self.sb = [(e.seq, e.size, e.addr, e.data, e.senior, e.forwardable,
+                    e.write_fault, e.writeback_ready_cycle) for e in core.sb.entries]
+        self.ready = [e.seq for e in core.ready]
+        self.executing = [(cycle, [e.seq for e in bucket])
+                          for cycle, bucket in core.executing.items()]
+        self.rename = [(reg, e.seq) for reg, e in core.rename.items()]
+        self.live_tags = list(core.live_tags)
+        self.arch_regs = list(core.arch_regs)
+        self.counters = (core.fetch_pc, core.start_cycle, core.cycle, core.halted,
+                         core.fault, core.seq_counter, core.squash_count,
+                         core.forward_count, core.retired_instructions, core.progress)
+        self.mem = core.mem.clone()
+        self.pred = core.pred.clone()
+        self.trace = None if core.trace is None else core.trace[core.trace_start:]
+        self.resume = resume
+
+    def restore(self, program: Program, cfg: SimConfig, trace: Optional[list]) -> Core:
+        """The core again, for `cfg`'s policy with the other members as its
+        peers; it takes over the snapshot's memory and predictors."""
+        policies = {variant: ForwardingPolicy(variant, set(whitelist))
+                    for variant, whitelist in self.members}
+        policy = policies.pop(cfg.forwarding_policy)
+        policy.peers = tuple(policies.values())
+        self.mem.cfg = cfg
+        core = Core(program, cfg, self.mem, self.pred, policy, trace)
+        if trace is not None:
+            trace.extend(self.trace)
+        stores = {e.seq: e for e in (StoreBufferEntry(*f) for f in self.sb)}
+        core.sb.entries = list(stores.values())
+        entries = {e.seq: e for e in (ROBEntry(*f) for f in self.retired + self.rob)}
+        for e in entries.values():          # seqs back to links
+            if e.producers is not None:
+                e.producers = [None if s is None else entries[s] for s in e.producers]
+            if e.sbe is not None:           # a retired producer's store may have drained
+                e.sbe = stores.get(e.sbe)
+            if e.consumers is not None:
+                e.consumers = [entries[s] for s in e.consumers]
+        core.rob = [entries[f[0]] for f in self.rob]
+        core.ready = [entries[s] for s in self.ready]
+        core.executing = {cycle: [entries[s] for s in seqs] for cycle, seqs in self.executing}
+        core.rename = {reg: entries[s] for reg, s in self.rename}
+        core.live_tags = self.live_tags
+        core.arch_regs = self.arch_regs
+        (core.fetch_pc, core.start_cycle, core.cycle, core.halted, core.fault,
+         core.seq_counter, core.squash_count, core.forward_count,
+         core.retired_instructions, core.progress) = self.counters
+        return core
+
+
+def _pack(e: ROBEntry) -> tuple:
+    """`e`'s fields in order, each link to another entry replaced by its seq."""
+    producers, sbe, consumers = e.producers, e.sbe, e.consumers
+    return (e.seq, e.uop,
+            None if producers is None else [None if p is None else p.seq for p in producers],
+            None if sbe is None else sbe.seq,
+            e.status, e.done_cycle, e.result, e.result2, e.addr, e.predicted, e.actual,
+            e.forwarded_from, e.fault, e.pending,
+            None if consumers is None else [c.seq for c in consumers
+                                            if c.status != SQUASHED])
+
+
+# what a shared run's snapshots are keyed on, besides regs, start cycle and tracing
+_SHARED_CONFIG = tuple(f.name for f in fields(SimConfig) if f.name != "forwarding_policy")
+
+
 def run_program(program: Program, cfg: SimConfig,
                 mem: Optional[MemorySystem] = None,
                 pred: Optional[PredictorState] = None,
@@ -621,7 +781,37 @@ def run_program(program: Program, cfg: SimConfig,
                 regs: Optional[Dict[int, int]] = None,
                 trace: Optional[list] = None,
                 start_cycle: int = 0) -> RunReport:
-    """Assembled program -> deterministic report. Same inputs, same report."""
+    """Assembled program -> deterministic report. Same inputs, same report.
+
+    Called with fresh state (no `mem`, `pred` or `policy`), the run is shared
+    with the forwarding policies not yet asked for on this `Program` under the
+    same config apart from the policy, `regs`, `start_cycle` and tracing (the
+    key). Each load whose allows answer splits them files a snapshot on the
+    program for the policies that answer differently, and the policies left at
+    the end get the end state. A later call for one of them resumes its
+    snapshot, so the prefix runs once; its report and trace equal an
+    independent run's. A lone call pays for up to four snapshots, each about a
+    tenth of a millisecond, and the program keeps them until they are resumed,
+    a call with another key replaces them, or the program is dropped. A call
+    that passes `mem`, `pred` or `policy` runs alone and files nothing.
+    """
+    shared = mem is None and pred is None and policy is None
+    if shared:
+        key = (tuple(getattr(cfg, name) for name in _SHARED_CONFIG),
+               tuple(sorted(regs.items())) if regs else (), start_cycle,
+               trace is not None)
+        if program.snapshots is None or program.snapshots[0] != key:
+            program.snapshots = (key, {})
+        forks = program.snapshots[1]
+        snapshot = forks.get(cfg.forwarding_policy)
+        if snapshot is not None:
+            for variant, _ in snapshot.members:
+                del forks[variant]
+            core = snapshot.restore(program, cfg, trace)
+            core.forks = forks
+            report = core.run(snapshot.resume)
+            report.core, report.trace = core, trace
+            return report
     if mem is None:
         mem = MemorySystem(cfg)
         mem.load_program_data(program)
@@ -630,6 +820,10 @@ def run_program(program: Program, cfg: SimConfig,
     if policy is None:
         policy = ForwardingPolicy(cfg.forwarding_policy)
     core = Core(program, cfg, mem, pred, policy, trace, start_cycle)
+    if shared:
+        policy.peers = tuple(ForwardingPolicy(p) for p in FORWARDING_POLICIES
+                             if p != policy.variant and p not in forks)
+        core.forks = forks
     if regs:
         for r, v in regs.items():
             core.arch_regs[r] = v & MASK64

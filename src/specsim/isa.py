@@ -204,6 +204,11 @@ class Program:
     # first Core to run it; not compared, printed or kept by `replace`
     decoded: Optional[List[Tuple[List[MicroOp], bool]]] = field(
         default=None, init=False, compare=False, repr=False)
+    # (key, policy variant -> core.Snapshot): the pending snapshots of a run
+    # shared across forwarding policies (see core.run_program); one key at a
+    # time, each snapshot removed once resumed; not compared, printed or kept
+    snapshots: Optional[tuple] = field(default=None, init=False, compare=False,
+                                       repr=False)
 
     def instr_at(self, pc: int) -> Optional[Instruction]:
         idx = pc >> 2

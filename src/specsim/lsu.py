@@ -15,12 +15,18 @@ The whitelist persists via a text state file, one hexadecimal pc per line.
 A further design point would track whitelisted (store pc, load pc) pairs;
 this implementation keeps the simpler load-pc variant, accepting data from
 any store.
+
+A policy may carry peers: other policies sharing its run because every
+forwarding decision so far came out the same under each of them (see
+`core.run_program`). At the allows test `forward_decision` asks every peer
+too, and names the peers that answer differently; a peer learns whatever its
+policy learns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 # policy -> allows(store, load_speculative, load_pc, load_forwardable,
 # whitelist): may a matching older store forward its data to the load
@@ -54,6 +60,8 @@ class StoreBufferEntry:
 class ForwardingPolicy:
     variant: str = "baseline"
     whitelist: Set[int] = field(default_factory=set)
+    # the policies still sharing this one's run; not compared or printed
+    peers: Tuple[ForwardingPolicy, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if self.variant not in POLICY_ALLOWS:
@@ -61,6 +69,8 @@ class ForwardingPolicy:
 
     def learn(self, load_pc: int) -> None:
         self.whitelist.add(load_pc)
+        for peer in self.peers:
+            peer.learn(load_pc)
 
     def save_whitelist(self, path: str) -> None:
         with open(path, "w") as f:
@@ -78,6 +88,10 @@ class ForwardDecision:
     kind: str                     # forward | forward_zero | wait | memory
     value: int = 0
     store_seq: int = -1
+    # the policy's peers that answer the allows test the other way, and the
+    # decision they take instead; empty unless the policy's run must split
+    split: Tuple[ForwardingPolicy, ...] = ()
+    other: Optional[ForwardDecision] = None
 
 
 # the decisions that carry no value, shared by every load attempt
@@ -120,7 +134,9 @@ def forward_decision(load_seq: int, load_addr: int, load_size: int,
     Scans older stores youngest-first. An older store with an unresolved
     address conservatively blocks the load (no memory disambiguation
     speculation). Partial overlaps and size mismatches wait until the store
-    drains, then fall through to memory.
+    drains, then fall through to memory. Only the allows test depends on the
+    policy: when some of its peers answer it differently, the decision names
+    them in `split`, with theirs in `other`.
     """
     for entry in reversed(sb.entries):
         if entry.seq > load_seq:
@@ -132,17 +148,31 @@ def forward_decision(load_seq: int, load_addr: int, load_size: int,
                 return WAIT
             if entry.data is None:
                 return WAIT
-            if not POLICY_ALLOWS[policy.variant](entry, load_speculative, load_pc,
-                                                 load_forwardable, policy.whitelist):
-                return WAIT
-            if entry.write_fault:
-                if tlb_mode == "forward_zero":
-                    return ForwardDecision("forward_zero", 0, entry.seq)
-                if tlb_mode == "eager":
-                    return WAIT
-                # lazy: the fault is acted on only at retire; data flows now
-            value = entry.data & ((1 << (8 * load_size)) - 1)
-            return ForwardDecision("forward", value, entry.seq)
+            allows = bool(POLICY_ALLOWS[policy.variant](
+                entry, load_speculative, load_pc, load_forwardable, policy.whitelist))
+            if policy.peers:
+                split = tuple(peer for peer in policy.peers
+                              if bool(POLICY_ALLOWS[peer.variant](
+                                  entry, load_speculative, load_pc, load_forwardable,
+                                  peer.whitelist)) is not allows)
+                if split:
+                    forward = _forward(entry, load_size, tlb_mode)
+                    mine, theirs = (forward, WAIT) if allows else (WAIT, forward)
+                    return ForwardDecision(mine.kind, mine.value, mine.store_seq,
+                                           split, theirs)
+            return _forward(entry, load_size, tlb_mode) if allows else WAIT
         if entry.overlaps(load_addr, load_size):
             return WAIT
     return MEMORY
+
+
+def _forward(store: StoreBufferEntry, load_size: int, tlb_mode: str) -> ForwardDecision:
+    """The decision for a load that its matching store is allowed to forward to."""
+    if store.write_fault:
+        if tlb_mode == "forward_zero":
+            return ForwardDecision("forward_zero", 0, store.seq)
+        if tlb_mode == "eager":
+            return WAIT
+        # lazy: the fault is acted on only at retire; data flows now
+    value = store.data & ((1 << (8 * load_size)) - 1)
+    return ForwardDecision("forward", value, store.seq)

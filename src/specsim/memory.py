@@ -12,6 +12,7 @@ primitive here is `check_readable`, one permission check per probe page.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -45,6 +46,17 @@ class MemorySystem:
         self.mshrs: Dict[int, int] = {}               # line addr -> fill cycle
         self.next_fill: Optional[int] = None          # earliest fill cycle of an MSHR
         self.mshr_peak = 0
+
+    def clone(self) -> MemorySystem:
+        """An independent copy: no page, set or map is shared with this one."""
+        twin = copy.copy(self)
+        twin.pages = {page: bytearray(buf) for page, buf in self.pages.items()}
+        twin.tlb = dict(self.tlb)
+        twin.sets = [list(ways) for ways in self.sets]
+        twin.rr = list(self.rr)
+        twin.lines = dict(self.lines)
+        twin.mshrs = dict(self.mshrs)
+        return twin
 
     # -- address space -------------------------------------------------------
 

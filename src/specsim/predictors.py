@@ -24,6 +24,10 @@ class PredictorState:
         if not self.bht:
             self.bht = [1] * self.table_size
 
+    def clone(self) -> PredictorState:
+        return PredictorState(self.table_size, self.rsb_depth, list(self.bht),
+                              list(self.rsb))
+
     def slot(self, pc: int) -> int:
         return (pc >> 2) % self.table_size
 

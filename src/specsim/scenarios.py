@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .config import RunReport, SimConfig, parse_int, read_key_values
 from .core import run_program
-from .isa import Program, assemble, disassemble
+from .isa import MASK64, Program, assemble, disassemble
 from .lsu import ForwardingPolicy
 from .memory import LINE, MemorySystem
 from .predictors import PredictorState, train_branch
@@ -513,11 +513,33 @@ def _site(mitigation: str, text: str) -> tuple:
     return label, coarse_mask(_reg(index), parse_int(bound))
 
 
+def _address(text: str) -> int:
+    addr = parse_int(text)
+    if not 0 <= addr <= MASK64:
+        raise ValueError(f"an address must lie in 0 to {MASK64:#x}, got {text}")
+    return addr
+
+
+def _access_size(text: str) -> int:
+    size = parse_int(text)
+    if size not in (1, 2, 4, 8):
+        raise ValueError(f"an access size must be 1, 2, 4 or 8, got {text}")
+    return size
+
+
+def _region_size(text: str) -> int:
+    size = parse_int(text)
+    if size < 1:
+        raise ValueError(f"a region size must be positive, got {text}")
+    return size
+
+
 _FILE_SCALARS = {
     **dict.fromkeys(("name", "program"), str),
-    **dict.fromkeys(("secret_addr", "secret_value", "priming", "attempts", "probe_base",
-                     "probe_stride", "probe_entries", "amplification"), parse_int),
-    "flush": lambda v: [parse_int(a) for a in v.split(",") if a],
+    **dict.fromkeys(("secret_addr", "probe_base"), _address),
+    **dict.fromkeys(("secret_value", "priming", "attempts", "probe_stride",
+                     "probe_entries", "amplification"), parse_int),
+    "flush": lambda v: [_address(a) for a in v.split(",") if a],
     "leaks": _leaks}
 _SITE_KEYS = {f"site.{m}" for m in ALL_MITIGATIONS if m != "none"}
 _DIRECTIONS = {"taken": True, "not_taken": False}      # prime.LABEL values
@@ -551,8 +573,8 @@ def _file_value(key: str, value: str):
     if kind == "map":
         if value not in ("rw", "ro"):
             raise ValueError(f"permission must be rw or ro, got {value!r}")
-        return parse_int(addr), parse_int(size), value
-    return parse_int(addr), int(size), _number_or_label(value)
+        return _address(addr), _region_size(size), value
+    return _address(addr), _access_size(size), _number_or_label(value)
 
 
 def _read_file(folder, filename: str, path: str) -> Tuple[dict, str, MitigationSites]:
@@ -639,9 +661,10 @@ def scenario_from_file(path: str, mitigation: str = "none",
     SIZE | unchanged, site.exact_mask = LABEL, rN, rBOUND | unchanged, and
     leaks=mitigation[,...]. reg and mem values may be @label or @label+N.
 
-    Any other key, and a value that does not parse, raises ValueError naming
-    the file and line; a mitigation the file gives no site for raises
-    ValueError too.
+    Any other key, and a value that does not parse or that no run can mean (an
+    address outside 0 to 2**64 - 1, a mem size other than 1, 2, 4 or 8, a map
+    size below 1), raises ValueError naming the file, line and key; a mitigation the file
+    gives no site for raises ValueError too.
     """
     file = Path(path)
     return _scenario(*_read_file(file.parent, file.name, path), mitigation, secret)

@@ -107,6 +107,19 @@ MUTANTS = (
            "if not sb_room:", "if False:",
            ("tests/test_core.py::"
             "test_fetch_fills_the_store_buffer_to_its_capacity_and_no_further",)),
+    Mutant("snapshot_shares_memory_pages_with_its_trunk", "src/specsim/memory.py",
+           "twin.pages = {page: bytearray(buf) for page, buf in self.pages.items()}",
+           "twin.pages = dict(self.pages)",
+           ("tests/test_shared_runs.py::"
+            "test_a_resumed_run_shares_no_state_with_its_trunk_or_pending_snapshots",)),
+    Mutant("peers_not_split_when_their_allows_answers_differ", "src/specsim/lsu.py",
+           "if split:", "if False:",
+           ("tests/test_shared_runs.py::"
+            "test_shared_runs_equal_independent_runs_on_the_oracle_pool",)),
+    Mutant("learn_reaches_only_the_running_policy", "src/specsim/lsu.py",
+           "peer.learn(load_pc)", "pass",
+           ("tests/test_shared_runs.py::"
+            "test_shared_runs_equal_independent_runs_on_the_oracle_pool",)),
 )
 
 

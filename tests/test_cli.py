@@ -301,7 +301,8 @@ def test_unwritable_save_whitelist_exits_4(capsys, tmp_path):
     ("secret_value = -1", 2), ("probe_base = 0x100000\nprobe_entries = 1", 0),
     ("probe_base = 0x100000\nprobe_entries = 0", 2),
     ("probe_base = 0x100000\nprobe_entries = -3", 2), ("priming = 0", 0),
-    ("priming = -1", 2), ("attempts = -2", 2)])
+    ("priming = -1", 2), ("attempts = -2", 2), ("mem.0x24000.0x8 = 5", 0),
+    ("benign_mem.0x24000.0b100 = 5", 0), ("flush = 0x10000,0", 0)])
 def test_scenario_file_bad_value_exits_2(capsys, tmp_path, line, want):
     asm = tmp_path / "victim.asm"
     asm.write_text("main:\n    halt\n")
@@ -355,7 +356,14 @@ def test_scenario_file_sized_key_without_its_size_names_the_shape(capsys, tmp_pa
 
 @pytest.mark.parametrize("command", ["run", "trace"])
 @pytest.mark.parametrize("line", ["mem.0x10.x = 5", "reg.r1 = zz", "flush = 0x10,q",
-                                  "secret_value = lots", "map.0x1000.z = rw"])
+                                  "secret_value = lots", "map.0x1000.z = rw",
+                                  # values that parse but that no run can mean
+                                  "benign_mem.0x24000.3 = 0x800", "mem.0x24000.0 = 1",
+                                  "mem.0x24000.16 = 1", "mem.-8.8 = 1", "probe_base = -5",
+                                  "secret_addr = -0x10", "flush = -1",
+                                  "flush = 0x10000,-0x40", "map.0x20000.-5 = rw",
+                                  "map.0x20000.0 = rw", "map.-0x1000.0x1000 = rw",
+                                  "probe_base = 0x10000000000000000"])
 def test_scenario_file_value_that_does_not_parse_names_line_and_key(
         capsys, tmp_path, command, line):
     asm = tmp_path / "victim.asm"
