@@ -24,7 +24,9 @@ reaches 0. `executing` is a wheel from done cycle to the entries finishing
 then, so completion pops one bucket, and the memory system keeps its earliest
 fill cycle, so fills are installed only when one is due. A step calls a stage
 only when it has work, and a program is decoded once, by the first core that
-runs it. With the trace off, no stage builds an event.
+runs it, into one tuple of micro-ops per instruction; fetch tells from the
+first micro-op's kind (STA or CALL) whether the instruction takes a
+store-buffer slot. With the trace off, no stage builds an event.
 Issue reads operands from the register file unless a source was renamed, and
 computes ALU and CMP results itself. Stores seniorize in retirement order, so
 write-back drains the head of the seq-ordered store buffer.
@@ -117,9 +119,8 @@ class Core:
         self.trace_start = 0 if trace is None else len(trace)   # where this run's events begin
         # policy variant -> the snapshot its run resumes, for the policy's peers
         self.forks: Optional[Dict[str, Snapshot]] = None
-        if program.decoded is None:         # per instruction: (uops, needs_sb)
-            program.decoded = [(uops, uops[0].kind in (STA, CALL))
-                               for uops in map(decode, program.instructions)]
+        if program.decoded is None:
+            program.decoded = tuple(map(decode, program.instructions))
 
         self.rob: List[ROBEntry] = []
         # seq order: entries whose producers are done but that have not
@@ -522,11 +523,12 @@ class Core:
             idx = pc >> 2
             if pc & 3 or idx < 0 or idx >= n_instructions:
                 break                               # fetch stalled off the map
-            uops, needs_sb = decoded[idx]
+            uops = decoded[idx]
             n_uops = len(uops)
             if n_uops > rob_room:
                 break
-            if needs_sb:
+            first = uops[0].kind
+            if first is STA or first is CALL:       # takes a store-buffer slot
                 if not sb_room:
                     break                           # structural stall
                 sb_room -= 1

@@ -200,9 +200,9 @@ class Program:
     # which `disassemble` prints as a label again; not compared or printed
     label_operands: Dict[int, Tuple[int, ...]] = field(
         default_factory=dict, compare=False, repr=False)
-    # per instruction (micro-ops, needs a store-buffer slot), filled by the
-    # first Core to run it; not compared, printed or kept by `replace`
-    decoded: Optional[List[Tuple[List[MicroOp], bool]]] = field(
+    # per instruction, the tuple `decode` returns, filled by the first Core to
+    # run it; not compared, printed or kept by `replace`
+    decoded: Optional[Tuple[Tuple[MicroOp, ...], ...]] = field(
         default=None, init=False, compare=False, repr=False)
     # (key, policy variant -> core.Snapshot): the pending snapshots of a run
     # shared across forwarding policies (see core.run_program); one key at a
@@ -256,9 +256,19 @@ _COMPUTED = {m: _roles(m, kind, fn) for m, (kind, fn) in {
     "cmp": (UopKind.CMP, flags_for), "cmpi": (UopKind.CMP, flags_for)}.items()}
 
 
+# mnemonic -> itself as the `_SIGNATURES` key, the one string every
+# instruction with that mnemonic holds
+_MNEMONICS = {m: m for m in _SIGNATURES}
+
 # register name -> operand; every operand naming a register shares one object
 _REGS = {f"r{n}": Reg(n) for n in range(32)}
 _REGS["sp"] = _REGS[f"r{SP}"]
+
+# value -> its one object, for the values every program would otherwise hold
+# a copy of: pcs, register-only operand tuples, label operand positions and
+# micro-op source tuples. The longest program bounds the pcs, and the
+# register file the tuples.
+_SHARED: Dict[object, object] = {}
 _MEM_RE = re.compile(r"^\[\s*(r[0-9]+|sp)\s*(?:([+-])\s*([^\]\s]+)\s*)?\]$")
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _LABEL_SUGAR_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.*)$")
@@ -366,8 +376,9 @@ def assemble(source: str) -> Program:
                 raise AsmError("'!' mark is only valid on loads and stores",
                                lineno, col)
             mnem = base
-        if mnem not in _SIGNATURES:
+        if mnem not in _MNEMONICS:
             raise AsmError(f"unknown mnemonic {mnem!r}", lineno, col)
+        mnem = _MNEMONICS[mnem]
         rest = parts[1] if len(parts) > 1 else ""
         pending.append((lineno, col, mnem, forwardable, rest,
                         col + len(text) - len(rest)))
@@ -376,6 +387,7 @@ def assemble(source: str) -> Program:
     # second pass: operands, with labels now known; a text is parsed once per
     # signature, so an error is raised at the first line that has it
     instructions: List[Instruction] = []
+    share = _SHARED.setdefault
     label_operands: Dict[int, Tuple[int, ...]] = {}
     parsed: Dict[Tuple[str, str], Tuple] = {}   # (signature, text) -> (operands, named)
     for idx, (lineno, col, mnem, forwardable, rest, rcol) in enumerate(pending):
@@ -410,10 +422,14 @@ def assemble(source: str) -> Program:
                     raise AsmError(f"expected label, got {tok!r}", lineno, tcol)
                 else:
                     ops.append(Imm(_parse_int(tok, lineno, tcol)))
-            memo = parsed[sig, rest] = tuple(ops), tuple(named)
+            ops, named = tuple(ops), tuple(named)
+            if not sig.strip("r"):      # registers only
+                ops = share(ops, ops)
+            memo = parsed[sig, rest] = ops, share(named, named)
         if memo[1]:
             label_operands[idx] = memo[1]
-        instructions.append(Instruction(idx * 4, mnem, memo[0], forwardable))
+        at = idx * 4
+        instructions.append(Instruction(share(at, at), mnem, memo[0], forwardable))
 
     # trailing labels point one past the last instruction; that is allowed only
     # if nothing jumps there, which label resolution above already guarantees.
@@ -424,9 +440,15 @@ def assemble(source: str) -> Program:
     return Program(instructions, labels, segments, label_operands)
 
 
-def decode(instr: Instruction) -> List[MicroOp]:
-    """Decode one instruction into 1-2 micro-ops, binding its ALU function or
-    condition from the tables above. Pure and total."""
+def _srcs(*regs: int) -> Tuple[int, ...]:
+    """The one shared tuple of these source registers."""
+    return _SHARED.setdefault(regs, regs)
+
+
+def decode(instr: Instruction) -> Tuple[MicroOp, ...]:
+    """Decode one instruction into a tuple of 1-2 micro-ops, binding its ALU
+    function or condition from the tables above. Pure and total; equal source
+    tuples are one shared object."""
     pc = instr.pc
     mnem = instr.mnemonic
     ops = instr.operands
@@ -434,41 +456,43 @@ def decode(instr: Instruction) -> List[MicroOp]:
     roles = _COMPUTED.get(mnem)
     if roles is not None:
         kind, fn, writes, dst, nsrcs, has_imm = roles     # sources follow a dst
-        srcs = ((ops[writes].n, ops[writes + 1].n) if nsrcs == 2
-                else (ops[writes].n,) if nsrcs else ())
-        return [MicroOp(kind, pc, ops[0].n if writes else dst, None, srcs,
-                        ops[-1].value & MASK64 if has_imm else 0, 8, fn)]
+        srcs = (_srcs(ops[writes].n, ops[writes + 1].n) if nsrcs == 2
+                else _srcs(ops[writes].n) if nsrcs else ())
+        imm = ops[-1].value if has_imm else 0
+        if not 0 <= imm <= MASK64:      # else the operand's own int
+            imm &= MASK64
+        return (MicroOp(kind, pc, ops[0].n if writes else dst, None, srcs, imm, 8, fn),)
     if mnem in BRANCHES:
-        return [MicroOp(UopKind.BR_COND, pc, None, None, (REG_FLAGS,), ops[0].value,
-                        8, BRANCHES[mnem])]
+        return (MicroOp(UopKind.BR_COND, pc, None, None, _srcs(REG_FLAGS), ops[0].value,
+                        8, BRANCHES[mnem]),)
     if mnem == "jmp":
-        return [MicroOp(UopKind.BR_COND, pc, None, None, (), ops[0].value)]
+        return (MicroOp(UopKind.BR_COND, pc, None, None, (), ops[0].value),)
     if mnem in SELECTS:
-        return [MicroOp(UopKind.CSEL, pc, ops[0].n, None,
-                        (ops[1].n, ops[2].n, REG_FLAGS), 0, 8, SELECTS[mnem])]
+        return (MicroOp(UopKind.CSEL, pc, ops[0].n, None,
+                        _srcs(ops[1].n, ops[2].n, REG_FLAGS), 0, 8, SELECTS[mnem]),)
     if mnem in LOAD_SIZES:
-        return [MicroOp(UopKind.LDA, pc, ops[0].n, None, (ops[1].base,), ops[1].offset,
-                        LOAD_SIZES[mnem], None, False, instr.forwardable)]
+        return (MicroOp(UopKind.LDA, pc, ops[0].n, None, _srcs(ops[1].base),
+                        ops[1].offset, LOAD_SIZES[mnem], None, False, instr.forwardable),)
     if mnem in STORE_SIZES:
         size, mem, fwd = STORE_SIZES[mnem], ops[1], instr.forwardable
-        return [MicroOp(UopKind.STA, pc, None, None, (mem.base,), mem.offset, size,
+        return (MicroOp(UopKind.STA, pc, None, None, _srcs(mem.base), mem.offset, size,
                         None, False, fwd, False),
-                MicroOp(UopKind.STD, pc, None, None, (ops[0].n,), 0, size, None,
-                        False, fwd)]
+                MicroOp(UopKind.STD, pc, None, None, _srcs(ops[0].n), 0, size, None,
+                        False, fwd))
     if mnem == "call":
         # one micro-op: sp -= 8, store return address at new sp, jump
-        return [MicroOp(UopKind.CALL, pc, SP, None, (SP,), ops[0].value, 8)]
+        return (MicroOp(UopKind.CALL, pc, SP, None, _srcs(SP), ops[0].value, 8),)
     if mnem == "ret":
-        return [MicroOp(UopKind.LDA, pc, REG_RETTMP, SP, (SP,), 0, 8, None, False,
+        return (MicroOp(UopKind.LDA, pc, REG_RETTMP, SP, _srcs(SP), 0, 8, None, False,
                         False, False),
-                MicroOp(UopKind.JR_INDIRECT, pc, None, None, (REG_RETTMP,), 0, 8,
-                        None, True)]
+                MicroOp(UopKind.JR_INDIRECT, pc, None, None, _srcs(REG_RETTMP), 0, 8,
+                        None, True))
     if mnem == "jr":
-        return [MicroOp(UopKind.JR_INDIRECT, pc, None, None, (ops[0].n,))]
+        return (MicroOp(UopKind.JR_INDIRECT, pc, None, None, _srcs(ops[0].n)),)
     if mnem == "fence":
-        return [MicroOp(UopKind.FENCE, pc)]
+        return (MicroOp(UopKind.FENCE, pc),)
     if mnem == "halt":
-        return [MicroOp(UopKind.HALT, pc)]
+        return (MicroOp(UopKind.HALT, pc),)
     raise ValueError(f"undecodable mnemonic {mnem!r}")
 
 

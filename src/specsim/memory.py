@@ -40,8 +40,10 @@ class MemorySystem:
         self.cfg = cfg
         self.pages: Dict[int, bytearray] = {}
         self.tlb: Dict[int, Tuple[bool, bool]] = {}   # page -> (readable, writable)
-        self.sets: List[List[int]] = [[] for _ in range(N_SETS)]
-        self.rr: List[int] = [0] * N_SETS
+        # set index -> its lines in way order, only for a set a line has been
+        # installed in: a memory that never caches holds no set
+        self.sets: Dict[int, List[int]] = {}
+        self.rr: Dict[int, int] = {}      # set index -> next victim way, once it evicted
         self.lines: Dict[int, int] = {}               # line addr -> fill cycle
         self.mshrs: Dict[int, int] = {}               # line addr -> fill cycle
         self.next_fill: Optional[int] = None          # earliest fill cycle of an MSHR
@@ -52,8 +54,8 @@ class MemorySystem:
         twin = copy.copy(self)
         twin.pages = {page: bytearray(buf) for page, buf in self.pages.items()}
         twin.tlb = dict(self.tlb)
-        twin.sets = [list(ways) for ways in self.sets]
-        twin.rr = list(self.rr)
+        twin.sets = {index: list(ways) for index, ways in self.sets.items()}
+        twin.rr = dict(self.rr)
         twin.lines = dict(self.lines)
         twin.mshrs = dict(self.mshrs)
         return twin
@@ -125,17 +127,17 @@ class MemorySystem:
 
     # -- cache and MSHRs -----------------------------------------------------
 
-    def _set_index(self, line_addr: int) -> int:
-        return (line_addr // LINE) % N_SETS
-
     def _install(self, line_addr: int, cycle: int) -> None:
         if line_addr in self.lines:
             self.lines[line_addr] = cycle
             return
-        s = self.sets[self._set_index(line_addr)]
-        if len(s) >= N_WAYS:
-            victim_way = self.rr[self._set_index(line_addr)]
-            self.rr[self._set_index(line_addr)] = (victim_way + 1) % N_WAYS
+        index = (line_addr // LINE) % N_SETS
+        s = self.sets.get(index)
+        if s is None:
+            self.sets[index] = [line_addr]
+        elif len(s) >= N_WAYS:
+            victim_way = self.rr.get(index, 0)
+            self.rr[index] = (victim_way + 1) % N_WAYS
             evicted = s[victim_way]
             s[victim_way] = line_addr
             del self.lines[evicted]
@@ -147,8 +149,7 @@ class MemorySystem:
         if line_addr not in self.lines:
             return
         del self.lines[line_addr]
-        s = self.sets[self._set_index(line_addr)]
-        s.remove(line_addr)
+        self.sets[(line_addr // LINE) % N_SETS].remove(line_addr)
 
     def access(self, addr: int, cycle: int) -> AccessResult:
         """One cache access by a load or a store's write-back."""

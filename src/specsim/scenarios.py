@@ -36,6 +36,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from importlib import resources
 from itertools import islice
+from math import prod
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -43,7 +44,7 @@ from .config import RunReport, SimConfig, parse_int, read_key_values
 from .core import run_program
 from .isa import MASK64, Program, assemble, disassemble
 from .lsu import ForwardingPolicy
-from .memory import LINE, MemorySystem
+from .memory import LINE, PAGE, MemorySystem
 from .predictors import PredictorState, train_branch
 from .reference import arch_state, run_reference
 
@@ -527,10 +528,19 @@ def _access_size(text: str) -> int:
     return size
 
 
+# the most a scenario file's map region or probe span may cover: 256 MiB, far
+# above every bundled scenario, so that no size can make the TLB map millions
+# of pages before a run starts
+MAX_REGION_PAGES = 2 ** 16
+_MAX_REGION = f"{MAX_REGION_PAGES * PAGE:#x} bytes ({MAX_REGION_PAGES} pages)"
+
+
 def _region_size(text: str) -> int:
     size = parse_int(text)
     if size < 1:
         raise ValueError(f"a region size must be positive, got {text}")
+    if size > MAX_REGION_PAGES * PAGE:
+        raise ValueError(f"a region may cover at most {_MAX_REGION}, got {text}")
     return size
 
 
@@ -583,7 +593,23 @@ def _read_file(folder, filename: str, path: str) -> Tuple[dict, str, MitigationS
     in file order; `name` defaults to `path`), the text of its program, which
     lies next to it, and its mitigation sites."""
     opts = {"name": path}
-    for key, value in read_key_values((folder / filename).read_text(), _file_value,
+    # the probe's size keys so far, ProbeSpec's defaults for the rest
+    probe = {key: getattr(ProbeSpec, name) for key, name in _PROBE_KEYS.items()
+             if key != "probe_base"}
+
+    def parsed(key: str, value: str):
+        """`_file_value`, also bounding the probe span at the line that sets it."""
+        value = _file_value(key, value)
+        if key in probe:
+            probe[key] = value
+            span = prod(probe.values())
+            if span > MAX_REGION_PAGES * PAGE:
+                raise ValueError(f"the probe span, probe_entries x amplification x "
+                                 f"probe_stride, may cover at most {_MAX_REGION}, "
+                                 f"got {span:#x}")
+        return value
+
+    for key, value in read_key_values((folder / filename).read_text(), parsed,
                                       f"{path}:").items():
         kind = key.partition(".")[0]
         if kind in _FILE_LISTS:
@@ -663,8 +689,9 @@ def scenario_from_file(path: str, mitigation: str = "none",
 
     Any other key, and a value that does not parse or that no run can mean (an
     address outside 0 to 2**64 - 1, a mem size other than 1, 2, 4 or 8, a map
-    size below 1), raises ValueError naming the file, line and key; a mitigation the file
-    gives no site for raises ValueError too.
+    size below 1, a map size or probe span over MAX_REGION_PAGES pages) raises
+    ValueError naming the file, line and key, before any page is mapped; a
+    mitigation the file gives no site for raises ValueError too.
     """
     file = Path(path)
     return _scenario(*_read_file(file.parent, file.name, path), mitigation, secret)

@@ -73,7 +73,7 @@ MUTANTS = (
            "entry.result = vals[1] if uop.fn(vals[2]) else vals[0]",
            ("tests/test_oracle.py::test_every_mnemonic_matches_reference[csel.b]",)),
     Mutant("decode_immediate_unmasked", "src/specsim/isa.py",
-           "ops[-1].value & MASK64 if has_imm else 0", "ops[-1].value if has_imm else 0",
+           "if not 0 <= imm <= MASK64:      # else the operand's own int", "if False:",
            ("tests/test_isa.py::test_decode_pins_every_mnemonic_field_by_field",)),
     Mutant("receiver_takes_a_negative_index", "src/specsim/scenarios.py",
            "if 0 <= j < len(addrs) and addrs[j] < line + LINE:",
@@ -120,6 +120,14 @@ MUTANTS = (
            "peer.learn(load_pc)", "pass",
            ("tests/test_shared_runs.py::"
             "test_shared_runs_equal_independent_runs_on_the_oracle_pool",)),
+    Mutant("clone_shares_touched_sets_with_its_twin", "src/specsim/memory.py",
+           "twin.sets = {index: list(ways) for index, ways in self.sets.items()}",
+           "twin.sets = dict(self.sets)",
+           ("tests/test_memory.py::test_a_clone_and_its_original_share_no_set[original]",
+            "tests/test_memory.py::test_a_clone_and_its_original_share_no_set[clone]")),
+    Mutant("fetch_reserves_no_store_buffer_slot_for_a_call", "src/specsim/core.py",
+           "if first is STA or first is CALL:", "if first is STA:",
+           ("tests/test_core.py::test_fetch_reserves_a_store_buffer_slot_for_each_call",)),
 )
 
 

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -302,7 +303,9 @@ def test_unwritable_save_whitelist_exits_4(capsys, tmp_path):
     ("probe_base = 0x100000\nprobe_entries = 0", 2),
     ("probe_base = 0x100000\nprobe_entries = -3", 2), ("priming = 0", 0),
     ("priming = -1", 2), ("attempts = -2", 2), ("mem.0x24000.0x8 = 5", 0),
-    ("benign_mem.0x24000.0b100 = 5", 0), ("flush = 0x10000,0", 0)])
+    ("benign_mem.0x24000.0b100 = 5", 0), ("flush = 0x10000,0", 0),
+    ("map.0x0.0x10000000 = rw", 0), ("map.0x0.0x10000001 = rw", 2),
+    ("probe_base = 0x100000\nprobe_entries = 0x80001", 2)])
 def test_scenario_file_bad_value_exits_2(capsys, tmp_path, line, want):
     asm = tmp_path / "victim.asm"
     asm.write_text("main:\n    halt\n")
@@ -376,6 +379,31 @@ def test_scenario_file_value_that_does_not_parse_names_line_and_key(
     assert err.startswith("error: ") and err.count("\n") == 1
     key = line.split(" =")[0]
     assert f"bad.scenario:3: {key}: " in err
+
+
+@pytest.mark.parametrize("lines,key", [
+    (["map.0x0.0x10000000000 = rw"], "map.0x0.0x10000000000"),
+    (["probe_base = 0x100000", "amplification = 0x1000"], "amplification"),
+    (["probe_stride = 0x1000", "probe_base = 0x100000", "probe_entries = 0x10001"],
+     "probe_entries")])
+def test_scenario_file_region_over_the_page_limit_exits_2_before_mapping(
+        capsys, monkeypatch, tmp_path, lines, key):
+    from specsim.memory import MemorySystem
+    from specsim.scenarios import MAX_REGION_PAGES
+    mapped = []
+    monkeypatch.setattr(MemorySystem, "map_region",
+                        lambda mem, base, size, perm="rw": mapped.append(size))
+    asm = tmp_path / "victim.asm"
+    asm.write_text("main:\n    halt\n")
+    sf = tmp_path / "bad.scenario"
+    sf.write_text("\n".join([f"program = {asm}", *lines]) + "\n")
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "run", "--scenario-file", str(sf))
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2 and out == "" and mapped == []
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"bad.scenario:{len(lines) + 1}: {key}: " in err
+    assert f"({MAX_REGION_PAGES} pages)" in err
 
 
 def test_config_file_value_that_does_not_parse_names_line_and_key(

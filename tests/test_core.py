@@ -8,6 +8,7 @@ from specsim import (RunReport, SimConfig, assemble, run_program, run_reference,
                      arch_state)
 from specsim.config import FORWARDING_POLICIES, TRACE_KINDS
 from specsim.core import Core, DONE, SQUASHED
+from specsim.isa import MicroOp, decode
 from specsim.lsu import ForwardingPolicy
 from specsim.memory import MemorySystem
 from specsim.predictors import PredictorState
@@ -348,11 +349,10 @@ def test_sb_capacity_stalls_dispatch_not_correctness():
         assert r.core.mem.read_int(0x10000 + 8 * i, 8) == 5
 
 
-def test_fetch_fills_the_store_buffer_to_its_capacity_and_no_further():
-    stores = "\n".join(f"    st.8 r1, [r2+{8 * i}]" for i in range(12))
-    p = assemble(f"main:\n    movi r1, 5\n    movi r2, 0x10000\n{stores}\n    halt\n"
-                 ".data 0x10000 rw 00\n")
-    cfg = FAST.replace(sb_capacity=2)
+def _store_buffer_peak(src: str, sb_capacity: int) -> int:
+    """The most store-buffer entries at the end of any cycle of a run to halt."""
+    p = assemble(src)
+    cfg = FAST.replace(sb_capacity=sb_capacity)
     mem = MemorySystem(cfg)
     mem.load_program_data(p)
     core = Core(p, cfg, mem, PredictorState(cfg.bht_size, cfg.rsb_depth),
@@ -363,7 +363,20 @@ def test_fetch_fills_the_store_buffer_to_its_capacity_and_no_further():
             break
         core.step()
         peak = max(peak, len(core.sb.entries))
-    assert core.halted and peak == 2
+    assert core.halted
+    return peak
+
+
+def test_fetch_fills_the_store_buffer_to_its_capacity_and_no_further():
+    stores = "\n".join(f"    st.8 r1, [r2+{8 * i}]" for i in range(12))
+    assert _store_buffer_peak(f"main:\n    movi r1, 5\n    movi r2, 0x10000\n{stores}\n"
+                              "    halt\n.data 0x10000 rw 00\n", 2) == 2
+
+
+def test_fetch_reserves_a_store_buffer_slot_for_each_call():
+    calls = "    call leaf\n" * 12
+    assert _store_buffer_peak(f"main:\n    movi sp, 0x10800\n{calls}    halt\n"
+                              "leaf:\n    ret\n.data 0x10000 rw 00\n", 2) == 2
 
 
 # -- decode once per Program --------------------------------------------------
@@ -391,6 +404,33 @@ def test_decode_memo_is_invisible_to_equality_and_replace():
     shorter = replace(ran, instructions=ran.instructions[:-1])
     assert shorter.decoded is None
     assert replace(ran).decoded is None
+
+
+def _containers(root) -> int:
+    """The tuples, lists and dicts reachable from `root` through containers
+    and micro-ops, each counted once."""
+    seen, todo, count = set(), [root], 0
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or not isinstance(obj, (tuple, list, dict, MicroOp)):
+            continue
+        seen.add(id(obj))
+        count += not isinstance(obj, MicroOp)
+        todo.extend(gc.get_referents(obj))
+    return count
+
+
+def test_decoded_program_holds_one_micro_op_tuple_per_instruction():
+    program = assemble(random_program(random.Random(7300), 80))
+    run_program(program, FAST, regs={31: STACK_TOP})
+    decoded = program.decoded
+    assert type(decoded) is tuple and len(decoded) == len(program.instructions) == 86
+    for uops, instr in zip(decoded, program.instructions):
+        assert type(uops) is tuple and uops == tuple(decode(instr))
+    srcs = {id(uop.srcs) for uops in decoded for uop in uops}
+    # the outer tuple, one micro-op tuple per instruction and each distinct
+    # source tuple: a wrapper per instruction would add 86 or more
+    assert _containers(decoded) == 1 + len(decoded) + len(srcs) == 1 + 86 + 45
 
 
 # -- tracing ----------------------------------------------------------------------

@@ -108,6 +108,25 @@ def test_fence_has_no_register_operands():
 def test_decode_is_pure():
     ins = Instruction(0, "st.8", (Reg(3), Mem(1, 0)))
     assert decode(ins) == decode(ins)
+    assert type(decode(ins)) is tuple
+
+
+def test_programs_share_mnemonics_pcs_and_register_tuples():
+    a = assemble("main:\n    add r1, r2, r3\n    ld.8 r4, [r2+8]\n    cmp r1, r4\n"
+                 "    csel.b r5, r1, r4\n    halt\n")
+    b = assemble("    nop\n    sub r5, r2, r3\n    st.4! r1, [r2]\n    add r1, r2, r3\n"
+                 "    csel.a r6, r1, r4\n    halt\n")
+    keys = {m: m for m in isa._SIGNATURES}
+    for ins in a.instructions + b.instructions:
+        assert ins.mnemonic is keys[ins.mnemonic]
+    assert all(x.pc is y.pc for x, y in zip(a.instructions, b.instructions))
+    assert a.instructions[0].operands is b.instructions[3].operands
+    (add,), (ld,), (cmp,), (csel,), _ = map(decode, a.instructions)
+    _, (sub,), (sta, std), _, (csel_a,), _ = map(decode, b.instructions)
+    assert add.srcs == (2, 3) and add.srcs is sub.srcs
+    assert ld.srcs == (2,) and ld.srcs is sta.srcs
+    assert std.srcs == (1,) and cmp.srcs == (1, 4)
+    assert csel.srcs == (1, 4, isa.REG_FLAGS) and csel.srcs is csel_a.srcs
 
 
 @pytest.mark.parametrize("make", [

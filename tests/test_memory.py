@@ -1,7 +1,9 @@
 import pytest
 
 from specsim.config import SimConfig
+from specsim.isa import assemble
 from specsim.memory import LINE, MemFault, MemorySystem
+from specsim.reference import run_reference
 
 
 def make_mem(**kw):
@@ -136,6 +138,48 @@ def test_round_robin_replacement_is_deterministic():
     assert lines[0] not in mem.lines
     assert lines[1] not in mem.lines
     assert all(a in mem.lines for a in lines[2:])
+
+
+def _install(mem, addr, cycle):
+    res = mem.access(addr, cycle)
+    mem.tick(res.ready_cycle)
+
+
+def _cache_state(mem):
+    return {i: list(ways) for i, ways in mem.sets.items()}, dict(mem.rr), dict(mem.lines)
+
+
+def test_sets_are_allocated_on_first_install():
+    cfg, mem = make_mem()
+    assert mem.sets == {} and mem.rr == {}
+    _install(mem, 0x10040, 0)
+    assert mem.sets == {1: [0x10040]} and mem.rr == {}
+    mem.flush_line(0x10040)
+    assert mem.sets == {1: []} and not mem.lines
+
+
+def test_reference_memory_holds_no_set():
+    p = assemble("main:\n    movi r1, 0x10000\n    st.8 r1, [r1+8]\n    ld.8 r2, [r1+8]\n"
+                 "    halt\n.data 0x10000 rw 00\n")
+    ref = run_reference(p, SimConfig())
+    assert ref.fault is None and ref.regs[2] == 0x10000
+    assert ref.mem.sets == {} and ref.mem.rr == {} and ref.mem.lines == {}
+
+
+@pytest.mark.parametrize("actor", ["original", "clone"])
+def test_a_clone_and_its_original_share_no_set(actor):
+    cfg, mem = make_mem()
+    for k in range(9):          # one set filled past its 8 ways: rr is touched
+        _install(mem, 0x10000 + k * 64 * LINE, 1000 * k)
+    _install(mem, 0x10040, 9000)
+    twin = mem.clone()
+    acting, other = (mem, twin) if actor == "original" else (twin, mem)
+    before = _cache_state(other)
+    assert before == _cache_state(acting) and before[1] == {0: 1}
+    _install(acting, 0x10000 + 9 * 64 * LINE, 10000)     # evicts from set 0
+    acting.flush_line(0x10040)                              # empties set 1
+    _install(acting, 0x10080, 11000)                        # a new set
+    assert _cache_state(other) == before != _cache_state(acting)
 
 
 def test_rw_int_cross_page():

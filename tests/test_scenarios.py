@@ -484,7 +484,7 @@ def test_probe_receive_matches_the_per_line_receiver(amplification, gran, stride
         spec = ProbeSpec(base=base, stride=stride, entries=rng.choice([1, 2, 37, 256]),
                          amplification=amplification)
         mem = _random_probe_state(rng, spec, cfg)
-        lines, sets = dict(mem.lines), [list(s) for s in mem.sets]
+        lines, sets = dict(mem.lines), {i: list(s) for i, s in mem.sets.items()}
         assert probe_receive(mem, spec, cfg) == _reference_receive(mem, spec, cfg)
         assert mem.lines == lines and mem.sets == sets and not mem.mshrs
         addr = spec.line_addr(rng.randrange(spec.entries), rng.randrange(amplification))
@@ -569,7 +569,7 @@ def test_probe_receive_matches_the_per_address_formula(amplification, gran, stri
             for cycle, addr in enumerate(_lines_around_the_probe(rng, spec)):
                 res = mem.access(addr, cycle)
                 mem.tick(max(res.ready_cycle, cycle))
-            lines, sets = dict(mem.lines), [list(s) for s in mem.sets]
+            lines, sets = dict(mem.lines), {i: list(s) for i, s in mem.sets.items()}
             got = probe_receive(mem, spec, cfg)
             assert got == _per_address_receive(mem, spec, cfg)
             assert mem.lines == lines and mem.sets == sets and not mem.mshrs
@@ -792,8 +792,7 @@ def test_runs_leave_every_shared_victim_as_built(monkeypatch):
         shared, fresh = cached(*key), cached.__wrapped__(*key)
         assert shared is cached(*key) and shared[0] is not fresh[0]
         assert shared == fresh and repr(shared) == repr(fresh), key
-        assert [uops for uops, _ in shared[0].decoded] == \
-            [decode(i) for i in fresh[0].instructions], key
+        assert shared[0].decoded == tuple(map(decode, fresh[0].instructions)), key
 
 
 @pytest.mark.parametrize("name,mitigation", [("spectre_1_0", "none"),
