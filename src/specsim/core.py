@@ -40,21 +40,22 @@ The forwarding policy enters the core only at the allows test of
 `forward_decision` and in `ForwardingPolicy.learn`, so runs of one program
 under different policies are identical up to the first load whose allows
 answer differs. `run_program` called with fresh state runs them as one: the
-policy carries as peers the policies that have not been asked for yet. At a
-load where some peers answer differently, the issue stage files a `Snapshot`
-for them on the `Program` and goes on with the rest; peers that never split
-off get a snapshot of the end state. A later call for one of them resumes
-its snapshot instead of running the shared prefix again. A lone call pays for
-its snapshots, at most four of about a tenth of a millisecond each, and
-leaves them on the program.
+policy carries as peers the names of the policies not asked for yet, and the
+group keeps one whitelist. At a load where some peers answer differently, the
+issue stage files a copy of the core for them on the `Program` and goes on
+with the rest; peers that never split off get a copy of the end state. A
+later call for one of them resumes its copy instead of running the shared
+prefix again. A lone call pays for its copies, at most four of about 65 us
+each, and leaves them on the program; resuming one takes about 7 us.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass, fields
+from itertools import chain
 from operator import attrgetter
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .config import RunReport, SimConfig, TraceEvent
 from .isa import MASK64, NUM_REGS, MicroOp, Program, UopKind, decode
@@ -100,6 +101,11 @@ class ROBEntry:
     consumers: Optional[List[ROBEntry]] = None   # woken when this entry is DONE
 
 
+# the fields a filed core's entries copy; consumers, the last, are rebuilt on resume
+_ROB_FIELDS = attrgetter(*(f.name for f in fields(ROBEntry) if f.name != "consumers"))
+_SB_FIELDS = attrgetter(*(f.name for f in fields(StoreBufferEntry)))
+
+
 class Core:
     """One single-threaded, deterministic simulation instance."""
 
@@ -117,8 +123,9 @@ class Core:
         self.policy = policy
         self.trace = trace
         self.trace_start = 0 if trace is None else len(trace)   # where this run's events begin
-        # policy variant -> the snapshot its run resumes, for the policy's peers
-        self.forks: Optional[Dict[str, Snapshot]] = None
+        # a copy filed at a split load resumes there: (the load's decision,
+        # the issue loop's place and counts)
+        self.resume: Optional[tuple] = None
         if program.decoded is None:
             program.decoded = tuple(map(decode, program.instructions))
 
@@ -265,16 +272,11 @@ class Core:
     def _fork(self, entry: ROBEntry, decision: ForwardDecision, issued: int,
               loads: int, stds: int, branches: int) -> None:
         """Some peers answer the allows test of `entry`, a load being issued,
-        the other way: file one snapshot for them, taken before the load
-        takes a decision and holding the issue loop's place and counts, then
-        go on with the rest and apply the running policy's decision."""
-        split = decision.split
+        the other way: file one copy for them, taken before the load takes a
+        decision and holding the issue loop's place and counts, then go on
+        with the rest and apply the running policy's decision."""
         after = bisect_right(self.ready, entry.seq, key=_seq)
-        snapshot = Snapshot(self, split, (decision.other,
-                                          (after, issued, loads, stds, branches)))
-        for peer in split:
-            self.forks[peer.variant] = snapshot
-        self.policy.peers = tuple(p for p in self.policy.peers if p not in split)
+        self._file(decision.split, (decision.other, (after, issued, loads, stds, branches)))
         self._attempt_load(entry, decision)
 
     # -- one pipeline stage each ------------------------------------------------------
@@ -426,8 +428,8 @@ class Core:
         return False
 
     def _stage_issue(self, loop: Optional[tuple] = None) -> None:
-        """Issue from `ready` in seq order. `loop`, from a snapshot taken at
-        a split load, resumes the walk after that load: its position after
+        """Issue from `ready` in seq order. `loop`, from a copy filed at a
+        split load, resumes the walk after that load: its position after
         the load and the issued, load, std and branch counts so far."""
         ready = self.ready
         if loop is None:
@@ -615,15 +617,14 @@ class Core:
 
     # -- whole-run driver ------------------------------------------------------------
 
-    def run(self, resume: Optional[tuple] = None) -> RunReport:
-        """Run to a halt, a fault or the cycle limit, then drain. `resume`, a
-        split snapshot's (decision, issue loop), first finishes the cycle the
-        snapshot was taken in: the split load takes the decision, issue goes
-        on after it, then fetch."""
+    def run(self) -> RunReport:
+        """Run to a halt, a fault or the cycle limit, then drain. A copy filed
+        at a split load first finishes the cycle it was filed in: the load
+        takes the `resume` decision, issue goes on after it, then fetch."""
         report = RunReport("", self.cfg.digest())
         limit = self.start_cycle + self.cfg.cycle_limit
-        if resume is not None:
-            decision, loop = resume
+        if self.resume is not None:
+            decision, loop = self.resume
             self._attempt_load(self.ready[loop[0] - 1], decision)
             self._stage_issue(loop)
             if self.fetch_pc is not None:
@@ -642,12 +643,8 @@ class Core:
             e.producers = e.consumers = None
         if self.fault is None and not report.timed_out:
             self._drain()
-        peers = self.policy.peers
-        if peers:               # never split off: the end state is theirs too
-            snapshot = Snapshot(self, peers)
-            for peer in peers:
-                self.forks[peer.variant] = snapshot
-            self.policy.peers = ()
+        if self.policy.peers:       # never split off: the end state is theirs too
+            self._file(self.policy.peers)
         report.cycles = self.cycle - self.start_cycle
         report.retired_instructions = self.retired_instructions
         report.squash_count = self.squash_count
@@ -684,95 +681,76 @@ class Core:
             if not self.progress:
                 self._skip_idle(limit)
 
+    # -- runs shared across policies ---------------------------------------------------
 
-class Snapshot:
-    """A core's state at one instant, kept for the policies that split off
-    its run there (`members`, with their whitelists), and consumed by the one
-    run that resumes it. `resume` is (the split load's decision, the issue
-    loop's state) for a split, or None for an end state.
-
-    Hand-written and acyclic: a ROB or store-buffer entry is a tuple of its
-    fields, with each link to another entry held as that entry's seq, so a
-    dropped snapshot leaves the collector nothing. Consumers already squashed
-    are left out, since they are never woken. The snapshot copies memory, the
-    predictors, the counters and the trace prefix, and holds no reference to
-    the `Program`: its micro-ops are the program's shared, read-only ones.
-    """
-
-    __slots__ = ("members", "retired", "rob", "sb", "ready", "executing", "rename",
-                 "live_tags", "arch_regs", "counters", "mem", "pred", "trace", "resume")
-
-    def __init__(self, core: Core, members, resume: Optional[tuple] = None):
-        rob = core.rob
-        oldest = rob[0].seq if rob else core.seq_counter
+    def _file(self, members: Tuple[str, ...], resume: Optional[tuple] = None) -> None:
+        """File a copy of this core on the program for the policies `members`
+        to resume, and drop them from the peers. The copy's ROB and store-buffer
+        entries are fresh, a link to an older entry points at that entry's
+        copy, and consumer lists are left out. It has no program and its own
+        whitelist, memory, predictors and trace prefix, so it shares no state
+        and holds no reference cycle."""
+        policy = self.policy
+        twin = Core(self.program, self.cfg, self.mem.clone(), self.pred.clone(),
+                    ForwardingPolicy(policy.variant, set(policy.whitelist), members),
+                    None, self.start_cycle)
+        twin.program = None
+        twin.resume = resume
+        if self.trace is not None:
+            twin.trace = self.trace[self.trace_start:]
+        stores = {e.seq: StoreBufferEntry(*_SB_FIELDS(e)) for e in self.sb.entries}
+        twin.sb.entries = list(stores.values())
+        rob = self.rob
+        oldest = rob[0].seq if rob else self.seq_counter
         # a pending entry may read a producer that has retired since it dispatched
         retired = {p.seq: p for e in rob if e.producers is not None
                    for p in e.producers if p is not None and p.seq < oldest}
-        self.members = tuple((p.variant, frozenset(p.whitelist)) for p in members)
-        self.retired = [_pack(e) for e in retired.values()]
-        self.rob = [_pack(e) for e in rob]
-        self.sb = [(e.seq, e.size, e.addr, e.data, e.senior, e.forwardable,
-                    e.write_fault, e.writeback_ready_cycle) for e in core.sb.entries]
-        self.ready = [e.seq for e in core.ready]
-        self.executing = [(cycle, [e.seq for e in bucket])
-                          for cycle, bucket in core.executing.items()]
-        self.rename = [(reg, e.seq) for reg, e in core.rename.items()]
-        self.live_tags = list(core.live_tags)
-        self.arch_regs = list(core.arch_regs)
-        self.counters = (core.fetch_pc, core.start_cycle, core.cycle, core.halted,
-                         core.fault, core.seq_counter, core.squash_count,
-                         core.forward_count, core.retired_instructions, core.progress)
-        self.mem = core.mem.clone()
-        self.pred = core.pred.clone()
-        self.trace = None if core.trace is None else core.trace[core.trace_start:]
-        self.resume = resume
-
-    def restore(self, program: Program, cfg: SimConfig, trace: Optional[list]) -> Core:
-        """The core again, for `cfg`'s policy with the other members as its
-        peers; it takes over the snapshot's memory and predictors."""
-        policies = {variant: ForwardingPolicy(variant, set(whitelist))
-                    for variant, whitelist in self.members}
-        policy = policies.pop(cfg.forwarding_policy)
-        policy.peers = tuple(policies.values())
-        self.mem.cfg = cfg
-        core = Core(program, cfg, self.mem, self.pred, policy, trace)
-        if trace is not None:
-            trace.extend(self.trace)
-        stores = {e.seq: e for e in (StoreBufferEntry(*f) for f in self.sb)}
-        core.sb.entries = list(stores.values())
-        entries = {e.seq: e for e in (ROBEntry(*f) for f in self.retired + self.rob)}
-        for e in entries.values():          # seqs back to links
+        entries = {e.seq: ROBEntry(*_ROB_FIELDS(e)) for e in chain(retired.values(), rob)}
+        for e in entries.values():
             if e.producers is not None:
-                e.producers = [None if s is None else entries[s] for s in e.producers]
+                e.producers = [None if p is None else entries[p.seq] for p in e.producers]
             if e.sbe is not None:           # a retired producer's store may have drained
-                e.sbe = stores.get(e.sbe)
-            if e.consumers is not None:
-                e.consumers = [entries[s] for s in e.consumers]
-        core.rob = [entries[f[0]] for f in self.rob]
-        core.ready = [entries[s] for s in self.ready]
-        core.executing = {cycle: [entries[s] for s in seqs] for cycle, seqs in self.executing}
-        core.rename = {reg: entries[s] for reg, s in self.rename}
-        core.live_tags = self.live_tags
-        core.arch_regs = self.arch_regs
-        (core.fetch_pc, core.start_cycle, core.cycle, core.halted, core.fault,
-         core.seq_counter, core.squash_count, core.forward_count,
-         core.retired_instructions, core.progress) = self.counters
-        return core
+                e.sbe = stores.get(e.sbe.seq)
+        twin.rob = [entries[e.seq] for e in rob]
+        twin.ready = [entries[e.seq] for e in self.ready]
+        twin.executing = {cycle: [entries[e.seq] for e in bucket]
+                          for cycle, bucket in self.executing.items()}
+        twin.rename = {reg: entries[e.seq] for reg, e in self.rename.items()}
+        twin.live_tags = list(self.live_tags)
+        twin.arch_regs = list(self.arch_regs)
+        for name in ("fetch_pc", "cycle", "halted", "fault", "seq_counter", "squash_count",
+                     "forward_count", "retired_instructions", "progress"):
+            setattr(twin, name, getattr(self, name))
+        forks = self.program.snapshots[1]
+        for variant in members:
+            forks[variant] = twin
+        policy.peers = tuple(p for p in policy.peers if p not in members)
+
+    def _continue_as(self, program: Program, cfg: SimConfig,
+                     trace: Optional[list]) -> None:
+        """Take up this filed copy as the run of `cfg`'s policy, with the
+        copy's other members as peers, and relink what filing left out: the
+        program, the config, the trace and each consumer list, rebuilt from
+        the producer links whose producer is not done."""
+        self.program = program
+        self.cfg = self.mem.cfg = cfg
+        variant = cfg.forwarding_policy
+        self.policy = ForwardingPolicy(variant, self.policy.whitelist,
+                                       tuple(p for p in self.policy.peers if p != variant))
+        if trace is not None:
+            self.trace_start = len(trace)
+            trace.extend(self.trace)
+        self.trace = trace
+        for e in self.rob:
+            for p in e.producers or ():
+                if p is not None and p.status != DONE:
+                    if p.consumers is None:
+                        p.consumers = [e]
+                    else:
+                        p.consumers.append(e)
 
 
-def _pack(e: ROBEntry) -> tuple:
-    """`e`'s fields in order, each link to another entry replaced by its seq."""
-    producers, sbe, consumers = e.producers, e.sbe, e.consumers
-    return (e.seq, e.uop,
-            None if producers is None else [None if p is None else p.seq for p in producers],
-            None if sbe is None else sbe.seq,
-            e.status, e.done_cycle, e.result, e.result2, e.addr, e.predicted, e.actual,
-            e.forwarded_from, e.fault, e.pending,
-            None if consumers is None else [c.seq for c in consumers
-                                            if c.status != SQUASHED])
-
-
-# what a shared run's snapshots are keyed on, besides regs, start cycle and tracing
+# what a shared run's filed copies are keyed on, besides regs, start cycle and tracing
 _SHARED_CONFIG = tuple(f.name for f in fields(SimConfig) if f.name != "forwarding_policy")
 
 
@@ -788,16 +766,17 @@ def run_program(program: Program, cfg: SimConfig,
     Called with fresh state (no `mem`, `pred` or `policy`), the run is shared
     with the forwarding policies not yet asked for on this `Program` under the
     same config apart from the policy, `regs`, `start_cycle` and tracing (the
-    key). Each load whose allows answer splits them files a snapshot on the
-    program for the policies that answer differently, and the policies left at
-    the end get the end state. A later call for one of them resumes its
-    snapshot, so the prefix runs once; its report and trace equal an
-    independent run's. A lone call pays for up to four snapshots, each about a
-    tenth of a millisecond, and the program keeps them until they are resumed,
-    a call with another key replaces them, or the program is dropped. A call
-    that passes `mem`, `pred` or `policy` runs alone and files nothing.
+    key). Each load whose allows answer splits them files a copy of the core
+    on the program for the policies that answer differently, and the policies
+    left at the end get a copy of the end state. A later call for one of them
+    resumes its copy, so the prefix runs once; its report and trace equal an
+    independent run's. A lone call pays for up to four copies, each about
+    65 us, and the program keeps them until they are resumed, a call with
+    another key replaces them, or the program is dropped. A call that passes
+    `mem`, `pred` or `policy` runs alone and files nothing.
     """
     shared = mem is None and pred is None and policy is None
+    core = None
     if shared:
         key = (tuple(getattr(cfg, name) for name in _SHARED_CONFIG),
                tuple(sorted(regs.items())) if regs else (), start_cycle,
@@ -805,30 +784,26 @@ def run_program(program: Program, cfg: SimConfig,
         if program.snapshots is None or program.snapshots[0] != key:
             program.snapshots = (key, {})
         forks = program.snapshots[1]
-        snapshot = forks.get(cfg.forwarding_policy)
-        if snapshot is not None:
-            for variant, _ in snapshot.members:
+        core = forks.get(cfg.forwarding_policy)
+        if core is not None:
+            for variant in core.policy.peers:
                 del forks[variant]
-            core = snapshot.restore(program, cfg, trace)
-            core.forks = forks
-            report = core.run(snapshot.resume)
-            report.core, report.trace = core, trace
-            return report
-    if mem is None:
-        mem = MemorySystem(cfg)
-        mem.load_program_data(program)
-    if pred is None:
-        pred = PredictorState(cfg.bht_size, cfg.rsb_depth)
-    if policy is None:
-        policy = ForwardingPolicy(cfg.forwarding_policy)
-    core = Core(program, cfg, mem, pred, policy, trace, start_cycle)
-    if shared:
-        policy.peers = tuple(ForwardingPolicy(p) for p in FORWARDING_POLICIES
-                             if p != policy.variant and p not in forks)
-        core.forks = forks
-    if regs:
-        for r, v in regs.items():
-            core.arch_regs[r] = v & MASK64
+            core._continue_as(program, cfg, trace)
+    if core is None:
+        if mem is None:
+            mem = MemorySystem(cfg)
+            mem.load_program_data(program)
+        if pred is None:
+            pred = PredictorState(cfg.bht_size, cfg.rsb_depth)
+        if policy is None:
+            policy = ForwardingPolicy(cfg.forwarding_policy)
+        core = Core(program, cfg, mem, pred, policy, trace, start_cycle)
+        if shared:
+            policy.peers = tuple(p for p in FORWARDING_POLICIES
+                                 if p != policy.variant and p not in forks)
+        if regs:
+            for r, v in regs.items():
+                core.arch_regs[r] = v & MASK64
     report = core.run()
     report.core, report.trace = core, trace
     return report

@@ -204,9 +204,9 @@ class Program:
     # run it; not compared, printed or kept by `replace`
     decoded: Optional[Tuple[Tuple[MicroOp, ...], ...]] = field(
         default=None, init=False, compare=False, repr=False)
-    # (key, policy variant -> core.Snapshot): the pending snapshots of a run
-    # shared across forwarding policies (see core.run_program); one key at a
-    # time, each snapshot removed once resumed; not compared, printed or kept
+    # (key, policy variant -> the filed core.Core it resumes): the pending
+    # copies of a run shared across forwarding policies (see core.run_program);
+    # one key at a time, each removed once resumed; not compared, printed or kept
     snapshots: Optional[tuple] = field(default=None, init=False, compare=False,
                                        repr=False)
 

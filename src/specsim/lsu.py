@@ -16,11 +16,11 @@ A further design point would track whitelisted (store pc, load pc) pairs;
 this implementation keeps the simpler load-pc variant, accepting data from
 any store.
 
-A policy may carry peers: other policies sharing its run because every
-forwarding decision so far came out the same under each of them (see
-`core.run_program`). At the allows test `forward_decision` asks every peer
-too, and names the peers that answer differently; a peer learns whatever its
-policy learns.
+A policy may carry peers: the names of other policies sharing its run
+because every forwarding decision so far came out the same under each of them
+(see `core.run_program`). At the allows test `forward_decision` asks every
+peer too, and names the peers that answer differently. The group keeps one
+whitelist: since it formed, each member has learned the same load pcs.
 """
 
 from __future__ import annotations
@@ -60,8 +60,9 @@ class StoreBufferEntry:
 class ForwardingPolicy:
     variant: str = "baseline"
     whitelist: Set[int] = field(default_factory=set)
-    # the policies still sharing this one's run; not compared or printed
-    peers: Tuple[ForwardingPolicy, ...] = field(default=(), compare=False, repr=False)
+    # the names of the policies still sharing this one's run and whitelist;
+    # not compared or printed
+    peers: Tuple[str, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if self.variant not in POLICY_ALLOWS:
@@ -69,8 +70,6 @@ class ForwardingPolicy:
 
     def learn(self, load_pc: int) -> None:
         self.whitelist.add(load_pc)
-        for peer in self.peers:
-            peer.learn(load_pc)
 
     def save_whitelist(self, path: str) -> None:
         with open(path, "w") as f:
@@ -90,7 +89,7 @@ class ForwardDecision:
     store_seq: int = -1
     # the policy's peers that answer the allows test the other way, and the
     # decision they take instead; empty unless the policy's run must split
-    split: Tuple[ForwardingPolicy, ...] = ()
+    split: Tuple[str, ...] = ()
     other: Optional[ForwardDecision] = None
 
 
@@ -152,9 +151,9 @@ def forward_decision(load_seq: int, load_addr: int, load_size: int,
                 entry, load_speculative, load_pc, load_forwardable, policy.whitelist))
             if policy.peers:
                 split = tuple(peer for peer in policy.peers
-                              if bool(POLICY_ALLOWS[peer.variant](
+                              if bool(POLICY_ALLOWS[peer](
                                   entry, load_speculative, load_pc, load_forwardable,
-                                  peer.whitelist)) is not allows)
+                                  policy.whitelist)) is not allows)
                 if split:
                     forward = _forward(entry, load_size, tlb_mode)
                     mine, theirs = (forward, WAIT) if allows else (WAIT, forward)

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from importlib import resources
 from itertools import islice
-from math import prod
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -593,16 +592,15 @@ def _read_file(folder, filename: str, path: str) -> Tuple[dict, str, MitigationS
     in file order; `name` defaults to `path`), the text of its program, which
     lies next to it, and its mitigation sites."""
     opts = {"name": path}
-    # the probe's size keys so far, ProbeSpec's defaults for the rest
-    probe = {key: getattr(ProbeSpec, name) for key, name in _PROBE_KEYS.items()
-             if key != "probe_base"}
+    probe = {}                  # the probe's size keys so far, by ProbeSpec field
 
     def parsed(key: str, value: str):
-        """`_file_value`, also bounding the probe span at the line that sets it."""
+        """`_file_value`, also checking each probe size, and bounding the
+        probe span, at the line that sets it."""
         value = _file_value(key, value)
-        if key in probe:
-            probe[key] = value
-            span = prod(probe.values())
+        if key in _PROBE_KEYS and key != "probe_base":
+            probe[_PROBE_KEYS[key]] = value
+            span = ProbeSpec(**probe).span
             if span > MAX_REGION_PAGES * PAGE:
                 raise ValueError(f"the probe span, probe_entries x amplification x "
                                  f"probe_stride, may cover at most {_MAX_REGION}, "
@@ -618,6 +616,9 @@ def _read_file(folder, filename: str, path: str) -> Tuple[dict, str, MitigationS
             opts[key] = value
     if "program" not in opts:
         raise ValueError(f"{path}: missing program=")
+    if probe and "probe_base" not in opts:
+        key = next(k for k in opts if k in _PROBE_KEYS)
+        raise ValueError(f"{path}: {key} given without probe_base, so there is no probe")
     sites = MitigationSites(leaks=opts.get("leaks", ()),
                             **{k[5:]: v for k, v in opts.items() if k in _SITE_KEYS})
     return opts, (folder / opts["program"]).read_text(), sites
@@ -689,9 +690,11 @@ def scenario_from_file(path: str, mitigation: str = "none",
 
     Any other key, and a value that does not parse or that no run can mean (an
     address outside 0 to 2**64 - 1, a mem size other than 1, 2, 4 or 8, a map
-    size below 1, a map size or probe span over MAX_REGION_PAGES pages) raises
-    ValueError naming the file, line and key, before any page is mapped; a
-    mitigation the file gives no site for raises ValueError too.
+    size below 1, a probe stride below a line or a probe count below 1, a map
+    size or probe span over MAX_REGION_PAGES pages) raises ValueError naming
+    the file, line and key, before any page is mapped; a probe size key without
+    probe_base, and a mitigation the file gives no site for, raise ValueError
+    naming the file too.
     """
     file = Path(path)
     return _scenario(*_read_file(file.parent, file.name, path), mitigation, secret)

@@ -10,8 +10,9 @@ the tests that passed. It does that for each named mutant, or for all of
 them, and exits 1 if any survives. The working tree is never changed; set
 TMPDIR to choose where the copies go. Each mutant costs one pytest run of its
 tests, so the runner is not part of the tier-1 suite; `tests/test_mutants.py`
-only checks that every entry's old text occurs exactly once in its file, so a
-refactor has to update an entry instead of orphaning it.
+only checks that every entry's old text occurs exactly once in its file and
+that every test it names is defined, so a refactor or a renamed test has to
+update an entry instead of orphaning it.
 
 Standard library only.
 """
@@ -116,8 +117,15 @@ MUTANTS = (
            "if split:", "if False:",
            ("tests/test_shared_runs.py::"
             "test_shared_runs_equal_independent_runs_on_the_oracle_pool",)),
-    Mutant("learn_reaches_only_the_running_policy", "src/specsim/lsu.py",
-           "peer.learn(load_pc)", "pass",
+    Mutant("filed_copy_shares_its_trunks_whitelist", "src/specsim/core.py",
+           "ForwardingPolicy(policy.variant, set(policy.whitelist), members)",
+           "ForwardingPolicy(policy.variant, policy.whitelist, members)",
+           ("tests/test_shared_runs.py::"
+            "test_shared_runs_equal_independent_runs_on_the_oracle_pool",
+            "tests/test_shared_runs.py::"
+            "test_a_resumed_run_shares_no_state_with_its_trunk_or_pending_snapshots")),
+    Mutant("resumed_copy_relinks_no_consumers", "src/specsim/core.py",
+           "for p in e.producers or ():", "for p in ():",
            ("tests/test_shared_runs.py::"
             "test_shared_runs_equal_independent_runs_on_the_oracle_pool",)),
     Mutant("clone_shares_touched_sets_with_its_twin", "src/specsim/memory.py",

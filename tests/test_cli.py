@@ -305,7 +305,8 @@ def test_unwritable_save_whitelist_exits_4(capsys, tmp_path):
     ("priming = -1", 2), ("attempts = -2", 2), ("mem.0x24000.0x8 = 5", 0),
     ("benign_mem.0x24000.0b100 = 5", 0), ("flush = 0x10000,0", 0),
     ("map.0x0.0x10000000 = rw", 0), ("map.0x0.0x10000001 = rw", 2),
-    ("probe_base = 0x100000\nprobe_entries = 0x80001", 2)])
+    ("probe_base = 0x100000\nprobe_entries = 0x80001", 2),
+    ("probe_base = 0x100000\nprobe_stride = 64\namplification = 1", 0)])
 def test_scenario_file_bad_value_exits_2(capsys, tmp_path, line, want):
     asm = tmp_path / "victim.asm"
     asm.write_text("main:\n    halt\n")
@@ -366,7 +367,10 @@ def test_scenario_file_sized_key_without_its_size_names_the_shape(capsys, tmp_pa
                                   "secret_addr = -0x10", "flush = -1",
                                   "flush = 0x10000,-0x40", "map.0x20000.-5 = rw",
                                   "map.0x20000.0 = rw", "map.-0x1000.0x1000 = rw",
-                                  "probe_base = 0x10000000000000000"])
+                                  "probe_base = 0x10000000000000000",
+                                  # probe sizes are checked at their own line
+                                  "probe_stride = 8", "probe_entries = 0",
+                                  "amplification = 0"])
 def test_scenario_file_value_that_does_not_parse_names_line_and_key(
         capsys, tmp_path, command, line):
     asm = tmp_path / "victim.asm"
@@ -404,6 +408,21 @@ def test_scenario_file_region_over_the_page_limit_exits_2_before_mapping(
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"bad.scenario:{len(lines) + 1}: {key}: " in err
     assert f"({MAX_REGION_PAGES} pages)" in err
+
+
+@pytest.mark.parametrize("lines,key", [
+    (["probe_entries = 4", "probe_stride = 128"], "probe_entries"),
+    (["amplification = 2"], "amplification"),
+    (["probe_stride = 0x1000", "secret_value = 3"], "probe_stride")])
+def test_scenario_file_probe_size_without_probe_base_exits_2(capsys, tmp_path, lines, key):
+    asm = tmp_path / "victim.asm"
+    asm.write_text("main:\n    halt\n")
+    sf = tmp_path / "bad.scenario"
+    sf.write_text("\n".join([f"program = {asm}", *lines]) + "\n")
+    code, out, err = run_cli(capsys, "run", "--scenario-file", str(sf))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"bad.scenario: {key} given without probe_base" in err
 
 
 def test_config_file_value_that_does_not_parse_names_line_and_key(

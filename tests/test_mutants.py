@@ -1,5 +1,6 @@
 """The mutant catalogue stays applicable: each entry's old text occurs
-exactly once in its file. Running the mutants is `python tests/mutants.py`."""
+exactly once in its file, and each test it names is defined in its file.
+Running the mutants is `python tests/mutants.py`."""
 
 import pytest
 
@@ -11,7 +12,10 @@ def test_mutant_names_are_unique_and_name_tests():
     for m in MUTANTS:
         assert m.tests and m.old != m.new, m.name
         for node in m.tests:
-            assert (ROOT / node.split("::")[0]).is_file(), (m.name, node)
+            path, _, test = node.partition("::")
+            assert (ROOT / path).is_file(), (m.name, node)
+            # a renamed test cannot silently orphan its mutant
+            assert f"def {test.split('[')[0]}(" in (ROOT / path).read_text(), (m.name, node)
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])

@@ -1,10 +1,11 @@
 """Runs shared across forwarding policies (`run_program` with fresh state).
 
-Consecutive calls on one `Program` share each policy-independent prefix and
-resume snapshots at the loads where the policies' allows answers split. Every
-report must equal an independent run's, whatever the call order; a resumed
-run must share no state with the run it split from or with pending
-snapshots; and a program dropped with snapshots pending leaves no garbage.
+Consecutive calls on one `Program` share each policy-independent prefix: the
+first files a copy of its core at each load where the policies' allows answers
+split, and later calls resume those copies. Every report must equal an
+independent run's, whatever the call order; a resumed run must share no state,
+its whitelist included, with the run it split from or with pending copies; and
+a program dropped with copies pending leaves no garbage.
 """
 
 import gc
@@ -65,7 +66,7 @@ def test_shared_runs_equal_independent_runs_on_the_oracle_pool(block):
             program = assemble(src)
             for policy in order:
                 assert shared(program, policy, traced=traced) == want[policy], (k, policy)
-            assert program.snapshots[1] == {}, k      # every snapshot was resumed
+            assert program.snapshots[1] == {}, k      # every copy was resumed
 
 
 def test_a_repeated_policy_runs_again_and_equals_an_independent_run():
@@ -129,7 +130,13 @@ def test_a_run_given_its_state_shares_nothing():
     assert program.snapshots is None
 
 
+def pending_whitelists(program) -> dict:
+    return {p: set(core.policy.whitelist) for p, core in program.snapshots[1].items()}
+
+
 def test_a_resumed_run_shares_no_state_with_its_trunk_or_pending_snapshots():
+    """Memory, registers and whitelist: a group shares one whitelist until a
+    copy is filed, so adding pcs to one run's must reach no other run."""
     for k in range(10):
         src = source(k)
         want = {p: independent(src, p) for p in FORWARDING_POLICIES}
@@ -141,26 +148,32 @@ def test_a_resumed_run_shares_no_state_with_its_trunk_or_pending_snapshots():
             resumed = run_program(program, ORACLE.replace(forwarding_policy=policy),
                                   regs=REGS)
             assert outcome(resumed) == want[policy], (k, policy)
+            pending = pending_whitelists(program)
             mem = resumed.core.mem
             for page in list(mem.pages):
                 mem.write_bytes(page, b"\xa5" * 4096)
             resumed.core.arch_regs[:] = [0x5A] * len(resumed.core.arch_regs)
+            resumed.core.policy.whitelist.update(range(0x5A000, 0x5A040, 4))
             assert outcome(trunk) == kept, (k, policy)   # the trunk's report
-        # and the trunk's own writes reach no snapshot resumed after them
+            assert pending_whitelists(program) == pending, (k, policy)
+        # and the trunk's own writes reach no copy resumed after them
         program = assemble(src)
         trunk = run_program(program, ORACLE.replace(forwarding_policy=first), regs=REGS)
+        pending = pending_whitelists(program)
         for page in list(trunk.core.mem.pages):
             trunk.core.mem.write_bytes(page, b"\x3c" * 4096)
         trunk.core.arch_regs[:] = [0x3C] * len(trunk.core.arch_regs)
+        trunk.core.policy.whitelist.update(range(0x3C000, 0x3C040, 4))
+        assert pending_whitelists(program) == pending, k
         for policy in rest:
             assert shared(program, policy) == want[policy], (k, policy)
 
 
 def test_a_dropped_program_with_pending_snapshots_leaves_no_garbage():
-    """Snapshots hold their records by seq and no reference to the program:
-    dropping a program that still holds them frees it by reference counting,
-    and the collector finds nothing, whether the trunk halted, timed out or
-    collected a trace."""
+    """Filed copies link only to older entries and hold no reference to the
+    program: dropping a program that still holds them frees it by reference
+    counting, and the collector finds nothing, whether the trunk halted, timed
+    out or collected a trace."""
     gc.collect()
     gc.disable()
     try:
