@@ -45,8 +45,8 @@ group keeps one whitelist. At a load where some peers answer differently, the
 issue stage files a copy of the core for them on the `Program` and goes on
 with the rest; peers that never split off get a copy of the end state. A
 later call for one of them resumes its copy instead of running the shared
-prefix again. A lone call pays for its copies, at most four of about 65 us
-each, and leaves them on the program; resuming one takes about 7 us.
+prefix again. A lone call pays for its copies, at most four of about 80 us
+each, and leaves them on the program; resuming one takes about 10 us.
 """
 
 from __future__ import annotations
@@ -101,9 +101,21 @@ class ROBEntry:
     consumers: Optional[List[ROBEntry]] = None   # woken when this entry is DONE
 
 
-# the fields a filed core's entries copy; consumers, the last, are rebuilt on resume
-_ROB_FIELDS = attrgetter(*(f.name for f in fields(ROBEntry) if f.name != "consumers"))
-_SB_FIELDS = attrgetter(*(f.name for f in fields(StoreBufferEntry)))
+def _slot_copier(cls, reset: Optional[str] = None):
+    """fn(entry) -> a copy of slotted `cls`'s `entry`, made slot by slot, with
+    the field `reset` None instead; its code is generated from `fields(cls)`,
+    as the dataclass's own `__init__` is, at about half the cost of building
+    the copy through that `__init__`."""
+    body = "".join(f"    c.{f.name} = {'None' if f.name == reset else 'e.' + f.name}\n"
+                   for f in fields(cls))
+    scope = {"new": object.__new__, "cls": cls}
+    exec(f"def copy(e):\n    c = new(cls)\n{body}    return c\n", scope)
+    return scope["copy"]
+
+
+# how a filed core copies its entries; consumers are rebuilt on resume
+_copy_rob_entry = _slot_copier(ROBEntry, reset="consumers")
+_copy_sb_entry = _slot_copier(StoreBufferEntry)
 
 
 class Core:
@@ -618,9 +630,10 @@ class Core:
     # -- whole-run driver ------------------------------------------------------------
 
     def run(self) -> RunReport:
-        """Run to a halt, a fault or the cycle limit, then drain. A copy filed
-        at a split load first finishes the cycle it was filed in: the load
-        takes the `resume` decision, issue goes on after it, then fetch."""
+        """Run to a halt, a fault or the cycle limit, then drain unless the
+        limit was reached. A copy filed at a split load first finishes the
+        cycle it was filed in: the load takes the `resume` decision, issue
+        goes on after it, then fetch."""
         report = RunReport("", self.cfg.digest())
         limit = self.start_cycle + self.cfg.cycle_limit
         if self.resume is not None:
@@ -641,7 +654,9 @@ class Core:
                 self._skip_idle(limit)
         for e in self.rob:              # a fault or timeout leaves entries behind
             e.producers = e.consumers = None
-        if self.fault is None and not report.timed_out:
+        if self.fault is not None:      # the faulting micro-op and younger never retire
+            self.sb.squash_younger(self.rob[0].seq - 1)
+        if not report.timed_out:
             self._drain()
         if self.policy.peers:       # never split off: the end state is theirs too
             self._file(self.policy.peers)
@@ -668,8 +683,9 @@ class Core:
         self.cycle = max(self.cycle, min(events))
 
     def _drain(self) -> None:
-        """After halt, finish senior write-backs and let pending fills land.
-        Fills are never cancelled, so a squashed miss still installs its line."""
+        """After halt or a fault, finish senior write-backs and let pending
+        fills land. Fills are never cancelled, so a squashed miss still
+        installs its line."""
         limit = self.cycle + 10_000_000
         mem = self.mem
         while (self.sb.entries or mem.mshrs) and self.cycle < limit:
@@ -698,14 +714,14 @@ class Core:
         twin.resume = resume
         if self.trace is not None:
             twin.trace = self.trace[self.trace_start:]
-        stores = {e.seq: StoreBufferEntry(*_SB_FIELDS(e)) for e in self.sb.entries}
+        stores = {e.seq: _copy_sb_entry(e) for e in self.sb.entries}
         twin.sb.entries = list(stores.values())
         rob = self.rob
         oldest = rob[0].seq if rob else self.seq_counter
         # a pending entry may read a producer that has retired since it dispatched
         retired = {p.seq: p for e in rob if e.producers is not None
                    for p in e.producers if p is not None and p.seq < oldest}
-        entries = {e.seq: ROBEntry(*_ROB_FIELDS(e)) for e in chain(retired.values(), rob)}
+        entries = {e.seq: _copy_rob_entry(e) for e in chain(retired.values(), rob)}
         for e in entries.values():
             if e.producers is not None:
                 e.producers = [None if p is None else entries[p.seq] for p in e.producers]
@@ -771,7 +787,7 @@ def run_program(program: Program, cfg: SimConfig,
     left at the end get a copy of the end state. A later call for one of them
     resumes its copy, so the prefix runs once; its report and trace equal an
     independent run's. A lone call pays for up to four copies, each about
-    65 us, and the program keeps them until they are resumed, a call with
+    80 us, and the program keeps them until they are resumed, a call with
     another key replaces them, or the program is dropped. A call that passes
     `mem`, `pred` or `policy` runs alone and files nothing.
     """

@@ -33,12 +33,12 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
 MASK64 = (1 << 64) - 1
-_setattr = object.__setattr__      # how a frozen record's own __init__ stores
 
 # internal register file indices beyond the 32 architectural registers
 REG_FLAGS = 32   # written by cmp/cmpi, read by conditional branches and csel
@@ -108,6 +108,13 @@ def _move(a: int, b: int) -> int:
     return a
 
 
+def _slot_setters(cls) -> tuple:
+    """The `__set__` of each field's slot, in field order. A frozen record's
+    own `__init__` stores through them: `object.__setattr__(self, name, v)`
+    would look the name up on the class at every store."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
 @dataclass(frozen=True, slots=True)
 class Reg:
     n: int
@@ -116,18 +123,32 @@ class Reg:
         return "sp" if self.n == SP else f"r{self.n}"
 
 
-@dataclass(frozen=True, slots=True)
+# Imm, Mem, Instruction and MicroOp write their fields in a hand-written
+# __init__ through the setters bound below each class, cheaper than the frozen
+# dataclass's, which stores through object.__setattr__; the defaults live in
+# its signature
+@dataclass(frozen=True, slots=True, init=False)
 class Imm:
     value: int
+
+    def __init__(self, value):
+        _imm_value(self, value)
 
     def __str__(self):
         return hex(self.value) if abs(self.value) >= 16 else str(self.value)
 
 
-@dataclass(frozen=True, slots=True)
+(_imm_value,) = _slot_setters(Imm)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Mem:
     base: int
     offset: int
+
+    def __init__(self, base, offset):
+        _mem_base(self, base)
+        _mem_offset(self, offset)
 
     def __str__(self):
         reg = "sp" if self.base == SP else f"r{self.base}"
@@ -137,8 +158,9 @@ class Mem:
         return f"[{reg}{sign}{abs(self.offset)}]"
 
 
-# Instruction and MicroOp write their fields in a hand-written __init__, at
-# half the cost of the frozen dataclass's; the defaults live in its signature
+_mem_base, _mem_offset = _slot_setters(Mem)
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class Instruction:
     pc: int
@@ -147,10 +169,13 @@ class Instruction:
     forwardable: bool               # marked '!'
 
     def __init__(self, pc, mnemonic, operands=(), forwardable=False):
-        _setattr(self, "pc", pc)
-        _setattr(self, "mnemonic", mnemonic)
-        _setattr(self, "operands", operands)
-        _setattr(self, "forwardable", forwardable)
+        _ins_pc(self, pc)
+        _ins_mnemonic(self, mnemonic)
+        _ins_operands(self, operands)
+        _ins_forwardable(self, forwardable)
+
+
+_ins_pc, _ins_mnemonic, _ins_operands, _ins_forwardable = _slot_setters(Instruction)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -171,17 +196,21 @@ class MicroOp:
 
     def __init__(self, kind, parent_pc, dst=None, dst2=None, srcs=(), imm=0, size=8,
                  fn=None, is_return=False, forwardable=False, last=True):
-        _setattr(self, "kind", kind)
-        _setattr(self, "parent_pc", parent_pc)
-        _setattr(self, "dst", dst)
-        _setattr(self, "dst2", dst2)
-        _setattr(self, "srcs", srcs)
-        _setattr(self, "imm", imm)
-        _setattr(self, "size", size)
-        _setattr(self, "fn", fn)
-        _setattr(self, "is_return", is_return)
-        _setattr(self, "forwardable", forwardable)
-        _setattr(self, "last", last)
+        _uop_kind(self, kind)
+        _uop_parent_pc(self, parent_pc)
+        _uop_dst(self, dst)
+        _uop_dst2(self, dst2)
+        _uop_srcs(self, srcs)
+        _uop_imm(self, imm)
+        _uop_size(self, size)
+        _uop_fn(self, fn)
+        _uop_is_return(self, is_return)
+        _uop_forwardable(self, forwardable)
+        _uop_last(self, last)
+
+
+(_uop_kind, _uop_parent_pc, _uop_dst, _uop_dst2, _uop_srcs, _uop_imm, _uop_size, _uop_fn,
+ _uop_is_return, _uop_forwardable, _uop_last) = _slot_setters(MicroOp)
 
 
 @dataclass
@@ -265,13 +294,52 @@ _REGS = {f"r{n}": Reg(n) for n in range(32)}
 _REGS["sp"] = _REGS[f"r{SP}"]
 
 # value -> its one object, for the values every program would otherwise hold
-# a copy of: pcs, register-only operand tuples, label operand positions and
-# micro-op source tuples. The longest program bounds the pcs, and the
-# register file the tuples.
+# a copy of: pcs, label operand positions and micro-op source tuples, and,
+# filed under the register names that spell them, register-only operand
+# tuples. The longest program bounds the pcs, and the register file the
+# tuples.
 _SHARED: Dict[object, object] = {}
 _MEM_RE = re.compile(r"^\[\s*(r[0-9]+|sp)\s*(?:([+-])\s*([^\]\s]+)\s*)?\]$")
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _LABEL_SUGAR_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.*)$")
+
+
+def _registers(names: Tuple[str, ...]) -> Tuple[Reg, ...]:
+    """The one shared operand tuple of these register names."""
+    ops = _SHARED.get(names)
+    if ops is None:
+        ops = _SHARED[tuple(map(sys.intern, names))] = tuple(map(_REGS.__getitem__, names))
+    return ops
+
+
+# signature -> (a matcher of its operand text, fn(the match's groups) -> its
+# operands), for each signature without a label or code target. The pattern,
+# compiled from the signature, takes a subset of what the token scan below
+# takes: r0-r31 and sp, ints in ASCII decimal or hex, blanks that are spaces
+# or tabs, no empty operand, and a comment after the last operand.
+_UINT = r"0[xX][0-9a-fA-F]+|[1-9][0-9]*|0+"
+_REG = r"(r[12]?[0-9]|r3[01]|sp)"
+_PIECES = {"r": _REG, "i": rf"([+-]?(?:{_UINT}))",
+           "m": rf"\[[ \t]*{_REG}(?:[ \t]*([+-])[ \t]*({_UINT}))?[ \t]*\]"}
+_OPERAND_PATTERNS = {
+    sig: (re.compile(r"[ \t]*,[ \t]*".join(map(_PIECES.get, sig))
+                     + r"[ \t]*(?:;.*)?").fullmatch, build)
+    for sig, build in {
+        "": _registers, "r": _registers, "rr": _registers, "rrr": _registers,
+        "ri": lambda g: (_REGS[g[0]], Imm(int(g[1], 0))),
+        "rri": lambda g: (_REGS[g[0]], _REGS[g[1]], Imm(int(g[2], 0))),
+        "rm": lambda g: (_REGS[g[0]], Mem(_REGS[g[1]].n, -int(g[3], 0) if g[2] == "-"
+                                          else int(g[3] or "0", 0))),
+    }.items()}
+
+# a line's first word, as written -> (its mnemonic, marked '!', the operand
+# pattern of its signature or None). A line is plain when this names its
+# first word and that pattern takes the rest of it whole; any other line (a
+# label, a directive, a label or code target, other spellings) takes the full
+# reading and the token scan, the only source of error text.
+_PLAIN = {m + mark: (m, mark == "!", _OPERAND_PATTERNS.get(sig))
+          for m, sig in _SIGNATURES.items()
+          for mark in ("", "!") if not mark or m in LOAD_SIZES or m in STORE_SIZES}
 
 
 def _parse_reg(tok: str, lineno: int, col: int) -> Reg:
@@ -310,12 +378,56 @@ def _split_operands(text: str) -> List[Tuple[str, int]]:
     return out
 
 
+def _scan_operands(mnem: str, rest: str, rcol: int, lineno: int, col: int,
+                   labels: Dict[str, int]) -> Tuple[tuple, Tuple[int, ...]]:
+    """The token scan: `rest`, the operand text of `mnem` at column `rcol` of
+    line `lineno`, as (operands, positions of those written as labels), or
+    the AsmError of its first bad token."""
+    sig = _SIGNATURES[mnem]
+    toks = _split_operands(rest)
+    if len(toks) != len(sig):
+        raise AsmError(f"{mnem} expects {len(sig)} operand(s), got {len(toks)}",
+                       lineno, col)
+    ops, named = [], []
+    for code, (tok, tcol) in zip(sig, toks):
+        tcol = rcol + rest.find(tok, tcol)   # its piece may start blank
+        if code == "r":
+            ops.append(_parse_reg(tok, lineno, tcol))
+        elif code == "m":
+            m = _MEM_RE.match(tok)
+            if not m:
+                raise AsmError(f"expected [reg], [reg+off] or [reg-off], got "
+                               f"{tok!r}", lineno, tcol)
+            base, sign, off = m.groups()
+            base = _parse_reg(base, lineno, tcol).n
+            off = 0 if off is None else _parse_int(off, lineno, tcol)
+            ops.append(Mem(base, -off if sign == "-" else off))
+        # immediate or label; only a token starting like a name can be one
+        elif (tok[0].isalpha() or tok[0] == "_") and _IDENT_RE.match(tok):
+            if tok not in labels:
+                raise AsmError(f"undefined label {tok!r}", lineno, tcol)
+            named.append(len(ops))
+            ops.append(Imm(labels[tok]))
+        elif code == "l":
+            raise AsmError(f"expected label, got {tok!r}", lineno, tcol)
+        else:
+            ops.append(Imm(_parse_int(tok, lineno, tcol)))
+    if not sig.strip("r"):      # registers only
+        return _registers(tuple(tok for tok, _ in toks)), ()
+    return tuple(ops), tuple(named)
+
+
 def assemble(source: str) -> Program:
     """Assemble toy-dialect text into a Program. Deterministic; raises AsmError."""
     labels: Dict[str, int] = {}
-    # (lineno, mnemonic's column, mnemonic, forwardable, operand text, its column)
-    pending: List[Tuple] = []
+    # per instruction, itself, or None until the second pass scans its operands
+    instructions: List[Optional[Instruction]] = []
+    # (its index, lineno, mnemonic's column, mnemonic, forwardable, operand
+    # text, its column) of each instruction whose operands no pattern took
+    deferred: List[Tuple] = []
     segments: List[DataSegment] = []
+    share = _SHARED.setdefault
+    parsed: Dict[Tuple, tuple] = {}     # a plain line's match groups -> its operands
     pc = 0
 
     def define_label(name: str, lineno: int, col: int):
@@ -326,6 +438,20 @@ def assemble(source: str) -> Program:
         labels[name] = pc
 
     for lineno, raw in enumerate(source.splitlines(), 1):
+        parts = raw.split(None, 1)
+        plain = parts and _PLAIN.get(parts[0])
+        if plain:
+            mnem, forwardable, pattern = plain
+            m = pattern and pattern[0](parts[1] if len(parts) > 1 else "")
+            if m:
+                g = m.groups()
+                ops = parsed.get(g)
+                if ops is None:
+                    ops = parsed[g] = pattern[1](g)
+                instructions.append(Instruction(share(pc, pc), mnem, ops, forwardable))
+                pc += 4
+                continue
+
         line = raw.split(";", 1)[0].rstrip()
         text = line.strip()
         if not text:
@@ -380,56 +506,20 @@ def assemble(source: str) -> Program:
             raise AsmError(f"unknown mnemonic {mnem!r}", lineno, col)
         mnem = _MNEMONICS[mnem]
         rest = parts[1] if len(parts) > 1 else ""
-        pending.append((lineno, col, mnem, forwardable, rest,
-                        col + len(text) - len(rest)))
+        deferred.append((len(instructions), lineno, col, mnem, forwardable, rest,
+                         col + len(text) - len(rest)))
+        instructions.append(None)
         pc += 4
 
-    # second pass: operands, with labels now known; a text is parsed once per
-    # signature, so an error is raised at the first line that has it
-    instructions: List[Instruction] = []
-    share = _SHARED.setdefault
+    # second pass: the token scan, with labels now known; an error is raised
+    # at the first line that has one
     label_operands: Dict[int, Tuple[int, ...]] = {}
-    parsed: Dict[Tuple[str, str], Tuple] = {}   # (signature, text) -> (operands, named)
-    for idx, (lineno, col, mnem, forwardable, rest, rcol) in enumerate(pending):
-        sig = _SIGNATURES[mnem]
-        memo = parsed.get((sig, rest))
-        if memo is None:
-            toks = _split_operands(rest)
-            if len(toks) != len(sig):
-                raise AsmError(f"{mnem} expects {len(sig)} operand(s), got {len(toks)}",
-                               lineno, col)
-            ops, named = [], []         # named: positions of operands written as labels
-            for code, (tok, tcol) in zip(sig, toks):
-                tcol = rcol + rest.find(tok, tcol)   # its piece may start blank
-                if code == "r":
-                    ops.append(_REGS.get(tok) or _parse_reg(tok, lineno, tcol))
-                elif code == "m":
-                    m = _MEM_RE.match(tok)
-                    if not m:
-                        raise AsmError(f"expected [reg], [reg+off] or [reg-off], got "
-                                       f"{tok!r}", lineno, tcol)
-                    base, sign, off = m.groups()
-                    base = _parse_reg(base, lineno, tcol).n
-                    off = 0 if off is None else _parse_int(off, lineno, tcol)
-                    ops.append(Mem(base, -off if sign == "-" else off))
-                # immediate or label; only a token starting like a name can be one
-                elif (tok[0].isalpha() or tok[0] == "_") and _IDENT_RE.match(tok):
-                    if tok not in labels:
-                        raise AsmError(f"undefined label {tok!r}", lineno, tcol)
-                    named.append(len(ops))
-                    ops.append(Imm(labels[tok]))
-                elif code == "l":
-                    raise AsmError(f"expected label, got {tok!r}", lineno, tcol)
-                else:
-                    ops.append(Imm(_parse_int(tok, lineno, tcol)))
-            ops, named = tuple(ops), tuple(named)
-            if not sig.strip("r"):      # registers only
-                ops = share(ops, ops)
-            memo = parsed[sig, rest] = ops, share(named, named)
-        if memo[1]:
-            label_operands[idx] = memo[1]
+    for idx, lineno, col, mnem, forwardable, rest, rcol in deferred:
+        ops, named = _scan_operands(mnem, rest, rcol, lineno, col, labels)
+        if named:
+            label_operands[idx] = share(named, named)
         at = idx * 4
-        instructions.append(Instruction(share(at, at), mnem, memo[0], forwardable))
+        instructions[idx] = Instruction(share(at, at), mnem, ops, forwardable)
 
     # trailing labels point one past the last instruction; that is allowed only
     # if nothing jumps there, which label resolution above already guarantees.

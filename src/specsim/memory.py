@@ -128,9 +128,8 @@ class MemorySystem:
     # -- cache and MSHRs -----------------------------------------------------
 
     def _install(self, line_addr: int, cycle: int) -> None:
-        if line_addr in self.lines:
-            self.lines[line_addr] = cycle
-            return
+        """Install a line that is not resident: only `tick` installs, and only
+        lines it takes out of `mshrs`, which `access` fills with misses."""
         index = (line_addr // LINE) % N_SETS
         s = self.sets.get(index)
         if s is None:

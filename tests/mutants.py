@@ -136,6 +136,18 @@ MUTANTS = (
     Mutant("fetch_reserves_no_store_buffer_slot_for_a_call", "src/specsim/core.py",
            "if first is STA or first is CALL:", "if first is STA:",
            ("tests/test_core.py::test_fetch_reserves_a_store_buffer_slot_for_each_call",)),
+    Mutant("filed_copy_skips_a_rob_entry_field", "src/specsim/core.py",
+           "for f in fields(cls))", 'for f in fields(cls) if f.name != "pending")',
+           ("tests/test_shared_runs.py::"
+            "test_shared_runs_equal_independent_runs_on_the_oracle_pool",)),
+    Mutant("micro_op_setters_bound_to_each_others_slot", "src/specsim/isa.py",
+           "(_uop_kind, _uop_parent_pc, _uop_dst, _uop_dst2,",
+           "(_uop_kind, _uop_parent_pc, _uop_dst2, _uop_dst,",
+           ("tests/test_isa.py::test_isa_records_store_each_argument_in_its_own_field",)),
+    Mutant("fault_leaves_committed_stores_undrained", "src/specsim/core.py",
+           "if not report.timed_out:", "if self.fault is None and not report.timed_out:",
+           ("tests/test_oracle.py::"
+            "test_every_reference_fault_runs_and_the_core_agrees_where_it_faults",)),
 )
 
 

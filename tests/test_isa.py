@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -226,7 +227,8 @@ def split_by_characters(text):
 
 
 def operand_texts(monkeypatch, build):
-    """Every operand string the assembler splits while `build()` runs."""
+    """Every operand string the assembler reads while `build()` runs, all
+    split by the token scan."""
     seen = []
     split = isa._split_operands
 
@@ -235,6 +237,7 @@ def operand_texts(monkeypatch, build):
         return split(text)
     with monkeypatch.context() as m:
         m.setattr(isa, "_split_operands", record)
+        m.setattr(isa, "_PLAIN", {})      # no line is plain: all take the token scan
         build()
     return seen
 
@@ -481,3 +484,187 @@ def test_label_operand_resolves_to_its_pc():
     assert p.instructions[0].operands == (Reg(1), Imm(12))
     assert p.instructions[1].operands == (Imm(12),)
     assert p.instructions[4].operands == (Reg(2), Imm(12))
+
+
+# -- the frozen records store each argument in its own slot ------------------
+
+@pytest.mark.parametrize("cls", [Imm, Mem, Instruction, MicroOp])
+def test_isa_records_store_each_argument_in_its_own_field(cls):
+    names = [f.name for f in dataclasses.fields(cls)]
+    values = [object() for _ in names]
+    for record in (cls(*values), cls(**dict(zip(names, values)))):
+        assert [getattr(record, name) for name in names] == values
+
+
+# -- every spelling assembles the same way ----------------------------------
+
+POOL = 400                  # criterion 10's first 400 programs
+
+
+@functools.lru_cache(maxsize=None)
+def criterion_10_source(k: int) -> str:
+    """Program k of criterion 10, with r15 renamed r31 so `sp` can spell it."""
+    src = random_program(random.Random(90000 + k), 170)
+    return src.replace("r15,", "r31,").replace("r15\n", "r31\n").replace("r15]", "r31]")
+
+
+def respell_operand(tok: str, rng: random.Random) -> str:
+    if tok == "r31":
+        return rng.choice(["r31", "sp"])
+    if tok.startswith("["):                 # [rN] or [rN+off] / [rN-off]
+        inner = tok[1:-1]
+        base, sign, off = (inner.partition("+") if "+" in inner
+                           else inner.partition("-"))
+        base = respell_operand(base, rng)
+        if not sign:
+            sign, off = "+", "0"
+        blank = lambda: rng.choice(["", " ", "\t", "  "])
+        if off == "0" and rng.random() < 0.3:       # no offset written
+            return f"[{blank()}{base}{blank()}]"
+        return f"[{blank()}{base}{blank()}{sign}{blank()}{respell_operand(off, rng)}{blank()}]"
+    if tok[0].isdigit() or tok[0] == "-":
+        value = int(tok, 0)
+        digits = abs(value)
+        sign = "-" if value < 0 else rng.choice(["", "", "+"])
+        return sign + rng.choice([str(digits), f"0x{digits:x}", f"0x{digits:X}",
+                                  f"0X{digits:X}"])
+    return tok
+
+
+def respell(src: str, rng: random.Random) -> str:
+    """Another spelling of `src`: blanks and tabs around commas, brackets and
+    offsets, trailing comments, `sp` for r31, hex in either case, [rN+0] for
+    [rN], and label sugar carrying the instruction after it."""
+    out = []
+    pending_label = None
+    for line in src.splitlines():
+        text = line.strip()
+        if text.endswith(":"):
+            if pending_label is not None:
+                out.append(pending_label)
+            pending_label = text
+            continue
+        if text.startswith(".") or not text:
+            rendered = line
+        else:
+            mnem, _, rest = text.partition(" ")
+            ops = [respell_operand(tok, rng) for tok in rest.split(", ")] if rest else []
+            sep = rng.choice([",", ", ", " , ", "\t,\t", " ,"])
+            rendered = (rng.choice(["    ", "\t", "", " "]) + mnem
+                        + (rng.choice([" ", "\t", "   "]) + sep.join(ops) if ops else "")
+                        + rng.choice(["", "", " ; note", "\t;x: y, [z]", ";", "  \t"]))
+        if pending_label is not None:
+            if rendered.strip() and not rendered.strip().startswith(".") \
+                    and rng.random() < 0.5:
+                rendered = pending_label + rng.choice([" ", "\t", ""]) + rendered.strip()
+            else:
+                out.append(pending_label)
+            pending_label = None
+        out.append(rendered)
+    if pending_label is not None:
+        out.append(pending_label)
+    return "\n".join(out) + "\n"
+
+
+def assembled(src: str, decoded: bool = True):
+    """What assemble gives for `src` (the Program, its label operands and,
+    if `decoded`, each instruction's micro-ops), or its AsmError's text and
+    place."""
+    try:
+        p = assemble(src)
+    except AsmError as e:
+        return str(e), e.line, e.col
+    return p, p.label_operands, decoded and [decode(i) for i in p.instructions]
+
+
+def by_token_scan(monkeypatch, src: str, decoded: bool = True):
+    """`assembled` with no line taken as plain: all take the token scan."""
+    with monkeypatch.context() as m:
+        m.setattr(isa, "_PLAIN", {})
+        return assembled(src, decoded)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_every_spelling_assembles_as_the_canonical_text(monkeypatch, block):
+    rng = random.Random(7100 + block)
+    scanned = []
+    scan = isa._scan_operands
+    monkeypatch.setattr(isa, "_scan_operands",
+                        lambda *args: scanned.append(args) or scan(*args))
+    instructions = by_patterns = 0
+    for k in range(block * POOL // 4, (block + 1) * POOL // 4):
+        src = criterion_10_source(k)
+        want = assembled(src)
+        variant = respell(src, rng)
+        assert variant != src
+        scanned.clear()
+        assert assembled(variant) == want, (k, variant)
+        instructions += len(want[0].instructions)
+        by_patterns += len(want[0].instructions) - len(scanned)
+        assert by_token_scan(monkeypatch, variant) == want, (k, variant)
+    assert by_patterns > 0.7 * instructions     # most spellings took the patterns
+
+
+# operand texts at the edges of what the patterns take, by signature
+EDGE_SPELLINGS = {
+    "movi": ["r1, 5", "r1, -5", "r1, - 5", "r1, +-5", "r1, 08", "r1, 00", "r1, 0x", "r1, 0X1f",
+             "r1, -0x10", "r1, 1_000", "r1, 0b101", "r1, 0o7", "r1, \u0665", "r1,5;x",
+             "r1, 5 ;", "r1 ,5", "r1,, 5", "r1, 5,", "R1, 5", "r32, 5", "r01, 5", "sp, 5",
+             "r1, top", "r1, _x", "r1,\t\t5\t"],
+    "addi": ["r1, r2, 3", "r1, r2, -0", "r1, r2,3 ; c", "r31, sp, 0x8000000000000000",
+             "r1, r2, 3, 4", "r1, r2"],
+    "ld.8!": ["r1, [r2]", "r1, [ r2 + 8 ]", "r1, [r2+-8]", "r1, [r2 - 08]", "r1, [r2+0x]",
+              "r1, [r2 +\t0X8]", "r1, [sp-0]", "r1, [r2,]", "r1, [[r2]]", "r1, r2",
+              "r1, [r2+8] [r3]", "r1, [r2+ 8 ]x"],
+    "add": ["r1, r2, r3", "r1,r2,r3", "r1, r2, r3 r4", "r1, r2, 3", "r10, r29, r30",
+            "r3, r31, r32", "r1\u00a0, r2, r3"],
+    "mov": ["r1, r2", "r1, sp", "r1 r2", "r1, 2"],
+    "jr": ["r7", "r7 ; x", "[r7]", "7"],
+    "halt": ["", " ; c", "r1", ";"],
+}
+
+
+@pytest.mark.parametrize("mnem", EDGE_SPELLINGS)
+def test_edge_spellings_assemble_as_under_the_token_scan(monkeypatch, mnem):
+    for text in EDGE_SPELLINGS[mnem]:
+        src = f"top:\n    {mnem} {text}\n    halt\n"
+        assert assembled(src) == by_token_scan(monkeypatch, src), src
+
+
+# the dialect's characters, blanks the patterns do not take (a unit
+# separator and a no-break space) and a letter outside ASCII
+FUZZ_CHARS = "[],+-; \t:!._0123456789abcdefxXrsp\x1f\u00a0\u00e9"
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_bad_text_raises_only_asm_error_and_as_the_token_scan_does(monkeypatch, block):
+    """Single-character insertions, deletions and substitutions in criterion
+    10's programs (respelled) either assemble or raise AsmError, and the
+    pattern path gives what the token scan alone gives."""
+    rng = random.Random(7200 + block)
+    outcomes = {"assembled": 0, "error": 0}
+    for k in range(block * POOL // 4, (block + 1) * POOL // 4):
+        variant = respell(criterion_10_source(k), rng).splitlines()
+        for _ in range(5):
+            src = mutated(variant, rng)
+            got = assembled(src, decoded=False)
+            outcomes["error" if isinstance(got[0], str) else "assembled"] += 1
+            assert by_token_scan(monkeypatch, src, decoded=False) == got, src
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def mutated(lines, rng: random.Random) -> str:
+    """`lines` with one character inserted, deleted or substituted."""
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    chars = list(lines[i])
+    pos = rng.randint(0, len(chars))
+    op = rng.random()
+    if op < 0.4 or not chars:
+        chars.insert(pos, rng.choice(FUZZ_CHARS))
+    elif op < 0.7:
+        del chars[min(pos, len(chars) - 1)]
+    else:
+        chars[min(pos, len(chars) - 1)] = rng.choice(FUZZ_CHARS)
+    lines[i] = "".join(chars)
+    return "\n".join(lines) + "\n"

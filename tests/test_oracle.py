@@ -152,3 +152,46 @@ def test_every_mnemonic_matches_reference(mnem):
                 assert r.fault is None and not r.timed_out, (src, policy, r.fault)
                 assert arch_state(r.core.arch_regs, r.core.mem) == want, (
                     src, regs, policy, counter)
+
+
+# -- every fault the reference returns ------------------------------------------
+
+# a committed store the fault must not lose, then the faulting code at 0x10
+FAULT_PREFIX = "main:\n    movi r1, 0x60000\n    movi r2, 0x1234\n    st.8 r2, [r1]\n"
+FAULT_DATA = ".data 0x60000 rw 00\n.data 0x70000 ro 00\n"
+FAULTS = {  # name -> (code at pc 0xc, the reference's fault)
+    "fetch_off_the_map": ("    movi r7, 0x400\n    jr r7\n", "fetch off map at 0x400"),
+    "store_to_a_read_only_page": ("    movi r3, 0x70000\n    st.8 r2, [r3]\n"
+                                  "    st.8 r2, [r1+8]\n",
+                                  "write_fault pc=0x10 addr=0x70000"),
+    "call_with_an_unmapped_sp": ("    movi r31, 0x900000\n    call fn\n",
+                                 "write_fault pc=0x10 addr=0x8ffff8"),
+    "load_from_an_unmapped_page": ("    movi r3, 0x900000\n    ld.8 r4, [r3]\n",
+                                   "unmapped_load pc=0x10 addr=0x900000"),
+    "ret_with_an_unmapped_sp": ("    movi r31, 0x900000\n    ret\n",
+                                "unmapped_load pc=0x10 addr=0x900000"),
+    "step_limit": ("top:\n    addi r5, r5, 1\n    jmp top\n", "step limit exceeded"),
+}
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_every_reference_fault_runs_and_the_core_agrees_where_it_faults(name):
+    """The core faults as the reference does, on the same committed state: a
+    store that retired before the fault reaches memory, and the faulting store
+    and younger ones never do. Fetch off the map only stalls the core, and an
+    endless loop only reaches its cycle limit."""
+    body, fault = FAULTS[name]
+    program = assemble(f"{FAULT_PREFIX}{body}    halt\nfn:\n    ret\n{FAULT_DATA}")
+    ref = run_reference(program, GEOMETRIES[0], max_steps=1000)
+    assert ref.fault == fault
+    want = arch_state(ref.regs, ref.mem)
+    assert want[1] == {0x60000: bytes.fromhex("3412") + bytes(4094)}
+    for policy in FORWARDING_POLICIES:
+        cfg = GEOMETRIES[0].replace(forwarding_policy=policy, cycle_limit=2000)
+        r = run_program(program, cfg)
+        if fault.startswith(("write_fault", "unmapped_load")):
+            assert (r.fault, r.timed_out) == (fault, False), policy
+            assert arch_state(r.core.arch_regs, r.core.mem) == want, policy
+            assert not r.core.sb.entries and not r.core.mem.mshrs, policy
+        else:
+            assert (r.fault, r.timed_out) == (None, True), policy
