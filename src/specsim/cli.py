@@ -262,7 +262,3 @@ def main(argv=None) -> int:
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

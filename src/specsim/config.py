@@ -5,12 +5,9 @@ from __future__ import annotations
 import hashlib
 import dataclasses
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import Callable, List, Optional
 
 from .lsu import FORWARDING_POLICIES
-
-if TYPE_CHECKING:
-    from .core import Core
 
 TLB_ENFORCEMENT_MODES = ("lazy", "eager", "forward_zero")
 
@@ -19,12 +16,17 @@ TLB_ENFORCEMENT_MODES = ("lazy", "eager", "forward_zero")
 CHOICES = {"forwarding_policy": FORWARDING_POLICIES,
            "tlb_enforcement": TLB_ENFORCEMENT_MODES}
 
+# the largest branch history table: every predictor state holds one counter
+# per entry, and real bimodal tables hold a few thousand
+MAX_BHT_SIZE = 2 ** 16
+
 
 @dataclass(frozen=True)
 class SimConfig:
     """All machine knobs. Defaults model one thread of a wide modern core.
-    Frozen, so the digest taken at construction stays true; `replace` builds
-    a new config with its own digest."""
+    `bht_size` is a power of two up to MAX_BHT_SIZE. Frozen, so the digest
+    taken at construction stays true; `replace` builds a new config with its
+    own digest."""
 
     rob_capacity: int = 224
     issue_width: int = 8
@@ -48,8 +50,8 @@ class SimConfig:
                      "cycle_limit"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.bht_size & (self.bht_size - 1):
-            raise ValueError("bht_size must be a power of two")
+        if self.bht_size & (self.bht_size - 1) or self.bht_size > MAX_BHT_SIZE:
+            raise ValueError(f"bht_size must be a power of two up to {MAX_BHT_SIZE}")
         if self.dram_latency_cycles <= self.l1_latency_cycles:
             raise ValueError("dram_latency_cycles must exceed l1_latency_cycles")
         if self.timer_granularity_cycles < 1:
@@ -99,7 +101,7 @@ class RunReport:
     attack_success: Optional[bool] = None
     fault: Optional[str] = None
     timed_out: bool = False
-    core: Optional[Core] = field(default=None, repr=False, compare=False)
+    core: object = field(default=None, repr=False, compare=False)     # a core.Core
     trace: Optional[List[TraceEvent]] = field(default=None, repr=False, compare=False)
 
     @property

@@ -37,7 +37,7 @@ and on a squash, so no chain of retired entries stays alive and no reference
 cycle is left for the garbage collector.
 
 The forwarding policy enters the core only at the allows test of
-`forward_decision` and in `ForwardingPolicy.learn`, so runs of one program
+`forward_decision` and at retirement's `whitelist.add`, so runs of one program
 under different policies are identical up to the first load whose allows
 answer differs. `run_program` called with fresh state runs them as one: the
 policy carries as peers the names of the policies not asked for yet, and the
@@ -159,7 +159,7 @@ class Core:
         self.squash_count = 0
         self.forward_count = 0
         self.retired_instructions = 0
-        self.progress = False      # set by any stage that changes state this cycle
+        self.progress = True       # a stage changed state this cycle, or none ran yet
 
     # -- tracing ---------------------------------------------------------------
 
@@ -374,7 +374,7 @@ class Core:
             if kind is BR_COND and uop.fn is not None:
                 train_branch(self.pred, uop.parent_pc, entry.actual)
             elif kind is LDA and entry.forwarded_from is not None:
-                self.policy.learn(uop.parent_pc)
+                self.policy.whitelist.add(uop.parent_pc)
             elif kind is HALT:
                 self.halted = True
             if uop.last:
@@ -387,21 +387,22 @@ class Core:
                 return
 
     def _stage_writeback(self) -> None:
-        e = self.sb.oldest_drainable()
-        if e is None:
-            return
+        """Write back the head of the store buffer, which the caller found
+        senior, and remove it once written."""
+        entries = self.sb.entries
+        e = entries[0]
         if e.writeback_ready_cycle is None:
             res = self.mem.access(e.addr, self.cycle)
             if res.status == "hit":
                 self.mem.write_int(e.addr, e.size, e.data)
-                self.sb.drop()
+                del entries[0]
             elif res.status == "miss":
                 e.writeback_ready_cycle = res.ready_cycle
             else:
                 return                      # mshr_full: retry after a fill
         elif self.cycle >= e.writeback_ready_cycle:
             self.mem.write_int(e.addr, e.size, e.data)
-            self.sb.drop()
+            del entries[0]
         else:
             return
         self.progress = True
@@ -526,10 +527,10 @@ class Core:
         rename_get = rename.get
         live_tags = self.live_tags
         trace = self.trace
-        sb = self.sb
+        sb_entries = self.sb.entries
         width = self.cfg.issue_width
         rob_room = self.cfg.rob_capacity - len(rob)
-        sb_room = self.cfg.sb_capacity - len(sb.entries)
+        sb_room = self.cfg.sb_capacity - len(sb_entries)
         seq = self.seq_counter
         dispatched = 0
         n_instructions = len(decoded)
@@ -579,12 +580,12 @@ class Core:
                 elif kind is STA:
                     sbe = entry.sbe = StoreBufferEntry(seq, uop.size,
                                                        forwardable=uop.forwardable)
-                    sb.insert(sbe)
+                    sb_entries.append(sbe)
                 elif kind is STD:
                     entry.sbe = sbe
                 elif kind is CALL:
                     entry.sbe = StoreBufferEntry(seq, uop.size)
-                    sb.insert(entry.sbe)
+                    sb_entries.append(entry.sbe)
                     rsb_push(self.pred, pc + 4)
                     next_pc = uop.imm
                 elif kind is JR_INDIRECT:
@@ -633,7 +634,8 @@ class Core:
         """Run to a halt, a fault or the cycle limit, then drain unless the
         limit was reached. A copy filed at a split load first finishes the
         cycle it was filed in: the load takes the `resume` decision, issue
-        goes on after it, then fetch."""
+        goes on after it, then fetch. Any cycle that changed nothing, that
+        one included, is followed by a jump to the next event."""
         report = RunReport("", self.cfg.digest())
         limit = self.start_cycle + self.cfg.cycle_limit
         if self.resume is not None:
@@ -643,15 +645,13 @@ class Core:
             if self.fetch_pc is not None:
                 self._stage_fetch()
             self.cycle += 1
+        while not self.halted and self.fault is None:
             if not self.progress:
                 self._skip_idle(limit)
-        while not self.halted and self.fault is None:
             if self.cycle >= limit:
                 report.timed_out = True
                 break
             self.step()
-            if not self.progress:
-                self._skip_idle(limit)
         for e in self.rob:              # a fault or timeout leaves entries behind
             e.producers = e.consumers = None
         if self.fault is not None:      # the faulting micro-op and younger never retire
@@ -677,9 +677,9 @@ class Core:
             events.append(min(self.executing))
         if self.mem.next_fill is not None:
             events.append(self.mem.next_fill)
-        wb = self.sb.oldest_drainable()
-        if wb is not None and wb.writeback_ready_cycle is not None:
-            events.append(wb.writeback_ready_cycle)
+        entries = self.sb.entries       # only a senior head has a write-back pending
+        if entries and entries[0].writeback_ready_cycle is not None:
+            events.append(entries[0].writeback_ready_cycle)
         self.cycle = max(self.cycle, min(events))
 
     def _drain(self) -> None:
@@ -691,7 +691,7 @@ class Core:
         while (self.sb.entries or mem.mshrs) and self.cycle < limit:
             self.progress = (mem.next_fill is not None and mem.next_fill <= self.cycle
                              and bool(mem.tick(self.cycle)))
-            if self.sb.entries:
+            if self.sb.entries:         # after a halt or a fault, every entry is senior
                 self._stage_writeback()
             self.cycle += 1
             if not self.progress:

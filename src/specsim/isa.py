@@ -256,7 +256,7 @@ class AsmError(Exception):
 
 
 # mnemonic -> operand signature; r=register, i=immediate-or-label, m=memory,
-# l=label-or-immediate code target
+# l=code target, written as a label name only
 _SIGNATURES = {
     "movi": "ri", "mov": "rr", "cmp": "rr", "cmpi": "ri",
     **{m: "rri" if m.endswith("i") else "rrr" for m in ALU_OPS},
@@ -371,10 +371,8 @@ def _split_operands(text: str) -> List[Tuple[str, int]]:
                 out.append((tok, start))
             start = end + 1
         end += 1
-    if start < end:             # text ends inside brackets
-        tok = text[start:].strip()
-        if tok:
-            out.append((tok, start))
+    if start < end:             # text ends inside brackets, so it holds one
+        out.append((text[start:].strip(), start))
     return out
 
 
@@ -521,8 +519,8 @@ def assemble(source: str) -> Program:
         at = idx * 4
         instructions[idx] = Instruction(share(at, at), mnem, ops, forwardable)
 
-    # trailing labels point one past the last instruction; that is allowed only
-    # if nothing jumps there, which label resolution above already guarantees.
+    # a label after the last instruction points one past it; a jump there runs
+    # fetch off the map, where the reference faults and the core stalls
     segs = sorted(segments, key=lambda s: s.addr)
     for a, b in zip(segs, segs[1:]):
         if a.addr + max(len(a.data), 1) > b.addr:
@@ -537,8 +535,9 @@ def _srcs(*regs: int) -> Tuple[int, ...]:
 
 def decode(instr: Instruction) -> Tuple[MicroOp, ...]:
     """Decode one instruction into a tuple of 1-2 micro-ops, binding its ALU
-    function or condition from the tables above. Pure and total; equal source
-    tuples are one shared object."""
+    function or condition from the tables above. Pure and total over the
+    mnemonics `assemble` takes, those of `_SIGNATURES`; equal source tuples
+    are one shared object."""
     pc = instr.pc
     mnem = instr.mnemonic
     ops = instr.operands
@@ -581,9 +580,7 @@ def decode(instr: Instruction) -> Tuple[MicroOp, ...]:
         return (MicroOp(UopKind.JR_INDIRECT, pc, None, None, _srcs(ops[0].n)),)
     if mnem == "fence":
         return (MicroOp(UopKind.FENCE, pc),)
-    if mnem == "halt":
-        return (MicroOp(UopKind.HALT, pc),)
-    raise ValueError(f"undecodable mnemonic {mnem!r}")
+    return (MicroOp(UopKind.HALT, pc),)     # halt, the one mnemonic left
 
 
 def disassemble(program: Program) -> str:

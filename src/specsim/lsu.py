@@ -68,9 +68,6 @@ class ForwardingPolicy:
         if self.variant not in POLICY_ALLOWS:
             raise ValueError(f"unknown forwarding policy {self.variant!r}")
 
-    def learn(self, load_pc: int) -> None:
-        self.whitelist.add(load_pc)
-
     def save_whitelist(self, path: str) -> None:
         with open(path, "w") as f:
             for pc in sorted(self.whitelist):
@@ -100,27 +97,16 @@ MEMORY = ForwardDecision("memory")
 
 class StoreBuffer:
     """Entries in seq order. Stores seniorize as they retire, in order, so
-    the senior entries are a prefix and the oldest drainable one is the head.
-    Fetch checks for room (`sb_capacity`) before it inserts: a full buffer
-    stalls fetch."""
+    the senior entries are a prefix and the oldest drainable one is the head,
+    when it is senior. Fetch checks for room (`sb_capacity`) before it
+    appends: a full buffer stalls fetch. Write-back removes the head."""
 
     def __init__(self):
         self.entries: List[StoreBufferEntry] = []   # ordered by seq
 
-    def insert(self, entry: StoreBufferEntry) -> None:
-        self.entries.append(entry)
-
     def squash_younger(self, seq: int) -> None:
         """Drop non-senior entries younger than seq."""
         self.entries = [e for e in self.entries if e.seq <= seq or e.senior]
-
-    def drop(self) -> None:
-        """Remove the head, once it is written back."""
-        del self.entries[0]
-
-    def oldest_drainable(self) -> Optional[StoreBufferEntry]:
-        entries = self.entries
-        return entries[0] if entries and entries[0].senior else None
 
 
 def forward_decision(load_seq: int, load_addr: int, load_size: int,

@@ -144,12 +144,6 @@ class MemorySystem:
             s.append(line_addr)
         self.lines[line_addr] = cycle
 
-    def _evict(self, line_addr: int) -> None:
-        if line_addr not in self.lines:
-            return
-        del self.lines[line_addr]
-        self.sets[(line_addr // LINE) % N_SETS].remove(line_addr)
-
     def access(self, addr: int, cycle: int) -> AccessResult:
         """One cache access by a load or a store's write-back."""
         line_addr = addr & ~(LINE - 1)
@@ -197,7 +191,10 @@ class MemorySystem:
         return self.read_int(addr, 1), latency
 
     def flush_line(self, addr: int) -> None:
-        self._evict(addr & ~(LINE - 1))
+        line_addr = addr & ~(LINE - 1)
+        if line_addr in self.lines:
+            del self.lines[line_addr]
+            self.sets[(line_addr // LINE) % N_SETS].remove(line_addr)
 
     # -- state snapshot for architectural comparisons -------------------------
 

@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .config import RunReport, SimConfig, parse_int, read_key_values
 from .core import run_program
-from .isa import MASK64, Program, assemble, disassemble
+from .isa import _REGS, MASK64, Program, assemble, disassemble
 from .lsu import ForwardingPolicy
 from .memory import LINE, PAGE, MemorySystem
 from .predictors import PredictorState, train_branch
@@ -56,6 +56,14 @@ PROBE = 0x100000
 
 SECRET_OFF = 0x1800          # beyond lenb=16 and beyond next_pow2 padding
 SECRET_ADDR = ARR_B + SECRET_OFF
+
+# the most a probe span or a scenario file's map region may cover: 256 MiB,
+# far above every bundled scenario, so that no size can make the TLB map
+# millions of pages before a run starts
+MAX_REGION_PAGES = 2 ** 16
+_MAX_REGION = f"{MAX_REGION_PAGES * PAGE:#x} bytes ({MAX_REGION_PAGES} pages)"
+# the most filler micro-ops spectre_1_0 takes, far above any reorder window
+MAX_PAD_UOPS = 2 ** 16
 
 MITIGATIONS = ("none", "fence", "coarse_mask", "exact_mask")
 # fence_gadget guards only a transmit gadget, which spectre_1_1_control jumps over
@@ -120,6 +128,10 @@ class ProbeSpec:
             raise ValueError("amplification factor must be >= 1")
         if self.entries < 1:
             raise ValueError("probe entries must be >= 1")
+        if self.span > MAX_REGION_PAGES * PAGE:
+            raise ValueError(f"the probe span, probe_entries x amplification x "
+                             f"probe_stride, may cover at most {_MAX_REGION}, "
+                             f"got {self.span:#x}")
 
     def line_addr(self, entry: int, k: int) -> int:
         return self.base + (entry * self.amplification + k) * self.stride
@@ -337,13 +349,16 @@ def build_gadget_spectre_1_0(secret: int = 0x2A, mitigation: str = "none",
                              pad_uops: int = 0,
                              amplification: int = 1) -> Scenario:
     """Bounds check bypass on loads: the guarded double load runs before the
-    slow bound resolves, leaving the secret's probe line in the cache."""
-    if pad_uops < 0:
-        raise ValueError(f"pad_uops must be >= 0, got {pad_uops}")
+    slow bound resolves, leaving the secret's probe line in the cache.
+    `pad_uops` lies in 0 to MAX_PAD_UOPS, and the probe span bounds
+    `amplification` (2048 at most)."""
+    if not 0 <= pad_uops <= MAX_PAD_UOPS:
+        raise ValueError(f"pad_uops must lie in 0 to {MAX_PAD_UOPS}, got {pad_uops}")
     # the shift scales the secret to its entry's first probe line, so the
     # entries' spacing, amplification * 512 bytes, must be a power of two
     if amplification < 1 or amplification & (amplification - 1):
         raise ValueError(f"amplification must be a power of two, got {amplification}")
+    probe = ProbeSpec(amplification=amplification)      # bounds the span first
     shift = (amplification * 512).bit_length() - 1
     body_lines = [
         "    add r3, r11, r10",
@@ -373,7 +388,7 @@ done:
         benign_regs={10: 2, 11: ARR_B, 12: PROBE},
         regions=list(_COMMON_REGIONS),
         secret_value=secret,
-        probe=ProbeSpec(amplification=amplification),
+        probe=probe,
         prime_branches=[(p.labels["check"], False)],
         slow_lines=[VARS],
         attempts=2 if amplification == 1 else 12,
@@ -470,9 +485,10 @@ vret:
 # ---------------------------------------------------------------------------
 
 def _reg(text: str) -> int:
-    if text[:1] != "r" or not text[1:].isdigit() or int(text[1:]) >= 32:
-        raise ValueError(f"registers are r0 to r31, got {text!r}")
-    return int(text[1:])
+    """A register as the assembler spells it: r0 to r31, or sp."""
+    if text not in _REGS:
+        raise ValueError(f"registers are r0 to r31 and sp, got {text!r}")
+    return _REGS[text].n
 
 
 def _number_or_label(text: str):
@@ -525,13 +541,6 @@ def _access_size(text: str) -> int:
     if size not in (1, 2, 4, 8):
         raise ValueError(f"an access size must be 1, 2, 4 or 8, got {text}")
     return size
-
-
-# the most a scenario file's map region or probe span may cover: 256 MiB, far
-# above every bundled scenario, so that no size can make the TLB map millions
-# of pages before a run starts
-MAX_REGION_PAGES = 2 ** 16
-_MAX_REGION = f"{MAX_REGION_PAGES * PAGE:#x} bytes ({MAX_REGION_PAGES} pages)"
 
 
 def _region_size(text: str) -> int:
@@ -600,11 +609,7 @@ def _read_file(folder, filename: str, path: str) -> Tuple[dict, str, MitigationS
         value = _file_value(key, value)
         if key in _PROBE_KEYS and key != "probe_base":
             probe[_PROBE_KEYS[key]] = value
-            span = ProbeSpec(**probe).span
-            if span > MAX_REGION_PAGES * PAGE:
-                raise ValueError(f"the probe span, probe_entries x amplification x "
-                                 f"probe_stride, may cover at most {_MAX_REGION}, "
-                                 f"got {span:#x}")
+            ProbeSpec(**probe)
         return value
 
     for key, value in read_key_values((folder / filename).read_text(), parsed,

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import specsim
+from specsim import assemble, cli
 from specsim.cli import main
 from specsim.config import CHOICES, SimConfig
+from specsim.scenarios import Scenario
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +121,34 @@ def test_matrix_unknown_scenario_error_is_the_plain_message(capsys):
     assert row["error"] == "unknown scenario 'nope'"
 
 
+def test_matrix_table_marks_timeouts_faults_and_cell_errors(capsys, monkeypatch):
+    """A cell that times out, faults, or cannot be built says so in its
+    row's error, and `--table` prints every row under the JSON lines."""
+    build = cli.build_scenario
+    faulty = Scenario("faulty", assemble("main:\n    movi r1, 0x900000\n"
+                                         "    ld.8 r2, [r1]\n    halt\n"))
+    monkeypatch.setattr(cli, "build_scenario", lambda name, mitigation: (
+        faulty if name == "faulty" else build(name, mitigation=mitigation)))
+    code, out, err = run_cli(capsys, "matrix", "--scenarios", "benign_spill,faulty",
+                             "--policies", "baseline", "--mitigations",
+                             "none,fence_gadget", "--cycle-limit", "50", "--table")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    rows = [json.loads(line) for line in lines[:4]]
+    errors = {(r["scenario"], r["mitigation"]): r["error"] for r in rows}
+    assert errors[("benign_spill", "none")] == "timeout"
+    assert errors[("benign_spill", "fence_gadget")].startswith(
+        "scenario 'benign_spill' has no 'fence_gadget' site")
+    assert errors[("faulty", "none")] == errors[("faulty", "fence_gadget")] == \
+        "unmapped_load pc=0x4 addr=0x900000"
+    assert lines[4] == "-" * 72 and len(lines) == 9
+    for row, line in zip(rows, lines[5:]):
+        assert line.startswith(f"{row['scenario']:<22} baseline           "
+                               f"{row['mitigation']:<12} -      ")
+        assert line.endswith(f"  [{row['error']}]")
+    assert lines[5].split()[3:5] == ["-", "-"]       # benign_spill+fence_gadget never ran
+
+
 def test_benign_matrix_row_cycle_ordering(capsys):
     code, out, _ = run_cli(capsys, "matrix", "--scenarios", "benign_spill",
                            "--policies", "baseline,slothbear_stores",
@@ -198,7 +228,8 @@ def test_run_table_output(capsys):
 def test_invalid_config_value_exits_2(capsys):
     for flag, value in [("--rob-capacity", "0"), ("--l1-latency-cycles", "-3"),
                         ("--l1-latency-cycles", "0"), ("--cycle-limit", "-5"),
-                        ("--cycle-limit", "0")]:
+                        ("--cycle-limit", "0"), ("--bht-size", "1000"),
+                        ("--bht-size", "17179869184")]:
         code, out, err = run_cli(capsys, "run", "spectre_1_0", flag, value)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -207,7 +238,9 @@ def test_invalid_config_value_exits_2(capsys):
 
 @pytest.mark.parametrize("text", [None, "rob_capacity\n", "mshr_count=x\n",
                                   "no_such_knob=1\n", "dram_latency_cycles=2\n",
-                                  "l1_latency_cycles=0\n", "cycle_limit=-1\n"])
+                                  "l1_latency_cycles=0\n", "cycle_limit=-1\n",
+                                  "bht_size=1000\n", "timer_granularity_cycles=0\n",
+                                  "tlb_enforcement=strict\n"])
 def test_bad_env_config_exits_2(capsys, monkeypatch, tmp_path, text):
     cfgfile = tmp_path / "specsim.conf"
     if text is not None:
@@ -242,7 +275,10 @@ def test_benign_spill_rejects_secret(capsys):
 @pytest.mark.parametrize("flags", [("--secret", "999"), ("--secret", "-1"),
                                    ("--secret", "0x1FF"), ("--pad-uops", "-1"),
                                    ("--amplification", "3"), ("--amplification", "5"),
-                                   ("--amplification", "6")])
+                                   ("--amplification", "6"),
+                                   ("--amplification", "1048576"),
+                                   ("--amplification", "4096"),
+                                   ("--pad-uops", "100000000")])
 def test_out_of_range_scenario_option_exits_2(capsys, flags):
     code, out, err = run_cli(capsys, "run", "spectre_1_0", *flags)
     assert code == 2 and out == ""
@@ -306,7 +342,11 @@ def test_unwritable_save_whitelist_exits_4(capsys, tmp_path):
     ("benign_mem.0x24000.0b100 = 5", 0), ("flush = 0x10000,0", 0),
     ("map.0x0.0x10000000 = rw", 0), ("map.0x0.0x10000001 = rw", 2),
     ("probe_base = 0x100000\nprobe_entries = 0x80001", 2),
-    ("probe_base = 0x100000\nprobe_stride = 64\namplification = 1", 0)])
+    ("probe_base = 0x100000\nprobe_stride = 64\namplification = 1", 0),
+    ("reg.r01 = 1", 2), ("reg.r\u0663 = 1", 2), ("reg.sp = 0x40800", 0),
+    ("benign_reg.r01 = 1", 2), ("benign_reg.sp = 0x40800", 0),
+    ("site.exact_mask = main, r01, r2", 2), ("site.exact_mask = main, r1, sp", 0),
+    ("site.coarse_mask = main, r\u0663, 0x1000", 2)])
 def test_scenario_file_bad_value_exits_2(capsys, tmp_path, line, want):
     asm = tmp_path / "victim.asm"
     asm.write_text("main:\n    halt\n")
@@ -518,7 +558,8 @@ def test_number_flag_takes_hex_and_rejects_a_non_number(capsys, flag, value):
      "argument --pad-uops: invalid parse_int value: '0x'"),
     (["run", "spectre_1_0", "--mitigation", "nope"],
      "argument --mitigation: invalid choice: 'nope'"),
-    ([], "the following arguments are required: command")])
+    ([], "the following arguments are required: command"),
+    (["run"], "give a scenario name or --scenario-file")])
 def test_malformed_command_line_prints_one_error_line_and_exits_2(capsys, argv,
                                                                    message):
     code, out, err = run_cli(capsys, *argv)

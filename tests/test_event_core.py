@@ -99,7 +99,8 @@ def assert_store_buffer_ordered(core: Core) -> None:
 
 
 def step_polled(core: Core) -> None:
-    """One cycle with every queue rebuilt from scans and every stage called."""
+    """One cycle with every queue rebuilt from scans and every stage called
+    (write-back when the store-buffer head is senior, which it requires)."""
     for e in core.rob:
         e.pending = 0
         e.consumers = None
@@ -112,7 +113,8 @@ def step_polled(core: Core) -> None:
     core._stage_retire()
     if core.fault:
         return
-    core._stage_writeback()
+    if core.sb.entries and core.sb.entries[0].senior:
+        core._stage_writeback()
     core._stage_issue()
     core._stage_fetch()
     core.cycle += 1
@@ -131,7 +133,8 @@ def run_per_cycle(core: Core) -> RunReport:
         guard = 0
         while (core.sb.entries or core.mem.mshrs) and guard < 10_000_000:
             core.mem.tick(core.cycle)
-            core._stage_writeback()
+            if core.sb.entries:
+                core._stage_writeback()
             assert_store_buffer_ordered(core)
             core.cycle += 1
             guard += 1

@@ -64,6 +64,14 @@ def test_duplicate_label():
         assemble("a:\n    nop\na:\n    halt\n")
 
 
+@pytest.mark.parametrize("line,msg", [(".label 9x", "bad label name '9x'"),
+                                      (".label a b", ".label takes one name")])
+def test_bad_label_directive_is_rejected(line, msg):
+    with pytest.raises(AsmError) as e:
+        assemble(f"    nop\n  {line}\n")
+    assert str(e.value) == f"line 2, col 2: {msg}"
+
+
 def test_operand_count_mismatch():
     with pytest.raises(AsmError, match="expects 3 operand"):
         assemble("    add r1, r2\n")
@@ -184,9 +192,11 @@ check:
 fn:
     csel.b r3, r1, r2
     ret
+end:
 .data 0x10000 ro de ad be ef
 """
     p = assemble(src)
+    assert p.labels["end"] == 4 * len(p.instructions)     # one past the last
     assert assemble(disassemble(p)) == p
 
 

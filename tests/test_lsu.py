@@ -17,9 +17,14 @@ def entry(seq, addr=None, size=8, data=None, senior=False, forwardable=False,
 
 def sb_with(*entries):
     sb = StoreBuffer()
-    for e in entries:
-        sb.insert(e)
+    sb.entries.extend(entries)
     return sb
+
+
+def drainable_head(core):
+    """The store-buffer head when it is senior, free to drain, else None."""
+    entries = core.sb.entries
+    return entries[0] if entries and entries[0].senior else None
 
 
 def decide(load_seq, addr, size, sb, policy="baseline", speculative=False,
@@ -175,17 +180,32 @@ def test_squash_removes_only_younger_non_senior():
 
 
 def test_drain_acts_on_the_head():
-    sb = sb_with(entry(1, addr=0x8, data=0), entry(3, addr=0x10, data=1),
-                 entry(6, addr=0x18, data=2))
-    assert sb.oldest_drainable() is None          # the head is not senior
-    for e in sb.entries[:2]:
+    """Each cycle writes back the head of the store buffer once it is
+    senior, and nothing behind a head that is not."""
+    p = assemble("main:\n    halt\n")
+    cfg = SimConfig(dram_latency_cycles=20, l1_latency_cycles=2)
+    mem = MemorySystem(cfg)
+    mem.map_region(0, 0x1000)
+    mem.access(0, 0)
+    mem.tick(20)                                  # line 0 resident: write-backs hit
+    core = Core(p, cfg, mem, PredictorState(cfg.bht_size, cfg.rsb_depth),
+                ForwardingPolicy("baseline"))
+    core.cycle = 20
+    core.sb.entries.extend([entry(1, addr=0x8, data=0x11), entry(3, addr=0x10, data=0x22),
+                            entry(6, addr=0x18, data=0x33)])
+    core.step()
+    assert drainable_head(core) is None and len(core.sb.entries) == 3
+    for e in core.sb.entries[:2]:
         e.senior = True
-    head, second = sb.entries[:2]
-    assert sb.oldest_drainable() is head
-    sb.drop()
-    assert sb.entries[0] is second and sb.oldest_drainable() is second
-    sb.drop()
-    assert [e.seq for e in sb.entries] == [6] and sb.oldest_drainable() is None
+    head, second, third = core.sb.entries
+    assert drainable_head(core) is head
+    core.step()
+    assert core.sb.entries == [second, third] and drainable_head(core) is second
+    core.step()
+    assert core.sb.entries == [third] and drainable_head(core) is None
+    core.step()
+    assert core.sb.entries == [third]
+    assert [mem.read_int(a, 8) for a in (0x8, 0x10, 0x18)] == [0x11, 0x22, 0]
 
 
 def drainable_at_retire(src):
@@ -204,7 +224,7 @@ def drainable_at_retire(src):
         before = list(core.rob)
         core.step()
         left = {id(e) for e in core.rob}
-        seen += [(e.uop.kind, e.sbe is core.sb.oldest_drainable())
+        seen += [(e.uop.kind, e.sbe is drainable_head(core))
                  for e in before if e.sbe is not None and id(e) not in left]
     return seen
 
@@ -216,6 +236,11 @@ def test_store_seniorizes_when_its_last_uop_retires():
         "    halt\n" + data) == [(STA, False), (STD, True)]
     assert drainable_at_retire(
         "main:\n    call f\nf:\n    halt\n" + data) == [(CALL, True)]
+
+
+def test_unknown_policy_is_rejected():
+    with pytest.raises(ValueError, match="unknown forwarding policy 'bogus'"):
+        ForwardingPolicy("bogus")
 
 
 def test_whitelist_file_roundtrip(tmp_path):

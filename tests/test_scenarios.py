@@ -128,6 +128,19 @@ def test_secret_inside_checked_region_raises():
         Scenario(name="x", victim=assemble("halt\n"), secret_addr=ARR_B + 4)
 
 
+def test_unknown_expected_outcome_raises():
+    with pytest.raises(ValueError, match="expected must be attack_succeeds or "
+                                         "attack_fails, got 'leaks'"):
+        Scenario(name="x", victim=assemble("halt\n"), expected="leaks")
+
+
+def test_no_attack_state_refuses_a_victim_whose_reference_faults():
+    victim = assemble("main:\n    movi r1, 0x900000\n    ld.8 r2, [r1]\n    halt\n")
+    with pytest.raises(RuntimeError, match="faulty: the in-order reference faulted: "
+                                           "unmapped_load pc=0x4 addr=0x900000"):
+        no_attack_state(Scenario("faulty", victim), CFG)
+
+
 @pytest.mark.parametrize("policy", ["slothbear_stores", "slothbear_loads",
                                     "sloth_marked", "arctic_sloth"])
 @pytest.mark.parametrize("name", STORE_ATTACKS)
@@ -706,7 +719,8 @@ def test_scenario_file_rejects_a_secret_wider_than_a_byte(tmp_path, value):
 
 @pytest.mark.parametrize("kw", [{"secret": 999}, {"secret": -1}, {"secret": 0x100},
                                 {"pad_uops": -1}, {"amplification": 3},
-                                {"amplification": 5}, {"amplification": 6}])
+                                {"amplification": 5}, {"amplification": 6},
+                                {"pad_uops": 65537}])
 def test_builder_rejects_out_of_range_options(kw):
     with pytest.raises(ValueError, match="secret_value must be a byte|pad_uops"
                                          "|amplification must be a power of two"):
