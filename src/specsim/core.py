@@ -42,11 +42,13 @@ under different policies are identical up to the first load whose allows
 answer differs. `run_program` called with fresh state runs them as one: the
 policy carries as peers the names of the policies not asked for yet, and the
 group keeps one whitelist. At a load where some peers answer differently, the
-issue stage files a copy of the core for them on the `Program` and goes on
-with the rest; peers that never split off get a copy of the end state. A
-later call for one of them resumes its copy instead of running the shared
-prefix again. A lone call pays for its copies, at most four of about 80 us
-each, and leaves them on the program; resuming one takes about 10 us.
+issue stage files a copy of the core for them on the `Program`, taken before
+the load's decision, and goes on with the rest; peers that never split off
+get a copy of the end state. A later call for one of them resumes its copy
+instead of running the shared prefix again: the copy asks the LSU again at
+that load, where its members all answer alike, so it cannot split again. A
+lone call pays for its copies, at most four of about 80 us each, and leaves
+them on the program; resuming one takes about 10 us.
 """
 
 from __future__ import annotations
@@ -135,8 +137,8 @@ class Core:
         self.policy = policy
         self.trace = trace
         self.trace_start = 0 if trace is None else len(trace)   # where this run's events begin
-        # a copy filed at a split load resumes there: (the load's decision,
-        # the issue loop's place and counts)
+        # a copy filed at a split load resumes there: the issue loop's place
+        # after the load and its counts
         self.resume: Optional[tuple] = None
         if program.decoded is None:
             program.decoded = tuple(map(decode, program.instructions))
@@ -242,8 +244,9 @@ class Core:
                       decision: Optional[ForwardDecision] = None) -> Optional[ForwardDecision]:
         """Forward, access memory, or leave the load WAITING to retry next
         cycle, as `decision` (by default the LSU's) says. A retry that stays
-        WAITING changes no state. A decision that splits the policy's peers
-        is returned unapplied, for the issue stage to fork on."""
+        WAITING changes no state. A decision of the LSU's that splits the
+        policy's peers is returned unapplied, for the issue stage to fork on;
+        never for a resumed copy's first call, whose members answer alike."""
         uop = entry.uop
         if decision is None:
             live_tags = self.live_tags
@@ -286,9 +289,10 @@ class Core:
         """Some peers answer the allows test of `entry`, a load being issued,
         the other way: file one copy for them, taken before the load takes a
         decision and holding the issue loop's place and counts, then go on
-        with the rest and apply the running policy's decision."""
+        with the rest and apply the running policy's decision. The copy
+        decides the load again when it resumes."""
         after = bisect_right(self.ready, entry.seq, key=_seq)
-        self._file(decision.split, (decision.other, (after, issued, loads, stds, branches)))
+        self._file(decision.split, (after, issued, loads, stds, branches))
         self._attempt_load(entry, decision)
 
     # -- one pipeline stage each ------------------------------------------------------
@@ -536,7 +540,7 @@ class Core:
         n_instructions = len(decoded)
         while dispatched < width and pc is not None:
             idx = pc >> 2
-            if pc & 3 or idx < 0 or idx >= n_instructions:
+            if pc & 3 or idx >= n_instructions:
                 break                               # fetch stalled off the map
             uops = decoded[idx]
             n_uops = len(uops)
@@ -633,15 +637,15 @@ class Core:
     def run(self) -> RunReport:
         """Run to a halt, a fault or the cycle limit, then drain unless the
         limit was reached. A copy filed at a split load first finishes the
-        cycle it was filed in: the load takes the `resume` decision, issue
-        goes on after it, then fetch. Any cycle that changed nothing, that
-        one included, is followed by a jump to the next event."""
+        cycle it was filed in: the load asks the LSU again, issue goes on
+        after it from the `resume` place and counts, then fetch. Any cycle
+        that changed nothing, that one included, is followed by a jump to the
+        next event."""
         report = RunReport("", self.cfg.digest())
         limit = self.start_cycle + self.cfg.cycle_limit
         if self.resume is not None:
-            decision, loop = self.resume
-            self._attempt_load(self.ready[loop[0] - 1], decision)
-            self._stage_issue(loop)
+            self._attempt_load(self.ready[self.resume[0] - 1])
+            self._stage_issue(self.resume)
             if self.fetch_pc is not None:
                 self._stage_fetch()
             self.cycle += 1
@@ -656,6 +660,7 @@ class Core:
             e.producers = e.consumers = None
         if self.fault is not None:      # the faulting micro-op and younger never retire
             self.sb.squash_younger(self.rob[0].seq - 1)
+            self.executing = {}         # nor complete, so no skip waits for them
         if not report.timed_out:
             self._drain()
         if self.policy.peers:       # never split off: the end state is theirs too
@@ -668,11 +673,11 @@ class Core:
         report.fault = self.fault
         return report
 
-    def _skip_idle(self, limit: int) -> None:
+    def _skip_idle(self, limit: Optional[int] = None) -> None:
         """After a cycle that changed nothing, every cycle up to the next event
         is the same idle cycle: jump to the earliest of an execution finishing,
         an MSHR fill, the oldest senior store's write-back, and `limit`."""
-        events = [limit]
+        events = [] if limit is None else [limit]
         if self.executing:
             events.append(min(self.executing))
         if self.mem.next_fill is not None:
@@ -685,27 +690,29 @@ class Core:
     def _drain(self) -> None:
         """After halt or a fault, finish senior write-backs and let pending
         fills land. Fills are never cancelled, so a squashed miss still
-        installs its line."""
-        limit = self.cycle + 10_000_000
+        installs its line. It ends on its own, however long the DRAM latency:
+        a pass that changes nothing leaves a fill or the head's write-back
+        scheduled, and the skip jumps to it."""
         mem = self.mem
-        while (self.sb.entries or mem.mshrs) and self.cycle < limit:
+        while self.sb.entries or mem.mshrs:
             self.progress = (mem.next_fill is not None and mem.next_fill <= self.cycle
                              and bool(mem.tick(self.cycle)))
             if self.sb.entries:         # after a halt or a fault, every entry is senior
                 self._stage_writeback()
             self.cycle += 1
             if not self.progress:
-                self._skip_idle(limit)
+                self._skip_idle()
 
     # -- runs shared across policies ---------------------------------------------------
 
     def _file(self, members: Tuple[str, ...], resume: Optional[tuple] = None) -> None:
         """File a copy of this core on the program for the policies `members`
-        to resume, and drop them from the peers. The copy's ROB and store-buffer
-        entries are fresh, a link to an older entry points at that entry's
-        copy, and consumer lists are left out. It has no program and its own
-        whitelist, memory, predictors and trace prefix, so it shares no state
-        and holds no reference cycle."""
+        to resume, at `resume` (the issue loop's place and counts after a
+        split load) or else at the end of the run, and drop them from the
+        peers. The copy's ROB and store-buffer entries are fresh, a link to an
+        older entry points at that entry's copy, and consumer lists are left
+        out. It has no program and its own whitelist, memory, predictors and
+        trace prefix, so it shares no state and holds no reference cycle."""
         policy = self.policy
         twin = Core(self.program, self.cfg, self.mem.clone(), self.pred.clone(),
                     ForwardingPolicy(policy.variant, set(policy.whitelist), members),

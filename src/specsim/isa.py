@@ -34,7 +34,7 @@ from __future__ import annotations
 import operator
 import re
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -108,11 +108,20 @@ def _move(a: int, b: int) -> int:
     return a
 
 
-def _slot_setters(cls) -> tuple:
-    """The `__set__` of each field's slot, in field order. A frozen record's
-    own `__init__` stores through them: `object.__setattr__(self, name, v)`
-    would look the name up on the class at every store."""
-    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+def _slot_init(cls):
+    """Give frozen, slotted `cls` an `__init__` generated from `fields(cls)`,
+    with each field's declared default, that stores each argument through
+    its slot's `__set__`: the frozen dataclass's own stores through
+    `object.__setattr__`, which looks the name up on the class every time."""
+    fs = fields(cls)
+    scope = {f"set_{f.name}": cls.__dict__[f.name].__set__ for f in fs}
+    scope.update((f"default_{f.name}", f.default) for f in fs if f.default is not MISSING)
+    params = ", ".join(f.name if f.default is MISSING else f"{f.name}=default_{f.name}"
+                       for f in fs)
+    body = "".join(f"    set_{f.name}(self, {f.name})\n" for f in fs)
+    exec(f"def __init__(self, {params}):\n{body}", scope)
+    cls.__init__ = scope["__init__"]
+    return cls
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,32 +132,20 @@ class Reg:
         return "sp" if self.n == SP else f"r{self.n}"
 
 
-# Imm, Mem, Instruction and MicroOp write their fields in a hand-written
-# __init__ through the setters bound below each class, cheaper than the frozen
-# dataclass's, which stores through object.__setattr__; the defaults live in
-# its signature
+@_slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class Imm:
     value: int
-
-    def __init__(self, value):
-        _imm_value(self, value)
 
     def __str__(self):
         return hex(self.value) if abs(self.value) >= 16 else str(self.value)
 
 
-(_imm_value,) = _slot_setters(Imm)
-
-
+@_slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class Mem:
     base: int
     offset: int
-
-    def __init__(self, base, offset):
-        _mem_base(self, base)
-        _mem_offset(self, offset)
 
     def __str__(self):
         reg = "sp" if self.base == SP else f"r{self.base}"
@@ -158,59 +155,31 @@ class Mem:
         return f"[{reg}{sign}{abs(self.offset)}]"
 
 
-_mem_base, _mem_offset = _slot_setters(Mem)
-
-
+@_slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class Instruction:
     pc: int
     mnemonic: str
-    operands: Tuple
-    forwardable: bool               # marked '!'
-
-    def __init__(self, pc, mnemonic, operands=(), forwardable=False):
-        _ins_pc(self, pc)
-        _ins_mnemonic(self, mnemonic)
-        _ins_operands(self, operands)
-        _ins_forwardable(self, forwardable)
+    operands: Tuple = ()
+    forwardable: bool = False       # marked '!'
 
 
-_ins_pc, _ins_mnemonic, _ins_operands, _ins_forwardable = _slot_setters(Instruction)
-
-
+@_slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class MicroOp:
     kind: UopKind
     parent_pc: int
-    dst: Optional[int]
-    dst2: Optional[int]
-    srcs: Tuple[int, ...]
-    imm: int
-    size: int
+    dst: Optional[int] = None
+    dst2: Optional[int] = None
+    srcs: Tuple[int, ...] = ()
+    imm: int = 0
+    size: int = 8
     # ALU and CMP: result = fn(a, b); BR_COND and CSEL: the condition,
     # fn(flags) -> bool, None for the unconditional jmp
-    fn: Optional[Callable]
-    is_return: bool
-    forwardable: bool
-    last: bool               # last micro-op of its parent instruction
-
-    def __init__(self, kind, parent_pc, dst=None, dst2=None, srcs=(), imm=0, size=8,
-                 fn=None, is_return=False, forwardable=False, last=True):
-        _uop_kind(self, kind)
-        _uop_parent_pc(self, parent_pc)
-        _uop_dst(self, dst)
-        _uop_dst2(self, dst2)
-        _uop_srcs(self, srcs)
-        _uop_imm(self, imm)
-        _uop_size(self, size)
-        _uop_fn(self, fn)
-        _uop_is_return(self, is_return)
-        _uop_forwardable(self, forwardable)
-        _uop_last(self, last)
-
-
-(_uop_kind, _uop_parent_pc, _uop_dst, _uop_dst2, _uop_srcs, _uop_imm, _uop_size, _uop_fn,
- _uop_is_return, _uop_forwardable, _uop_last) = _slot_setters(MicroOp)
+    fn: Optional[Callable] = None
+    is_return: bool = False
+    forwardable: bool = False
+    last: bool = True        # last micro-op of its parent instruction
 
 
 @dataclass

@@ -19,8 +19,9 @@ any store.
 A policy may carry peers: the names of other policies sharing its run
 because every forwarding decision so far came out the same under each of them
 (see `core.run_program`). At the allows test `forward_decision` asks every
-peer too, and names the peers that answer differently. The group keeps one
-whitelist: since it formed, each member has learned the same load pcs.
+peer too, and names the peers that answer differently; a decision carries
+only the running policy's answer. The group keeps one whitelist: since it
+formed, each member has learned the same load pcs.
 """
 
 from __future__ import annotations
@@ -84,10 +85,9 @@ class ForwardDecision:
     kind: str                     # forward | forward_zero | wait | memory
     value: int = 0
     store_seq: int = -1
-    # the policy's peers that answer the allows test the other way, and the
-    # decision they take instead; empty unless the policy's run must split
+    # the policy's peers that answer the allows test the other way; empty
+    # unless the policy's run must split
     split: Tuple[str, ...] = ()
-    other: Optional[ForwardDecision] = None
 
 
 # the decisions that carry no value, shared by every load attempt
@@ -121,7 +121,8 @@ def forward_decision(load_seq: int, load_addr: int, load_size: int,
     speculation). Partial overlaps and size mismatches wait until the store
     drains, then fall through to memory. Only the allows test depends on the
     policy: when some of its peers answer it differently, the decision names
-    them in `split`, with theirs in `other`.
+    them in `split`. They all answer it alike, so the same question asked
+    under any one of them, with the others as its peers, splits no further.
     """
     for entry in reversed(sb.entries):
         if entry.seq > load_seq:
@@ -141,10 +142,8 @@ def forward_decision(load_seq: int, load_addr: int, load_size: int,
                                   entry, load_speculative, load_pc, load_forwardable,
                                   policy.whitelist)) is not allows)
                 if split:
-                    forward = _forward(entry, load_size, tlb_mode)
-                    mine, theirs = (forward, WAIT) if allows else (WAIT, forward)
-                    return ForwardDecision(mine.kind, mine.value, mine.store_seq,
-                                           split, theirs)
+                    mine = _forward(entry, load_size, tlb_mode) if allows else WAIT
+                    return ForwardDecision(mine.kind, mine.value, mine.store_seq, split)
             return _forward(entry, load_size, tlb_mode) if allows else WAIT
         if entry.overlaps(load_addr, load_size):
             return WAIT

@@ -133,9 +133,6 @@ class ProbeSpec:
                              f"probe_stride, may cover at most {_MAX_REGION}, "
                              f"got {self.span:#x}")
 
-    def line_addr(self, entry: int, k: int) -> int:
-        return self.base + (entry * self.amplification + k) * self.stride
-
     @property
     def span(self) -> int:
         return self.entries * self.amplification * self.stride

@@ -140,10 +140,22 @@ MUTANTS = (
            "for f in fields(cls))", 'for f in fields(cls) if f.name != "pending")',
            ("tests/test_shared_runs.py::"
             "test_shared_runs_equal_independent_runs_on_the_oracle_pool",)),
-    Mutant("micro_op_setters_bound_to_each_others_slot", "src/specsim/isa.py",
-           "(_uop_kind, _uop_parent_pc, _uop_dst, _uop_dst2,",
-           "(_uop_kind, _uop_parent_pc, _uop_dst2, _uop_dst,",
+    Mutant("record_init_stores_through_another_fields_setter", "src/specsim/isa.py",
+           'scope = {f"set_{f.name}": cls.__dict__[f.name].__set__ for f in fs}',
+           'scope = {f"set_{f.name}": cls.__dict__[g.name].__set__\n'
+           '             for f, g in zip(fs, fs[::-1])}',
            ("tests/test_isa.py::test_isa_records_store_each_argument_in_its_own_field",)),
+    Mutant("resumed_copy_skips_asking_again", "src/specsim/core.py",
+           "self._attempt_load(self.ready[self.resume[0] - 1])",
+           "self.ready[self.resume[0] - 1].status = WAITING",
+           ("tests/test_shared_runs.py::"
+            "test_shared_runs_equal_independent_runs_on_the_oracle_pool",)),
+    Mutant("drain_budget_put_back", "src/specsim/core.py",
+           "while self.sb.entries or mem.mshrs:",
+           "limit = self.cycle + 10_000_000\n"
+           "        while (self.sb.entries or mem.mshrs) and self.cycle < limit:",
+           ("tests/test_event_core.py::"
+            "test_store_drains_after_halt_however_long_the_dram_latency",)),
     Mutant("fault_leaves_committed_stores_undrained", "src/specsim/core.py",
            "if not report.timed_out:", "if self.fault is None and not report.timed_out:",
            ("tests/test_oracle.py::"

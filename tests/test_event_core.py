@@ -7,8 +7,8 @@ stage only when it has work. The reference below does none of this: each
 cycle it clears every wakeup count, finds the ready micro-ops by reading their
 producers' status (at the start of the cycle and again right after
 completion), rebuilds the wheel and the earliest fill cycle from the ROB and
-the MSHRs, and calls every stage; after `halt` it drains the store buffer one
-cycle at a time. Both must leave identical traces, reports, registers,
+the MSHRs, and calls every stage; after `halt` or a fault it drains the store
+buffer one cycle at a time. Both must leave identical traces, reports, registers,
 committed memory, cache footprint and final cycle. After every event-driven
 step, the ready list, the wheel and the earliest fill cycle must equal what
 the same scans find.
@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from specsim import SimConfig, assemble, run_program
+from specsim import SimConfig, arch_state, assemble, run_program, run_reference
 from specsim.config import FORWARDING_POLICIES, RunReport
 from specsim.core import DONE, EXECUTING, LOADING, Core
 from specsim.isa import UopKind
@@ -129,7 +129,9 @@ def run_per_cycle(core: Core) -> RunReport:
         step_polled(core)
         assert_speculation_matches_rob(core)
         assert_store_buffer_ordered(core)
-    if core.fault is None and not report.timed_out:
+    if core.fault is not None:      # the faulting micro-op and younger never retire
+        core.sb.squash_younger(core.rob[0].seq - 1)
+    if not report.timed_out:
         guard = 0
         while (core.sb.entries or core.mem.mshrs) and guard < 10_000_000:
             core.mem.tick(core.cycle)
@@ -230,15 +232,18 @@ main:
     assert "fill" not in {e.kind for e in trace}
 
 
-def test_store_miss_drains_after_halt(monkeypatch):
-    program = assemble("""
+STORE_AND_HALT = """
 main:
     movi r1, 0x10000
     movi r2, 7
     st.8 r2, [r1]
     halt
 .data 0x10000 rw 00
-""")
+"""
+
+
+def test_store_miss_drains_after_halt(monkeypatch):
+    program = assemble(STORE_AND_HALT)
     cfg = SimConfig()
     fast, slow = both(monkeypatch, lambda: snapshot_program(program, cfg))
     assert fast == slow
@@ -246,6 +251,60 @@ main:
     halt_retired = max(e.cycle for e in trace if e.kind == "retire")
     assert report["cycles"] > halt_retired + cfg.dram_latency_cycles // 2
     assert pages[0x10000][0] == 7
+
+
+def test_store_drains_after_halt_however_long_the_dram_latency():
+    """The drain has no cycle budget: a write-back due more than ten million
+    cycles after `halt` still lands, as the reference has it."""
+    program = assemble(STORE_AND_HALT)
+    cfg = SimConfig(dram_latency_cycles=10_000_001)
+    r = run_program(program, cfg)
+    ref = run_reference(program, cfg)
+    assert not r.timed_out and r.cycles > cfg.dram_latency_cycles
+    assert r.core.sb.entries == [] and r.core.mem.mshrs == {}
+    assert arch_state(r.core.arch_regs, r.core.mem) == arch_state(ref.regs, ref.mem)
+    assert r.core.mem.committed_pages()[0x10000][0] == 7
+
+
+# a store whose data is a DRAM miss retires just before a faulting load; a
+# younger load's miss, issued a few cycles later, finishes while it drains
+FAULT_AFTER_STORE = """
+main:
+    movi r1, 0x10000
+    movi r5, 0x30000
+    ld.8 r2, [r5]
+    st.8 r2, [r1]
+    movi r3, 0x900000
+    movi r6, 0x1ff00
+""" + "    addi r6, r6, 0x20\n" * 8 + """
+    ld.8 r4, [r3]
+    ld.8 r7, [r6]
+    halt
+.data 0x10000 rw 00
+.data 0x20000 rw 00
+.data 0x30000 rw 09
+"""
+
+
+def test_store_retired_before_a_fault_drains_as_per_cycle_stepping(monkeypatch):
+    program = assemble(FAULT_AFTER_STORE)
+    fast, slow = both(monkeypatch, lambda: snapshot_program(program, SimConfig()))
+    assert fast == slow
+    assert fast[0]["fault"].startswith("unmapped_load") and fast[4][0x10000][0] == 9
+
+
+def test_drain_after_a_fault_jumps_past_micro_ops_that_never_complete(monkeypatch):
+    """The younger load's miss finishes while the store drains; the drain
+    does not then step every cycle up to the write-back, but jumps to it."""
+    program = assemble(FAULT_AFTER_STORE)
+    passes = []
+    writeback = Core._stage_writeback
+    monkeypatch.setattr(Core, "_stage_writeback",
+                        lambda core: passes.append(core.cycle) or writeback(core))
+    r = run_program(program, SimConfig(dram_latency_cycles=200_000))
+    assert r.fault.startswith("unmapped_load") and r.cycles > 400_000
+    assert r.core.mem.committed_pages()[0x10000][0] == 9
+    assert len(passes) < 10, len(passes)
 
 
 def test_every_operand_poll_finds_operands_ready():

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import random
 
 import pytest
@@ -504,6 +505,18 @@ def test_isa_records_store_each_argument_in_its_own_field(cls):
     values = [object() for _ in names]
     for record in (cls(*values), cls(**dict(zip(names, values)))):
         assert [getattr(record, name) for name in names] == values
+
+
+@pytest.mark.parametrize("cls", [Imm, Mem, Instruction, MicroOp])
+def test_isa_records_declare_the_defaults_their_constructor_takes(cls):
+    declared = {f.name: f.default for f in dataclasses.fields(cls)}
+    taken = {name: dataclasses.MISSING if p.default is p.empty else p.default
+             for name, p in inspect.signature(cls).parameters.items()}
+    assert taken == declared
+    record = cls(*[object() for d in declared.values() if d is dataclasses.MISSING])
+    for name, default in declared.items():
+        if default is not dataclasses.MISSING:
+            assert getattr(record, name) == default, name
 
 
 # -- every spelling assembles the same way ----------------------------------

@@ -392,11 +392,16 @@ def test_transform_unknown_label():
 
 # -- receiver ---------------------------------------------------------------
 
+def line_addr(spec: ProbeSpec, entry: int, k: int) -> int:
+    """The address of probe entry `entry`'s `k`-th amplified line."""
+    return spec.base + (entry * spec.amplification + k) * spec.stride
+
+
 def _mem_with_resident_entry(spec, resident_entry, cfg):
     mem = MemorySystem(cfg)
     mem.map_region(spec.base, spec.span, "rw")
     for k in range(spec.amplification):
-        res = mem.access(spec.line_addr(resident_entry, k), 0)
+        res = mem.access(line_addr(spec, resident_entry, k), 0)
         mem.tick(res.ready_cycle)
     return mem
 
@@ -456,7 +461,7 @@ def _reference_receive(mem, spec, cfg):
     for i in range(spec.entries):
         total = 0
         for k in range(spec.amplification):
-            total += _reference_timed_read(mem, spec.line_addr(i, k))
+            total += _reference_timed_read(mem, line_addr(spec, i, k))
         readings.append((total // gran) * gran)
     lowest = min(readings)
     midpoint = spec.amplification * (cfg.l1_latency_cycles + cfg.dram_latency_cycles) // 2
@@ -471,9 +476,9 @@ def _random_probe_state(rng, spec, cfg):
     mem = MemorySystem(cfg)
     mem.map_region(spec.base, spec.span, "rw")
     hot = rng.sample(range(spec.entries), min(spec.entries, rng.choice([0, 1, 1, 3])))
-    lines = [spec.line_addr(i, k) for i in hot
+    lines = [line_addr(spec, i, k) for i in hot
              for k in range(spec.amplification) if rng.random() < 0.9]
-    lines += [spec.line_addr(rng.randrange(spec.entries),
+    lines += [line_addr(spec, rng.randrange(spec.entries),
                              rng.randrange(spec.amplification))
               for _ in range(rng.randrange(4))]
     lines += [rng.randrange(0x10000, 0x80000) for _ in range(rng.randrange(20))]
@@ -500,7 +505,7 @@ def test_probe_receive_matches_the_per_line_receiver(amplification, gran, stride
         lines, sets = dict(mem.lines), {i: list(s) for i, s in mem.sets.items()}
         assert probe_receive(mem, spec, cfg) == _reference_receive(mem, spec, cfg)
         assert mem.lines == lines and mem.sets == sets and not mem.mshrs
-        addr = spec.line_addr(rng.randrange(spec.entries), rng.randrange(amplification))
+        addr = line_addr(spec, rng.randrange(spec.entries), rng.randrange(amplification))
         assert mem.timed_read(addr)[1] == _reference_timed_read(mem, addr)
 
 
@@ -550,13 +555,13 @@ def _lines_around_the_probe(rng, spec):
     the array, and lines far outside it."""
     lines = []
     for entry in rng.sample(range(spec.entries), min(spec.entries, rng.choice([0, 1, 1, 2]))):
-        lines += [spec.line_addr(entry, k) for k in range(spec.amplification)
+        lines += [line_addr(spec, entry, k) for k in range(spec.amplification)
                   if rng.random() < 0.8]
     for _ in range(rng.randrange(4)):
-        lines.append(spec.line_addr(rng.randrange(spec.entries),
+        lines.append(line_addr(spec, rng.randrange(spec.entries),
                                     rng.randrange(spec.amplification)))
     for _ in range(rng.randrange(6)):
-        lines.append(spec.line_addr(rng.randrange(spec.entries),
+        lines.append(line_addr(spec, rng.randrange(spec.entries),
                                     rng.randrange(spec.amplification))
                      + rng.choice([LINE, -LINE, spec.stride // 2, rng.randrange(LINE, 4096)]))
     lines += [spec.base - LINE, spec.base - 1, spec.base + spec.span,
