@@ -39,16 +39,18 @@ cycle is left for the garbage collector.
 The forwarding policy enters the core only at the allows test of
 `forward_decision` and at retirement's `whitelist.add`, so runs of one program
 under different policies are identical up to the first load whose allows
-answer differs. `run_program` called with fresh state runs them as one: the
-policy carries as peers the names of the policies not asked for yet, and the
-group keeps one whitelist. At a load where some peers answer differently, the
-issue stage files a copy of the core for them on the `Program`, taken before
-the load's decision, and goes on with the rest; peers that never split off
-get a copy of the end state. A later call for one of them resumes its copy
-instead of running the shared prefix again: the copy asks the LSU again at
-that load, where its members all answer alike, so it cannot split again. A
-lone call pays for its copies, at most four of about 80 us each, and leaves
-them on the program; resuming one takes about 10 us.
+answer differs. `run_program` runs them as one: the policy carries as peers
+the names of the policies not asked for yet, and the group keeps one
+whitelist. At a load where some peers answer differently, the issue stage
+files a copy of the core for them on the `Program`, taken before the load's
+decision, and goes on with the rest; peers that never split off get a copy of
+the end state. A later call for one of them resumes its copy instead of
+running the shared prefix again: the copy asks the LSU again at that load,
+where its members all answer alike, so it cannot split again.
+
+A core may run its program again, as an attack's schedule does: `start` sets
+the registers and pc, and the clock, counts, memory, predictors and whitelist
+carry over; each run gets its own `cycle_limit`.
 """
 
 from __future__ import annotations
@@ -124,8 +126,7 @@ class Core:
     """One single-threaded, deterministic simulation instance."""
 
     def __init__(self, program: Program, cfg: SimConfig, mem: MemorySystem,
-                 pred: PredictorState, policy: ForwardingPolicy,
-                 trace: Optional[list] = None, start_cycle: int = 0):
+                 pred: PredictorState, policy: ForwardingPolicy):
         # the report's config digest names cfg's policy: the LSU must obey it
         if policy.variant != cfg.forwarding_policy:
             raise ValueError(f"forwarding policy {policy.variant!r} does not match "
@@ -135,8 +136,6 @@ class Core:
         self.mem = mem
         self.pred = pred
         self.policy = policy
-        self.trace = trace
-        self.trace_start = 0 if trace is None else len(trace)   # where this run's events begin
         # a copy filed at a split load resumes there: the issue loop's place
         # after the load and its counts
         self.resume: Optional[tuple] = None
@@ -149,19 +148,30 @@ class Core:
         self.ready: List[ROBEntry] = []
         self.executing: Dict[int, List[ROBEntry]] = {}   # done_cycle -> entries
         self.rename: Dict[int, ROBEntry] = {}
-        self.arch_regs: List[int] = [0] * NUM_REGS
         self.live_tags: List[int] = []       # unresolved branch seqs, oldest first
         self.sb = StoreBuffer()
-        self.fetch_pc: Optional[int] = 0
-        self.start_cycle = start_cycle
-        self.cycle = start_cycle
-        self.halted = False
+        self.cycle = 0
         self.fault: Optional[str] = None
-        self.seq_counter = 0
         self.squash_count = 0
         self.forward_count = 0
         self.retired_instructions = 0
+        self.start()
+
+    def start(self, regs: Optional[Dict[int, int]] = None,
+              trace: Optional[list] = None) -> None:
+        """Begin a run at pc 0 with `regs` set (every other register 0) and
+        its events appended to `trace`. A core starts as it is built and again
+        only after a run halted and drained, when nothing is in flight."""
+        self.arch_regs: List[int] = [0] * NUM_REGS
+        for r, v in (regs or {}).items():
+            self.arch_regs[r] = v & MASK64
+        self.fetch_pc: Optional[int] = 0
+        self.halted = False
+        self.seq_counter = 0
         self.progress = True       # a stage changed state this cycle, or none ran yet
+        self.start_cycle = self.cycle           # the run's cycle_limit counts from here
+        self.trace = trace
+        self.trace_start = 0 if trace is None else len(trace)   # where its events begin
 
     # -- tracing ---------------------------------------------------------------
 
@@ -641,7 +651,7 @@ class Core:
         after it from the `resume` place and counts, then fetch. Any cycle
         that changed nothing, that one included, is followed by a jump to the
         next event."""
-        report = RunReport("", self.cfg.digest())
+        report = RunReport("", self.cfg.digest(), core=self, trace=self.trace)
         limit = self.start_cycle + self.cfg.cycle_limit
         if self.resume is not None:
             self._attempt_load(self.ready[self.resume[0] - 1])
@@ -665,7 +675,7 @@ class Core:
             self._drain()
         if self.policy.peers:       # never split off: the end state is theirs too
             self._file(self.policy.peers)
-        report.cycles = self.cycle - self.start_cycle
+        report.cycles = self.cycle
         report.retired_instructions = self.retired_instructions
         report.squash_count = self.squash_count
         report.forward_count = self.forward_count
@@ -715,8 +725,7 @@ class Core:
         trace prefix, so it shares no state and holds no reference cycle."""
         policy = self.policy
         twin = Core(self.program, self.cfg, self.mem.clone(), self.pred.clone(),
-                    ForwardingPolicy(policy.variant, set(policy.whitelist), members),
-                    None, self.start_cycle)
+                    ForwardingPolicy(policy.variant, set(policy.whitelist), members))
         twin.program = None
         twin.resume = resume
         if self.trace is not None:
@@ -741,8 +750,8 @@ class Core:
         twin.rename = {reg: entries[e.seq] for reg, e in self.rename.items()}
         twin.live_tags = list(self.live_tags)
         twin.arch_regs = list(self.arch_regs)
-        for name in ("fetch_pc", "cycle", "halted", "fault", "seq_counter", "squash_count",
-                     "forward_count", "retired_instructions", "progress"):
+        for name in ("fetch_pc", "cycle", "start_cycle", "halted", "fault", "seq_counter",
+                     "squash_count", "forward_count", "retired_instructions", "progress"):
             setattr(twin, name, getattr(self, name))
         forks = self.program.snapshots[1]
         for variant in members:
@@ -773,60 +782,41 @@ class Core:
                         p.consumers.append(e)
 
 
-# what a shared run's filed copies are keyed on, besides regs, start cycle and tracing
+# what a shared run's filed copies are keyed on, besides regs and tracing
 _SHARED_CONFIG = tuple(f.name for f in fields(SimConfig) if f.name != "forwarding_policy")
 
 
-def run_program(program: Program, cfg: SimConfig,
-                mem: Optional[MemorySystem] = None,
-                pred: Optional[PredictorState] = None,
-                policy: Optional[ForwardingPolicy] = None,
-                regs: Optional[Dict[int, int]] = None,
-                trace: Optional[list] = None,
-                start_cycle: int = 0) -> RunReport:
+def run_program(program: Program, cfg: SimConfig, regs: Optional[Dict[int, int]] = None,
+                trace: Optional[list] = None) -> RunReport:
     """Assembled program -> deterministic report. Same inputs, same report.
 
-    Called with fresh state (no `mem`, `pred` or `policy`), the run is shared
-    with the forwarding policies not yet asked for on this `Program` under the
-    same config apart from the policy, `regs`, `start_cycle` and tracing (the
-    key). Each load whose allows answer splits them files a copy of the core
-    on the program for the policies that answer differently, and the policies
-    left at the end get a copy of the end state. A later call for one of them
-    resumes its copy, so the prefix runs once; its report and trace equal an
-    independent run's. A lone call pays for up to four copies, each about
-    80 us, and the program keeps them until they are resumed, a call with
-    another key replaces them, or the program is dropped. A call that passes
-    `mem`, `pred` or `policy` runs alone and files nothing.
+    The run starts from fresh state and is shared with the forwarding
+    policies not yet asked for on this `Program` under the same config apart
+    from the policy, the same `regs` and tracing (the key). Each load whose
+    allows answer splits them files a copy of the core on the program for the
+    policies that answer differently, and the policies left at the end get a
+    copy of the end state. A later call for one of them resumes its copy, so
+    the prefix runs once; its report and trace equal those of a `Core` run
+    alone. The program keeps the copies until they are resumed, a call with
+    another key replaces them, or the program is dropped. To run on given
+    memory, predictors or policy, build a `Core` and `start` it.
     """
-    shared = mem is None and pred is None and policy is None
-    core = None
-    if shared:
-        key = (tuple(getattr(cfg, name) for name in _SHARED_CONFIG),
-               tuple(sorted(regs.items())) if regs else (), start_cycle,
-               trace is not None)
-        if program.snapshots is None or program.snapshots[0] != key:
-            program.snapshots = (key, {})
-        forks = program.snapshots[1]
-        core = forks.get(cfg.forwarding_policy)
-        if core is not None:
-            for variant in core.policy.peers:
-                del forks[variant]
-            core._continue_as(program, cfg, trace)
+    key = (tuple(getattr(cfg, name) for name in _SHARED_CONFIG),
+           tuple(sorted(regs.items())) if regs else (), trace is not None)
+    if program.snapshots is None or program.snapshots[0] != key:
+        program.snapshots = (key, {})
+    forks = program.snapshots[1]
+    variant = cfg.forwarding_policy
+    core = forks.get(variant)
     if core is None:
-        if mem is None:
-            mem = MemorySystem(cfg)
-            mem.load_program_data(program)
-        if pred is None:
-            pred = PredictorState(cfg.bht_size, cfg.rsb_depth)
-        if policy is None:
-            policy = ForwardingPolicy(cfg.forwarding_policy)
-        core = Core(program, cfg, mem, pred, policy, trace, start_cycle)
-        if shared:
-            policy.peers = tuple(p for p in FORWARDING_POLICIES
-                                 if p != policy.variant and p not in forks)
-        if regs:
-            for r, v in regs.items():
-                core.arch_regs[r] = v & MASK64
-    report = core.run()
-    report.core, report.trace = core, trace
-    return report
+        mem = MemorySystem(cfg)
+        mem.load_program_data(program)
+        peers = tuple(p for p in FORWARDING_POLICIES if p != variant and p not in forks)
+        core = Core(program, cfg, mem, PredictorState(cfg.bht_size, cfg.rsb_depth),
+                    ForwardingPolicy(variant, peers=peers))
+        core.start(regs, trace)
+    else:
+        for peer in core.policy.peers:
+            del forks[peer]
+        core._continue_as(program, cfg, trace)
+    return core.run()

@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .config import RunReport, SimConfig, parse_int, read_key_values
-from .core import run_program
+from .core import Core
 from .isa import _REGS, MASK64, Program, assemble, disassemble
 from .lsu import ForwardingPolicy
 from .memory import LINE, PAGE, MemorySystem
@@ -208,7 +208,8 @@ def probe_receive(mem: MemorySystem, spec: ProbeSpec, cfg: SimConfig) -> Optiona
 
 
 def flush_probe(mem: MemorySystem, spec: ProbeSpec) -> None:
-    for line in [a for a in mem.lines if spec.base <= a < spec.base + spec.span]:
+    first = spec.base & ~(LINE - 1)         # the line that holds probe entry 0
+    for line in [a for a in mem.lines if first <= a < spec.base + spec.span]:
         mem.flush_line(line)
 
 
@@ -243,38 +244,35 @@ def _run_schedule(s: Scenario, mem: MemorySystem,
 def run_scenario(s: Scenario, cfg: SimConfig,
                  policy: Optional[ForwardingPolicy] = None,
                  collect_trace: bool = False) -> RunReport:
-    """Prime, flush, attack (possibly repeatedly), then probe."""
-    report = RunReport(s.name, cfg.digest(), trace=[] if collect_trace else None)
+    """Prime, flush, attack (possibly repeatedly), then probe. Each run is
+    started on one `Core` and may take the whole `cycle_limit`; the report is
+    the last run's, whose counts are the core's, with the receiver's outcome
+    and the attempts' trace."""
     mem = _setup_memory(s, cfg)
-    pred = PredictorState(cfg.bht_size, cfg.rsb_depth)
     if policy is None:
         policy = ForwardingPolicy(cfg.forwarding_policy)
+    core = Core(s.victim, cfg, mem, PredictorState(cfg.bht_size, cfg.rsb_depth), policy)
+    trace = [] if collect_trace else None
+    report = RunReport(s.name, cfg.digest(), core=core)     # if the schedule is empty
 
     def run(regs: Dict[int, int], attempt: Optional[int]) -> bool:
+        nonlocal report
         if attempt is not None:
             for pc, taken in s.prime_branches:
                 for _ in range(3):                  # saturate the counter
-                    train_branch(pred, pc, taken)
+                    train_branch(core.pred, pc, taken)
             if attempt == 0 and s.probe:
                 flush_probe(mem, s.probe)
             for addr in s.slow_lines:
                 mem.flush_line(addr)
-        r = run_program(s.victim, cfg, mem=mem, pred=pred, policy=policy, regs=regs,
-                        trace=None if attempt is None else report.trace,
-                        start_cycle=report.cycles)
-        report.cycles += r.cycles
-        report.retired_instructions += r.retired_instructions
-        report.squash_count += r.squash_count
-        report.forward_count += r.forward_count
-        report.mshr_peak = max(report.mshr_peak, r.mshr_peak)
-        report.fault = r.fault
-        report.timed_out = report.timed_out or r.timed_out
-        report.core = r.core
-        return r.fault is None and not r.timed_out
+        core.start(regs, None if attempt is None else trace)
+        report = core.run()
+        return report.fault is None and not report.timed_out
 
     if _run_schedule(s, mem, run) and s.probe:
         report.inferred_secret = probe_receive(mem, s.probe, cfg)
         report.attack_success = report.inferred_secret == s.secret_value
+    report.scenario, report.trace = s.name, trace
     return report
 
 

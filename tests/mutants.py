@@ -160,6 +160,20 @@ MUTANTS = (
            "if not report.timed_out:", "if self.fault is None and not report.timed_out:",
            ("tests/test_oracle.py::"
             "test_every_reference_fault_runs_and_the_core_agrees_where_it_faults",)),
+    Mutant("start_keeps_seq_counter", "src/specsim/core.py",
+           "self.seq_counter = 0",
+           'self.seq_counter = getattr(self, "seq_counter", 0)',
+           ("tests/test_shared_runs.py::"
+            "test_a_second_run_on_one_core_equals_a_fresh_core_on_its_state",)),
+    Mutant("start_keeps_limit_origin", "src/specsim/core.py",
+           "self.start_cycle = self.cycle",
+           'self.start_cycle = getattr(self, "start_cycle", 0)',
+           ("tests/test_scenarios.py::"
+            "test_each_run_of_a_scenario_gets_the_whole_cycle_limit",)),
+    Mutant("flush_probe_from_the_unaligned_base", "src/specsim/scenarios.py",
+           "first = spec.base & ~(LINE - 1)", "first = spec.base",
+           ("tests/test_scenarios.py::"
+            "test_an_unaligned_probe_is_flushed_from_the_line_holding_entry_0",)),
 )
 
 

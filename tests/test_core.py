@@ -13,6 +13,7 @@ from specsim.lsu import ForwardingPolicy
 from specsim.memory import MemorySystem
 from specsim.predictors import PredictorState
 from specsim.scenarios import BUILDERS, build_scenario, run_scenario
+from alone import run_alone
 from randprog import random_program, STACK_TOP
 from test_event_core import assert_speculation_matches_rob
 
@@ -97,7 +98,7 @@ target:
     from specsim.predictors import train_branch
     for _ in range(3):
         train_branch(pred, 8, True)
-    r = run_program(p, cfg, mem=mem, pred=pred, policy=ForwardingPolicy("baseline"))
+    r = run_alone(p, cfg, mem=mem, pred=pred)
     assert r.squash_count == 0
     assert r.core.arch_regs[2] == 0
 
@@ -234,7 +235,7 @@ def test_unreadable_load_faults_like_the_reference(policy):
         mem.tlb[0x10000] = (False, True)
         mems.append(mem)
     ref = run_reference(program, cfg, mem=mems[0])
-    r = run_program(program, cfg, mem=mems[1])
+    r = run_alone(program, cfg, mem=mems[1])
     assert ref.fault == r.fault == "unmapped_load pc=0x4 addr=0x10000"
     assert r.core.arch_regs[:32] == ref.regs[:32]
     assert r.core.arch_regs[1] == 0x10000 and r.core.arch_regs[2] == 0

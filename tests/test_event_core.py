@@ -121,7 +121,7 @@ def step_polled(core: Core) -> None:
 
 
 def run_per_cycle(core: Core) -> RunReport:
-    report = RunReport("", core.cfg.digest())
+    report = RunReport("", core.cfg.digest(), core=core, trace=core.trace)
     while not core.halted and core.fault is None:
         if core.cycle - core.start_cycle >= core.cfg.cycle_limit:
             report.timed_out = True
@@ -140,7 +140,7 @@ def run_per_cycle(core: Core) -> RunReport:
             assert_store_buffer_ordered(core)
             core.cycle += 1
             guard += 1
-    report.cycles = core.cycle - core.start_cycle
+    report.cycles = core.cycle
     report.retired_instructions = core.retired_instructions
     report.squash_count = core.squash_count
     report.forward_count = core.forward_count

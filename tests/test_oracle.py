@@ -14,6 +14,7 @@ from specsim import SimConfig, assemble, run_program, run_reference, arch_state
 from specsim.config import FORWARDING_POLICIES
 from specsim.isa import _SIGNATURES
 from specsim.predictors import PredictorState
+from alone import run_alone
 from randprog import random_program, STACK_TOP
 
 GEOMETRIES = [
@@ -148,7 +149,7 @@ def test_every_mnemonic_matches_reference(mnem):
             for counter in (1, 3):          # every branch predicted not taken, taken
                 pred = PredictorState(cfg.bht_size, cfg.rsb_depth)
                 pred.bht = [counter] * cfg.bht_size
-                r = run_program(program, cfg, pred=pred, regs=regs)
+                r = run_alone(program, cfg, regs=regs, pred=pred)
                 assert r.fault is None and not r.timed_out, (src, policy, r.fault)
                 assert arch_state(r.core.arch_regs, r.core.mem) == want, (
                     src, regs, policy, counter)

@@ -116,7 +116,7 @@ def test_priming_drives_bounds_check_counter():
     from specsim import SimConfig
     from specsim.memory import MemorySystem
     from specsim.lsu import ForwardingPolicy
-    from specsim import assemble, run_program
+    from specsim.core import Core
     from specsim.scenarios import build_gadget_spectre_1_0
 
     s = build_gadget_spectre_1_0()
@@ -128,8 +128,9 @@ def test_priming_drives_bounds_check_counter():
     mem.map_region(s.probe.base, s.probe.span, "rw")
     pred = PredictorState(cfg.bht_size, cfg.rsb_depth)
     check_pc = s.victim.labels["check"]
+    core = Core(s.victim, cfg, mem, pred, ForwardingPolicy("baseline"))
     for _ in range(3):
-        run_program(s.victim, cfg, mem=mem, pred=pred,
-                    policy=ForwardingPolicy("baseline"), regs=s.benign_regs)
+        core.start(s.benign_regs)
+        core.run()
     assert pred.bht[pred.slot(check_pc)] == 0
     assert predict_branch(pred, check_pc) is False

@@ -4,14 +4,17 @@ import random
 import re
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import specsim
-from specsim import SimConfig, assemble, run_program, run_reference
+from specsim import SimConfig, assemble, run_reference
+from specsim.core import Core
 from specsim.lsu import ForwardingPolicy
 from specsim.memory import LINE, MemFault, MemorySystem
+from specsim.predictors import PredictorState
 from specsim.scenarios import (ALL_MITIGATIONS, ARR_B, BUILDERS, MATRIX_SCENARIOS,
                                MITIGATIONS, ProbeSpec, Scenario,
                                build_gadget_spectre_1_0,
@@ -230,15 +233,17 @@ def test_window_bound_scenarios():
 
 
 def traced_runs(monkeypatch) -> list:
-    """Give every `run_program` call a scenario makes its own trace, priming
-    runs included; returns the list of those traces, one per run."""
-    import specsim.scenarios as sc
+    """Give every run a scenario starts its own trace, priming runs included;
+    returns the list of those traces, one per run. The start a `Core` makes
+    as it is built is no run: it passes no regs, and a scenario always does."""
     runs = []
+    start = Core.start
 
-    def traced(*args, trace=None, **kw):
-        runs.append([])
-        return run_program(*args, trace=runs[-1], **kw)
-    monkeypatch.setattr(sc, "run_program", traced)
+    def traced(core, regs=None, trace=None):
+        if regs is not None:
+            runs.append(trace := [])
+        start(core, regs, trace)
+    monkeypatch.setattr(Core, "start", traced)
     return runs
 
 
@@ -288,9 +293,8 @@ def test_a_policy_that_contradicts_the_config_is_rejected():
         run_scenario(build_scenario("spectre_1_1_data"), CFG,
                      policy=ForwardingPolicy("slothbear_stores"))
     with pytest.raises(ValueError, match="'baseline' does not match .* 'arctic_sloth'"):
-        run_program(assemble("main:\n    halt\n"),
-                    CFG.replace(forwarding_policy="arctic_sloth"),
-                    policy=ForwardingPolicy())
+        Core(assemble("main:\n    halt\n"), CFG.replace(forwarding_policy="arctic_sloth"),
+             MemorySystem(CFG), PredictorState(), ForwardingPolicy())
 
 
 # -- mitigation code and its insertion -----------------------------------------
@@ -443,6 +447,22 @@ def test_flush_probe_clears_whole_region():
     mem = _mem_with_resident_entry(spec, 7, CFG)
     flush_probe(mem, spec)
     assert probe_receive(mem, spec, CFG) is None
+
+
+def test_an_unaligned_probe_is_flushed_from_the_line_holding_entry_0(tmp_path):
+    """A probe_base inside a line: the line that holds probe entry 0 is
+    flushed too, so a priming run's fill of it cannot tie with the secret's
+    entry."""
+    data = resources.files("specsim") / "data"
+    text = (data / "spectre_1_1_data.scenario").read_text()
+    assert text.count("0x100000") == 3         # probe_base, reg.r12, benign_reg.r12
+    (tmp_path / "unaligned.scenario").write_text(text.replace("0x100000", "0x100020"))
+    (tmp_path / "spectre_1_1_data.asm").write_text(
+        (data / "spectre_1_1_data.asm").read_text())
+    for secret in (42, 0, 7, 200):
+        s = scenario_from_file(str(tmp_path / "unaligned.scenario"), secret=secret)
+        assert s.probe.base == 0x100020
+        assert run_scenario(s, CFG).inferred_secret == secret, secret
 
 
 def _reference_timed_read(mem, addr):
@@ -627,14 +647,40 @@ def test_probe_receive_faults_like_the_per_address_formula(stride, perm):
         assert str(got.value) == str(want.value)
 
 
-def test_report_state_is_set_when_priming_faults(monkeypatch):
-    import specsim.scenarios as sc
-    runs = []
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_each_run_of_a_scenario_gets_the_whole_cycle_limit(monkeypatch, name):
+    """A scenario's runs share one core and its clock, but the cycle limit
+    bounds each run: a limit just above the longest run times none out."""
+    lengths = []
+    run = Core.run
 
-    def counted(*args, **kw):
-        runs.append(kw["trace"])
-        return run_program(*args, **kw)
-    monkeypatch.setattr(sc, "run_program", counted)
+    def measured(core):
+        begin = core.cycle
+        report = run(core)
+        lengths.append(core.cycle - begin)
+        return report
+    monkeypatch.setattr(Core, "run", measured)
+    s = build_scenario(name)
+    want = run_scenario(s, CFG)
+    assert len(lengths) == s.priming + s.attempts and not want.timed_out
+    cfg = CFG.replace(cycle_limit=max(lengths) + 1)
+    got = run_scenario(s, cfg)
+    # the limit bounds a run, not the scenario: with two runs or more, the
+    # scenario takes longer than the limit
+    assert got.cycles > cfg.cycle_limit or s.priming + s.attempts == 1
+    assert not got.timed_out and got.to_dict() == dataclasses.replace(
+        want, config_digest=cfg.digest()).to_dict()
+
+
+def test_report_state_is_set_when_priming_faults(monkeypatch):
+    runs = []
+    start = Core.start
+
+    def counted(core, regs=None, trace=None):
+        if regs is not None:            # not the start of a core being built
+            runs.append(trace)
+        start(core, regs, trace)
+    monkeypatch.setattr(Core, "start", counted)
     victim = assemble("main:\n    movi r1, 0x900000\n    ld.8 r2, [r1]\n    halt\n")
     r = run_scenario(Scenario("faulty", victim, probe=ProbeSpec()), CFG,
                      collect_trace=True)

@@ -1,23 +1,27 @@
-"""Runs shared across forwarding policies (`run_program` with fresh state).
+"""Runs shared across forwarding policies (`run_program`), and a core run again.
 
 Consecutive calls on one `Program` share each policy-independent prefix: the
 first files a copy of its core at each load where the policies' allows answers
-split, and later calls resume those copies. Every report must equal an
-independent run's, whatever the call order; a resumed run must share no state,
+split, and later calls resume those copies. Every report must equal that of a
+`Core` run alone, whatever the call order; a resumed run must share no state,
 its whitelist included, with the run it split from or with pending copies; and
-a program dropped with copies pending leaves no garbage.
+a program dropped with copies pending leaves no garbage. A second run started
+on one core must equal a new core's run on the state the first one left.
 """
 
 import gc
 import random
 import weakref
+from dataclasses import replace
 
 import pytest
 
 from specsim import SimConfig, assemble, run_program
 from specsim.config import FORWARDING_POLICIES
+from specsim.core import Core
 from specsim.lsu import ForwardingPolicy
 from specsim.reference import arch_state
+from alone import run_alone
 from randprog import random_program, STACK_TOP
 
 # criterion 10's geometry and program shape (tests/test_acceptance.py)
@@ -42,11 +46,9 @@ def outcome(report) -> tuple:
 
 
 def independent(src: str, policy: str, cfg: SimConfig = ORACLE, traced: bool = False):
-    """`policy`'s run alone, on a freshly assembled copy: passing a policy
-    keeps the single-policy path."""
-    return outcome(run_program(assemble(src), cfg.replace(forwarding_policy=policy),
-                               policy=ForwardingPolicy(policy), regs=REGS,
-                               trace=[] if traced else None))
+    """`policy`'s run on a `Core` of its own, on a freshly assembled copy."""
+    return outcome(run_alone(assemble(src), cfg.replace(forwarding_policy=policy),
+                             regs=REGS, trace=[] if traced else None))
 
 
 def shared(program, policy: str, cfg: SimConfig = ORACLE, traced: bool = False):
@@ -107,27 +109,56 @@ def test_snapshots_are_keyed_on_everything_but_the_policy():
     assert program.snapshots is not pending          # one key at a time
     cfg = ORACLE.replace(forwarding_policy="arctic_sloth")
 
-    def alone(regs, start):
-        return run_program(assemble(src), cfg, policy=ForwardingPolicy("arctic_sloth"),
-                           regs=regs, start_cycle=start, trace=[])
+    def alone(regs):
+        return run_alone(assemble(src), cfg, regs=regs, trace=[])
 
-    for regs, start, trunk_traced in (({31: STACK_TOP - 0x200}, 0, True),
-                                      (REGS, 7, True), (REGS, 0, False)):
+    for regs, trunk_traced in (({31: STACK_TOP - 0x200}, True), (REGS, False)):
         program = assemble(src)
         run_program(program, ORACLE, regs=REGS, trace=[] if trunk_traced else None)
-        got = run_program(program, cfg, regs=regs, start_cycle=start, trace=[])
-        want = alone(regs, start)
+        got = run_program(program, cfg, regs=regs, trace=[])
+        want = alone(regs)
         assert got.to_dict() == want.to_dict() and got.trace == want.trace
         if trunk_traced:                # the changed part of the key shows in the trace
-            assert want.trace != alone(REGS, 0).trace
+            assert want.trace != alone(REGS).trace
 
 
-def test_a_run_given_its_state_shares_nothing():
+def test_a_core_run_alone_files_nothing():
     program = assemble(source(5))
     for policy in FORWARDING_POLICIES:
-        run_program(program, ORACLE.replace(forwarding_policy=policy),
-                    policy=ForwardingPolicy(policy), regs=REGS)
+        run_alone(program, ORACLE.replace(forwarding_policy=policy), regs=REGS)
     assert program.snapshots is None
+
+
+def test_a_second_run_on_one_core_equals_a_fresh_core_on_its_state():
+    """`Core.start` resets all a run begins from: a second run on a core
+    equals a run on a new core built on copies of the first core's memory,
+    predictors and whitelist, its trace shifted by the first run's end."""
+    second = {31: STACK_TOP - 0x100, 7: 0x1234}
+    for k in range(TRACED):
+        program = assemble(source(k))
+        for policy in ("baseline", "slothbear_stores"):
+            cfg = ORACLE.replace(forwarding_policy=policy)
+            first = run_alone(program, cfg, regs=REGS, trace=[])
+            assert first.fault is None and not first.timed_out, (k, policy)
+            core, end = first.core, first.core.cycle
+            counts = (core.retired_instructions, core.squash_count, core.forward_count)
+            fresh = Core(program, cfg, core.mem.clone(), core.pred.clone(),
+                         ForwardingPolicy(policy, set(core.policy.whitelist)))
+            fresh.start(second, [])
+            want = fresh.run()
+            core.start(second, [])
+            got = core.run()
+            assert [replace(ev, cycle=ev.cycle - end) for ev in got.trace] == want.trace
+            assert got.cycles - end == want.cycles, (k, policy)
+            assert (got.retired_instructions - counts[0], got.squash_count - counts[1],
+                    got.forward_count - counts[2], got.mshr_peak, got.fault,
+                    got.timed_out) == (want.retired_instructions, want.squash_count,
+                                       want.forward_count, want.mshr_peak, want.fault,
+                                       want.timed_out), (k, policy)
+            assert (arch_state(core.arch_regs, core.mem), sorted(core.mem.lines),
+                    core.pred, core.policy) == (
+                arch_state(fresh.arch_regs, fresh.mem), sorted(fresh.mem.lines),
+                fresh.pred, fresh.policy), (k, policy)
 
 
 def pending_whitelists(program) -> dict:
