@@ -15,8 +15,8 @@ The loop is event-driven but cycle-exact. A cycle in which no stage changed
 any state is followed by identical idle cycles until the next event (an
 execution finishing, an MSHR fill, a senior store's write-back becoming due,
 or the cycle limit), so `run` and `_drain` jump straight to it. Blocked
-micro-ops wait on a count of producers not yet done, which each producer
-decrements when it completes, instead of polling their operands every cycle.
+micro-ops wait on a count of producers not yet done, which completion
+decrements through `waiting` (producer seq -> the entries it wakes).
 Issue walks `ready`, the seq-ordered list of micro-ops whose producers are
 all done (plus WAITING loads and an undone fence): fetch appends an entry
 with no pending producer, and completion inserts a consumer whose count
@@ -31,10 +31,10 @@ Issue reads operands from the register file unless a source was renamed, and
 computes ALU and CMP results itself. Stores seniorize in retirement order, so
 write-back drains the head of the seq-ordered store buffer.
 
-A ROB entry holds its operands' producers and a store's store-buffer entry by
-reference. The producer links are dropped when the operands are read at issue
-and on a squash, so no chain of retired entries stays alive and no reference
-cycle is left for the garbage collector.
+A ROB entry links only to older entries: its operands' producers, dropped once
+read at issue, and a store's store-buffer entry. The wake lists, which point
+the other way, are the core's. So no reference cycle is left for the garbage
+collector, and `fork` copies each entry and points each link at the copy.
 
 The forwarding policy enters the core only at the allows test of
 `forward_decision` and at retirement's `whitelist.add`, so runs of one program
@@ -42,15 +42,16 @@ under different policies are identical up to the first load whose allows
 answer differs. `run_program` runs them as one: the policy carries as peers
 the names of the policies not asked for yet, and the group keeps one
 whitelist. At a load where some peers answer differently, the issue stage
-files a copy of the core for them on the `Program`, taken before the load's
-decision, and goes on with the rest; peers that never split off get a copy of
-the end state. A later call for one of them resumes its copy instead of
-running the shared prefix again: the copy asks the LSU again at that load,
+files a fork of the core for them on the `Program`, taken before the load's
+decision, and asks the LSU again for the rest; peers that never split off get
+a fork of the end state. A later call for one of them resumes its fork instead
+of running the shared prefix again: the fork asks the LSU again at that load,
 where its members all answer alike, so it cannot split again.
 
 A core may run its program again, as an attack's schedule does: `start` sets
 the registers and pc, and the clock, counts, memory, predictors and whitelist
-carry over; each run gets its own `cycle_limit`.
+carry over; each run gets its own `cycle_limit`. After a fault or a timeout,
+work is still in flight, and `start` refuses the core.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .config import RunReport, SimConfig, TraceEvent
 from .isa import MASK64, NUM_REGS, MicroOp, Program, UopKind, decode
-from .lsu import (FORWARDING_POLICIES, ForwardDecision, ForwardingPolicy, StoreBuffer,
-                  StoreBufferEntry, forward_decision)
+from .lsu import (FORWARDING_POLICIES, ForwardingPolicy, StoreBuffer, StoreBufferEntry,
+                  forward_decision)
 from .memory import MemorySystem
 from .predictors import (PredictorState, predict_branch, rsb_pop, rsb_push,
                          train_branch)
@@ -102,23 +103,20 @@ class ROBEntry:
     forwarded_from: Optional[int] = None
     fault: Optional[str] = None
     pending: int = 0                    # source operands whose producer is not DONE
-    consumers: Optional[List[ROBEntry]] = None   # woken when this entry is DONE
 
 
-def _slot_copier(cls, reset: Optional[str] = None):
-    """fn(entry) -> a copy of slotted `cls`'s `entry`, made slot by slot, with
-    the field `reset` None instead; its code is generated from `fields(cls)`,
-    as the dataclass's own `__init__` is, at about half the cost of building
-    the copy through that `__init__`."""
-    body = "".join(f"    c.{f.name} = {'None' if f.name == reset else 'e.' + f.name}\n"
-                   for f in fields(cls))
+def _slot_copier(cls):
+    """fn(entry) -> a copy of slotted `cls`'s `entry`, made slot by slot; its
+    code is generated from `fields(cls)`, as the dataclass's own `__init__`
+    is, at about half the cost of building the copy through that `__init__`."""
+    body = "".join(f"    c.{f.name} = e.{f.name}\n" for f in fields(cls))
     scope = {"new": object.__new__, "cls": cls}
     exec(f"def copy(e):\n    c = new(cls)\n{body}    return c\n", scope)
     return scope["copy"]
 
 
-# how a filed core copies its entries; consumers are rebuilt on resume
-_copy_rob_entry = _slot_copier(ROBEntry, reset="consumers")
+# how a fork copies its entries
+_copy_rob_entry = _slot_copier(ROBEntry)
 _copy_sb_entry = _slot_copier(StoreBufferEntry)
 
 
@@ -147,6 +145,8 @@ class Core:
         # started executing (WAITING loads too), and a fence until it is done
         self.ready: List[ROBEntry] = []
         self.executing: Dict[int, List[ROBEntry]] = {}   # done_cycle -> entries
+        # producer seq -> the entries its completion wakes (squashed ones too)
+        self.waiting: Dict[int, List[ROBEntry]] = {}
         self.rename: Dict[int, ROBEntry] = {}
         self.live_tags: List[int] = []       # unresolved branch seqs, oldest first
         self.sb = StoreBuffer()
@@ -160,8 +160,11 @@ class Core:
     def start(self, regs: Optional[Dict[int, int]] = None,
               trace: Optional[list] = None) -> None:
         """Begin a run at pc 0 with `regs` set (every other register 0) and
-        its events appended to `trace`. A core starts as it is built and again
-        only after a run halted and drained, when nothing is in flight."""
+        its events appended to `trace`. A core starts as it is built and after
+        a run that halted and drained. A fault or a timeout leaves work in its
+        ROB or store buffer: then it raises ValueError, deciding nothing."""
+        if self.fault is not None or self.rob or self.sb.entries:
+            raise ValueError("work in flight: the core's last run faulted or timed out")
         self.arch_regs: List[int] = [0] * NUM_REGS
         for r, v in (regs or {}).items():
             self.arch_regs[r] = v & MASK64
@@ -218,10 +221,11 @@ class Core:
         live_tags = self.live_tags
         while live_tags and live_tags[-1] > seq:
             live_tags.pop()
+        for producer in [p for p in self.waiting if p > seq]:
+            del self.waiting[producer]
         trace = self.trace
         for e in removed:
             e.status = SQUASHED
-            e.producers = e.consumers = None
             if trace is not None:
                 self._ev("squash", e.seq, e.uop.parent_pc)
         self.sb.squash_younger(seq)
@@ -250,22 +254,20 @@ class Core:
 
     # -- memory micro-ops ----------------------------------------------------------
 
-    def _attempt_load(self, entry: ROBEntry,
-                      decision: Optional[ForwardDecision] = None) -> Optional[ForwardDecision]:
+    def _attempt_load(self, entry: ROBEntry) -> Optional[Tuple[str, ...]]:
         """Forward, access memory, or leave the load WAITING to retry next
-        cycle, as `decision` (by default the LSU's) says. A retry that stays
-        WAITING changes no state. A decision of the LSU's that splits the
-        policy's peers is returned unapplied, for the issue stage to fork on;
-        never for a resumed copy's first call, whose members answer alike."""
+        cycle, as the LSU decides. A retry that stays WAITING changes no
+        state. A decision that splits the policy's peers is not applied: the
+        peers that answer the other way are returned, for the issue stage to
+        split on; never on a resumed fork's first call, whose members agree."""
         uop = entry.uop
-        if decision is None:
-            live_tags = self.live_tags
-            decision = forward_decision(entry.seq, entry.addr, uop.size,
-                                        bool(live_tags) and live_tags[0] < entry.seq,
-                                        uop.parent_pc, uop.forwardable, self.sb,
-                                        self.policy, self.cfg.tlb_enforcement)
-            if decision.split:
-                return decision
+        live_tags = self.live_tags
+        decision = forward_decision(entry.seq, entry.addr, uop.size,
+                                    bool(live_tags) and live_tags[0] < entry.seq,
+                                    uop.parent_pc, uop.forwardable, self.sb,
+                                    self.policy, self.cfg.tlb_enforcement)
+        if decision.split:
+            return decision.split
         kind = decision.kind
         if kind == "forward" or kind == "forward_zero":
             self.progress = True
@@ -294,16 +296,16 @@ class Core:
             entry.status = WAITING
         return None
 
-    def _fork(self, entry: ROBEntry, decision: ForwardDecision, issued: int,
-              loads: int, stds: int, branches: int) -> None:
-        """Some peers answer the allows test of `entry`, a load being issued,
-        the other way: file one copy for them, taken before the load takes a
-        decision and holding the issue loop's place and counts, then go on
-        with the rest and apply the running policy's decision. The copy
+    def _split(self, entry: ROBEntry, members: Tuple[str, ...], issued: int,
+               loads: int, stds: int, branches: int) -> None:
+        """The peers `members` answer the allows test of `entry`, a load being
+        issued, the other way: file one fork for them, taken before the load
+        takes a decision and holding the issue loop's place and counts, then
+        ask the LSU again, where the peers left all answer alike. The fork
         decides the load again when it resumes."""
         after = bisect_right(self.ready, entry.seq, key=_seq)
-        self._file(decision.split, (after, issued, loads, stds, branches))
-        self._attempt_load(entry, decision)
+        self._file(members, (after, issued, loads, stds, branches))
+        self._attempt_load(entry)
 
     # -- one pipeline stage each ------------------------------------------------------
 
@@ -322,6 +324,7 @@ class Core:
             due.sort(key=_seq)
         trace = self.trace
         ready = self.ready
+        waiting = self.waiting
         for entry in due:
             status = entry.status
             if status == SQUASHED:          # by an older branch resolved above
@@ -330,7 +333,7 @@ class Core:
                 entry.result = mem.read_int(entry.addr, entry.uop.size)
             entry.status = DONE
             self.progress = True
-            consumers = entry.consumers
+            consumers = waiting.pop(entry.seq, None)
             if consumers is not None:
                 for consumer in consumers:
                     consumer.pending -= 1
@@ -339,7 +342,6 @@ class Core:
                             ready.append(consumer)
                         else:
                             insort(ready, consumer, key=_seq)
-                entry.consumers = None
             if trace is not None:
                 self._ev("execute", entry.seq, entry.uop.parent_pc)
             kind = entry.uop.kind
@@ -497,7 +499,7 @@ class Core:
                 issued += 1
                 split = self._attempt_load(entry)
                 if split is not None:
-                    self._fork(entry, split, issued, loads, stds, branches)
+                    self._split(entry, split, issued, loads, stds, branches)
                 continue
             if entry.producers is None:
                 vals = list(map(arch_regs.__getitem__, uop.srcs))
@@ -519,7 +521,7 @@ class Core:
             elif self._begin_execution(entry, vals):
                 split = self._attempt_load(entry)
                 if split is not None:
-                    self._fork(entry, split, issued, loads, stds, branches)
+                    self._split(entry, split, issued, loads, stds, branches)
                 continue
             entry.status = EXECUTING
             entry.done_cycle = cycle + 1
@@ -539,6 +541,7 @@ class Core:
         ready = self.ready
         rename = self.rename
         rename_get = rename.get
+        waiting = self.waiting
         live_tags = self.live_tags
         trace = self.trace
         sb_entries = self.sb.entries
@@ -576,10 +579,7 @@ class Core:
                             entry.producers = producers
                             if producer.status != DONE:
                                 entry.pending += 1
-                                if producer.consumers is None:
-                                    producer.consumers = [entry]
-                                else:
-                                    producer.consumers.append(entry)
+                                waiting.setdefault(producer.seq, []).append(entry)
                 kind = uop.kind
                 if kind is ALU:
                     pass                            # most micro-ops: nothing to set up
@@ -666,8 +666,6 @@ class Core:
                 report.timed_out = True
                 break
             self.step()
-        for e in self.rob:              # a fault or timeout leaves entries behind
-            e.producers = e.consumers = None
         if self.fault is not None:      # the faulting micro-op and younger never retire
             self.sb.squash_younger(self.rob[0].seq - 1)
             self.executing = {}         # nor complete, so no skip waits for them
@@ -713,23 +711,17 @@ class Core:
             if not self.progress:
                 self._skip_idle()
 
-    # -- runs shared across policies ---------------------------------------------------
+    # -- copies -------------------------------------------------------------------------
 
-    def _file(self, members: Tuple[str, ...], resume: Optional[tuple] = None) -> None:
-        """File a copy of this core on the program for the policies `members`
-        to resume, at `resume` (the issue loop's place and counts after a
-        split load) or else at the end of the run, and drop them from the
-        peers. The copy's ROB and store-buffer entries are fresh, a link to an
-        older entry points at that entry's copy, and consumer lists are left
-        out. It has no program and its own whitelist, memory, predictors and
-        trace prefix, so it shares no state and holds no reference cycle."""
+    def fork(self) -> Core:
+        """An independent copy of this core at a cycle boundary or at the
+        issue stage's split place: fresh ROB and store-buffer entries, each
+        link (wake lists too) pointing at the copy of its entry, and its own
+        memory, predictors, whitelist and trace. Neither run changes the other."""
         policy = self.policy
+        # __init__, not copy.copy: a copied __dict__ loses CPython's inline attribute fast path
         twin = Core(self.program, self.cfg, self.mem.clone(), self.pred.clone(),
-                    ForwardingPolicy(policy.variant, set(policy.whitelist), members))
-        twin.program = None
-        twin.resume = resume
-        if self.trace is not None:
-            twin.trace = self.trace[self.trace_start:]
+                    ForwardingPolicy(policy.variant, set(policy.whitelist), policy.peers))
         stores = {e.seq: _copy_sb_entry(e) for e in self.sb.entries}
         twin.sb.entries = list(stores.values())
         rob = self.rob
@@ -747,39 +739,31 @@ class Core:
         twin.ready = [entries[e.seq] for e in self.ready]
         twin.executing = {cycle: [entries[e.seq] for e in bucket]
                           for cycle, bucket in self.executing.items()}
+        twin.waiting = {seq: [entries[e.seq] for e in woken if e.status != SQUASHED]
+                        for seq, woken in self.waiting.items()}
         twin.rename = {reg: entries[e.seq] for reg, e in self.rename.items()}
         twin.live_tags = list(self.live_tags)
         twin.arch_regs = list(self.arch_regs)
-        for name in ("fetch_pc", "cycle", "start_cycle", "halted", "fault", "seq_counter",
-                     "squash_count", "forward_count", "retired_instructions", "progress"):
+        if self.trace is not None:
+            twin.trace = list(self.trace)
+        for name in ("fetch_pc", "cycle", "start_cycle", "trace_start", "halted", "fault",
+                     "seq_counter", "squash_count", "forward_count", "retired_instructions",
+                     "progress", "resume"):
             setattr(twin, name, getattr(self, name))
-        forks = self.program.snapshots[1]
-        for variant in members:
-            forks[variant] = twin
-        policy.peers = tuple(p for p in policy.peers if p not in members)
+        return twin
 
-    def _continue_as(self, program: Program, cfg: SimConfig,
-                     trace: Optional[list]) -> None:
-        """Take up this filed copy as the run of `cfg`'s policy, with the
-        copy's other members as peers, and relink what filing left out: the
-        program, the config, the trace and each consumer list, rebuilt from
-        the producer links whose producer is not done."""
-        self.program = program
-        self.cfg = self.mem.cfg = cfg
-        variant = cfg.forwarding_policy
-        self.policy = ForwardingPolicy(variant, self.policy.whitelist,
-                                       tuple(p for p in self.policy.peers if p != variant))
-        if trace is not None:
-            self.trace_start = len(trace)
-            trace.extend(self.trace)
-        self.trace = trace
-        for e in self.rob:
-            for p in e.producers or ():
-                if p is not None and p.status != DONE:
-                    if p.consumers is None:
-                        p.consumers = [e]
-                    else:
-                        p.consumers.append(e)
+    def _file(self, members: Tuple[str, ...], resume: Optional[tuple] = None) -> None:
+        """File a fork of this core on the program for the policies `members`
+        to resume, at `resume` (the issue loop's place and counts after a
+        split load) or else at the end of the run, and drop them from the
+        peers. The fork holds no program, so no cycle runs through the program."""
+        twin = self.fork()
+        twin.program = None
+        twin.resume = resume
+        twin.policy.peers = members
+        for variant in members:
+            self.program.snapshots[1][variant] = twin
+        self.policy.peers = tuple(p for p in self.policy.peers if p not in members)
 
 
 # what a shared run's filed copies are keyed on, besides regs and tracing
@@ -793,11 +777,11 @@ def run_program(program: Program, cfg: SimConfig, regs: Optional[Dict[int, int]]
     The run starts from fresh state and is shared with the forwarding
     policies not yet asked for on this `Program` under the same config apart
     from the policy, the same `regs` and tracing (the key). Each load whose
-    allows answer splits them files a copy of the core on the program for the
+    allows answer splits them files a `Core.fork` on the program for the
     policies that answer differently, and the policies left at the end get a
-    copy of the end state. A later call for one of them resumes its copy, so
+    fork of the end state. A later call for one of them resumes its fork, so
     the prefix runs once; its report and trace equal those of a `Core` run
-    alone. The program keeps the copies until they are resumed, a call with
+    alone. The program keeps the forks until they are resumed, a call with
     another key replaces them, or the program is dropped. To run on given
     memory, predictors or policy, build a `Core` and `start` it.
     """
@@ -815,8 +799,14 @@ def run_program(program: Program, cfg: SimConfig, regs: Optional[Dict[int, int]]
         core = Core(program, cfg, mem, PredictorState(cfg.bht_size, cfg.rsb_depth),
                     ForwardingPolicy(variant, peers=peers))
         core.start(regs, trace)
-    else:
+    else:       # take up the fork as this policy's run, its other members as peers
         for peer in core.policy.peers:
             del forks[peer]
-        core._continue_as(program, cfg, trace)
+        core.program, core.cfg, core.mem.cfg = program, cfg, cfg
+        core.policy = ForwardingPolicy(variant, core.policy.whitelist,
+                                       tuple(p for p in core.policy.peers if p != variant))
+        if trace is not None:       # the fork's events so far move to `trace`
+            core.trace_start, events = len(trace), core.trace[core.trace_start:]
+            trace.extend(events)
+        core.trace = trace
     return core.run()

@@ -19,9 +19,10 @@ any store.
 A policy may carry peers: the names of other policies sharing its run
 because every forwarding decision so far came out the same under each of them
 (see `core.run_program`). At the allows test `forward_decision` asks every
-peer too, and names the peers that answer differently; a decision carries
-only the running policy's answer. The group keeps one whitelist: since it
-formed, each member has learned the same load pcs.
+peer too, and names the peers that answer differently; the core files a
+`Core.fork` for those and asks again without them. A decision carries only
+the running policy's answer. The group keeps one whitelist: since it formed,
+each member has learned the same load pcs.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ from specsim.memory import MemorySystem
 from specsim.predictors import PredictorState
 
 
-def run_alone(program, cfg, regs=None, trace=None, mem=None, pred=None):
+def started_core(program, cfg, regs=None, trace=None, mem=None, pred=None) -> Core:
+    """The core `run_alone` runs, started but not yet run."""
     if mem is None:
         mem = MemorySystem(cfg)
         mem.load_program_data(program)
@@ -17,4 +18,8 @@ def run_alone(program, cfg, regs=None, trace=None, mem=None, pred=None):
         pred = PredictorState(cfg.bht_size, cfg.rsb_depth)
     core = Core(program, cfg, mem, pred, ForwardingPolicy(cfg.forwarding_policy))
     core.start(regs, trace)
-    return core.run()
+    return core
+
+
+def run_alone(program, cfg, regs=None, trace=None, mem=None, pred=None):
+    return started_core(program, cfg, regs, trace, mem, pred).run()

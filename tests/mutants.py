@@ -118,16 +118,12 @@ MUTANTS = (
            ("tests/test_shared_runs.py::"
             "test_shared_runs_equal_independent_runs_on_the_oracle_pool",)),
     Mutant("filed_copy_shares_its_trunks_whitelist", "src/specsim/core.py",
-           "ForwardingPolicy(policy.variant, set(policy.whitelist), members)",
-           "ForwardingPolicy(policy.variant, policy.whitelist, members)",
+           "ForwardingPolicy(policy.variant, set(policy.whitelist), policy.peers)",
+           "ForwardingPolicy(policy.variant, policy.whitelist, policy.peers)",
            ("tests/test_shared_runs.py::"
             "test_shared_runs_equal_independent_runs_on_the_oracle_pool",
             "tests/test_shared_runs.py::"
             "test_a_resumed_run_shares_no_state_with_its_trunk_or_pending_snapshots")),
-    Mutant("resumed_copy_relinks_no_consumers", "src/specsim/core.py",
-           "for p in e.producers or ():", "for p in ():",
-           ("tests/test_shared_runs.py::"
-            "test_shared_runs_equal_independent_runs_on_the_oracle_pool",)),
     Mutant("clone_shares_touched_sets_with_its_twin", "src/specsim/memory.py",
            "twin.sets = {index: list(ways) for index, ways in self.sets.items()}",
            "twin.sets = dict(self.sets)",
@@ -170,6 +166,21 @@ MUTANTS = (
            'self.start_cycle = getattr(self, "start_cycle", 0)',
            ("tests/test_scenarios.py::"
             "test_each_run_of_a_scenario_gets_the_whole_cycle_limit",)),
+    Mutant("start_accepts_work_in_flight", "src/specsim/core.py",
+           "if self.fault is not None or self.rob or self.sb.entries:", "if False:",
+           ("tests/test_fork.py::test_start_refuses_a_core_with_work_in_flight",)),
+    Mutant("fork_shares_predictor_state", "src/specsim/core.py",
+           "self.pred.clone()", "self.pred",
+           ("tests/test_fork.py::"
+            "test_a_fork_before_each_run_of_a_matrix_cell_runs_as_its_original",
+            "tests/test_fork.py::test_a_fork_at_every_5th_step_runs_on_as_the_unforked_run")),
+    Mutant("fork_keeps_the_trunks_wake_lists", "src/specsim/core.py",
+           "{seq: [entries[e.seq] for e in woken if e.status != SQUASHED]\n"
+           "                        for seq, woken in self.waiting.items()}",
+           "dict(self.waiting)",
+           ("tests/test_fork.py::test_a_fork_at_every_5th_step_runs_on_as_the_unforked_run",
+            "tests/test_shared_runs.py::"
+            "test_shared_runs_equal_independent_runs_on_the_oracle_pool")),
     Mutant("flush_probe_from_the_unaligned_base", "src/specsim/scenarios.py",
            "first = spec.base & ~(LINE - 1)", "first = spec.base",
            ("tests/test_scenarios.py::"

@@ -103,7 +103,7 @@ def step_polled(core: Core) -> None:
     (write-back when the store-buffer head is senior, which it requires)."""
     for e in core.rob:
         e.pending = 0
-        e.consumers = None
+    core.waiting = {}
     core.ready = polled_ready(core)
     core.executing = polled_wheel(core)
     core.mem.next_fill = polled_next_fill(core)
