@@ -42,11 +42,11 @@ under different policies are identical up to the first load whose allows
 answer differs. `run_program` runs them as one: the policy carries as peers
 the names of the policies not asked for yet, and the group keeps one
 whitelist. At a load where some peers answer differently, the issue stage
-files a fork of the core for them on the `Program`, taken before the load's
-decision, and asks the LSU again for the rest; peers that never split off get
-a fork of the end state. A later call for one of them resumes its fork instead
-of running the shared prefix again: the fork asks the LSU again at that load,
-where its members all answer alike, so it cannot split again.
+forks the core for them and finishes the cycle on the fork under their
+policies, then files it on the `Program` and asks the LSU again for the rest;
+peers that never split off get a fork of the end state. So every filed fork is
+a core at a cycle boundary, and a later call for one of its members runs it on
+instead of running the shared prefix again.
 
 A core may run its program again, as an attack's schedule does: `start` sets
 the registers and pc, and the clock, counts, memory, predictors and whitelist
@@ -134,9 +134,6 @@ class Core:
         self.mem = mem
         self.pred = pred
         self.policy = policy
-        # a copy filed at a split load resumes there: the issue loop's place
-        # after the load and its counts
-        self.resume: Optional[tuple] = None
         if program.decoded is None:
             program.decoded = tuple(map(decode, program.instructions))
 
@@ -257,9 +254,8 @@ class Core:
     def _attempt_load(self, entry: ROBEntry) -> Optional[Tuple[str, ...]]:
         """Forward, access memory, or leave the load WAITING to retry next
         cycle, as the LSU decides. A retry that stays WAITING changes no
-        state. A decision that splits the policy's peers is not applied: the
-        peers that answer the other way are returned, for the issue stage to
-        split on; never on a resumed fork's first call, whose members agree."""
+        state. A split decision decides nothing: it returns the peers that
+        answer the other way, for the issue stage to split on."""
         uop = entry.uop
         live_tags = self.live_tags
         decision = forward_decision(entry.seq, entry.addr, uop.size,
@@ -299,12 +295,17 @@ class Core:
     def _split(self, entry: ROBEntry, members: Tuple[str, ...], issued: int,
                loads: int, stds: int, branches: int) -> None:
         """The peers `members` answer the allows test of `entry`, a load being
-        issued, the other way: file one fork for them, taken before the load
-        takes a decision and holding the issue loop's place and counts, then
-        ask the LSU again, where the peers left all answer alike. The fork
-        decides the load again when it resumes."""
+        issued, the other way. File a fork for them that finishes the cycle:
+        it decides the load, issues on from the same place and counts, fetches
+        and advances its clock. Then ask again here, where the rest agree."""
         after = bisect_right(self.ready, entry.seq, key=_seq)
-        self._file(members, (after, issued, loads, stds, branches))
+        twin = self._file(members)
+        twin._attempt_load(twin.ready[after - 1])
+        twin._stage_issue((after, issued, loads, stds, branches))
+        if twin.fetch_pc is not None:
+            twin._stage_fetch()
+        twin.cycle += 1
+        twin.program = None
         self._attempt_load(entry)
 
     # -- one pipeline stage each ------------------------------------------------------
@@ -457,8 +458,8 @@ class Core:
         return False
 
     def _stage_issue(self, loop: Optional[tuple] = None) -> None:
-        """Issue from `ready` in seq order. `loop`, from a copy filed at a
-        split load, resumes the walk after that load: its position after
+        """Issue from `ready` in seq order. `loop`, from a fork taken at a
+        split load, goes on with the walk after that load: its position after
         the load and the issued, load, std and branch counts so far."""
         ready = self.ready
         if loop is None:
@@ -646,19 +647,10 @@ class Core:
 
     def run(self) -> RunReport:
         """Run to a halt, a fault or the cycle limit, then drain unless the
-        limit was reached. A copy filed at a split load first finishes the
-        cycle it was filed in: the load asks the LSU again, issue goes on
-        after it from the `resume` place and counts, then fetch. Any cycle
-        that changed nothing, that one included, is followed by a jump to the
-        next event."""
+        limit was reached. Any cycle that changed nothing is followed by a
+        jump to the next event."""
         report = RunReport("", self.cfg.digest(), core=self, trace=self.trace)
         limit = self.start_cycle + self.cfg.cycle_limit
-        if self.resume is not None:
-            self._attempt_load(self.ready[self.resume[0] - 1])
-            self._stage_issue(self.resume)
-            if self.fetch_pc is not None:
-                self._stage_fetch()
-            self.cycle += 1
         while not self.halted and self.fault is None:
             if not self.progress:
                 self._skip_idle(limit)
@@ -672,7 +664,7 @@ class Core:
         if not report.timed_out:
             self._drain()
         if self.policy.peers:       # never split off: the end state is theirs too
-            self._file(self.policy.peers)
+            self._file(self.policy.peers).program = None
         report.cycles = self.cycle
         report.retired_instructions = self.retired_instructions
         report.squash_count = self.squash_count
@@ -719,9 +711,11 @@ class Core:
         link (wake lists too) pointing at the copy of its entry, and its own
         memory, predictors, whitelist and trace. Neither run changes the other."""
         policy = self.policy
-        # __init__, not copy.copy: a copied __dict__ loses CPython's inline attribute fast path
+        # __init__, not copy.copy: a copied __dict__ loses CPython's inline attribute fast
+        # path; under cfg's policy, which __init__ checks and a fork's own may differ from
         twin = Core(self.program, self.cfg, self.mem.clone(), self.pred.clone(),
-                    ForwardingPolicy(policy.variant, set(policy.whitelist), policy.peers))
+                    ForwardingPolicy(self.cfg.forwarding_policy))
+        twin.policy = ForwardingPolicy(policy.variant, set(policy.whitelist), policy.peers)
         stores = {e.seq: _copy_sb_entry(e) for e in self.sb.entries}
         twin.sb.entries = list(stores.values())
         rob = self.rob
@@ -748,22 +742,21 @@ class Core:
             twin.trace = list(self.trace)
         for name in ("fetch_pc", "cycle", "start_cycle", "trace_start", "halted", "fault",
                      "seq_counter", "squash_count", "forward_count", "retired_instructions",
-                     "progress", "resume"):
+                     "progress"):
             setattr(twin, name, getattr(self, name))
         return twin
 
-    def _file(self, members: Tuple[str, ...], resume: Optional[tuple] = None) -> None:
-        """File a fork of this core on the program for the policies `members`
-        to resume, at `resume` (the issue loop's place and counts after a
-        split load) or else at the end of the run, and drop them from the
-        peers. The fork holds no program, so no cycle runs through the program."""
+    def _file(self, members: Tuple[str, ...]) -> Core:
+        """File a fork of this core on the program for `members`, the first its
+        policy and the others its peers, and drop them from the peers. The
+        caller drops the fork's program at a cycle boundary: no cycle runs
+        through the program."""
         twin = self.fork()
-        twin.program = None
-        twin.resume = resume
-        twin.policy.peers = members
+        twin.policy.variant, twin.policy.peers = members[0], members[1:]
         for variant in members:
             self.program.snapshots[1][variant] = twin
         self.policy.peers = tuple(p for p in self.policy.peers if p not in members)
+        return twin
 
 
 # what a shared run's filed copies are keyed on, besides regs and tracing
@@ -779,9 +772,9 @@ def run_program(program: Program, cfg: SimConfig, regs: Optional[Dict[int, int]]
     from the policy, the same `regs` and tracing (the key). Each load whose
     allows answer splits them files a `Core.fork` on the program for the
     policies that answer differently, and the policies left at the end get a
-    fork of the end state. A later call for one of them resumes its fork, so
+    fork of the end state. A later call for one of them runs its fork on, so
     the prefix runs once; its report and trace equal those of a `Core` run
-    alone. The program keeps the forks until they are resumed, a call with
+    alone. The program keeps the forks until they are taken up, a call with
     another key replaces them, or the program is dropped. To run on given
     memory, predictors or policy, build a `Core` and `start` it.
     """
@@ -800,11 +793,12 @@ def run_program(program: Program, cfg: SimConfig, regs: Optional[Dict[int, int]]
                     ForwardingPolicy(variant, peers=peers))
         core.start(regs, trace)
     else:       # take up the fork as this policy's run, its other members as peers
-        for peer in core.policy.peers:
-            del forks[peer]
+        members = (core.policy.variant,) + core.policy.peers
+        for member in members:
+            del forks[member]
         core.program, core.cfg, core.mem.cfg = program, cfg, cfg
         core.policy = ForwardingPolicy(variant, core.policy.whitelist,
-                                       tuple(p for p in core.policy.peers if p != variant))
+                                       tuple(p for p in members if p != variant))
         if trace is not None:       # the fork's events so far move to `trace`
             core.trace_start, events = len(trace), core.trace[core.trace_start:]
             trace.extend(events)

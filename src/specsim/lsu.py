@@ -19,9 +19,9 @@ any store.
 A policy may carry peers: the names of other policies sharing its run
 because every forwarding decision so far came out the same under each of them
 (see `core.run_program`). At the allows test `forward_decision` asks every
-peer too, and names the peers that answer differently; the core files a
-`Core.fork` for those and asks again without them. A decision carries only
-the running policy's answer. The group keeps one whitelist: since it formed,
+peer too. When some answer differently, it decides nothing: a `split`
+decision names them, the core finishes the cycle on a `Core.fork` for those
+and asks again without them. The group keeps one whitelist: since it formed,
 each member has learned the same load pcs.
 """
 
@@ -83,11 +83,11 @@ class ForwardingPolicy:
 
 @dataclass(frozen=True)
 class ForwardDecision:
-    kind: str                     # forward | forward_zero | wait | memory
+    kind: str                     # forward | forward_zero | wait | memory | split
     value: int = 0
     store_seq: int = -1
-    # the policy's peers that answer the allows test the other way; empty
-    # unless the policy's run must split
+    # for kind split only: the policy's peers that answer the allows test the
+    # other way, so the policy's run must split
     split: Tuple[str, ...] = ()
 
 
@@ -121,9 +121,9 @@ def forward_decision(load_seq: int, load_addr: int, load_size: int,
     address conservatively blocks the load (no memory disambiguation
     speculation). Partial overlaps and size mismatches wait until the store
     drains, then fall through to memory. Only the allows test depends on the
-    policy: when some of its peers answer it differently, the decision names
-    them in `split`. They all answer it alike, so the same question asked
-    under any one of them, with the others as its peers, splits no further.
+    policy: when some of its peers answer it differently, a `split` decision
+    names them and decides nothing. They all answer it alike, so asked under
+    any one of them, with the others as its peers, it splits no further.
     """
     for entry in reversed(sb.entries):
         if entry.seq > load_seq:
@@ -143,8 +143,7 @@ def forward_decision(load_seq: int, load_addr: int, load_size: int,
                                   entry, load_speculative, load_pc, load_forwardable,
                                   policy.whitelist)) is not allows)
                 if split:
-                    mine = _forward(entry, load_size, tlb_mode) if allows else WAIT
-                    return ForwardDecision(mine.kind, mine.value, mine.store_seq, split)
+                    return ForwardDecision("split", split=split)
             return _forward(entry, load_size, tlb_mode) if allows else WAIT
         if entry.overlaps(load_addr, load_size):
             return WAIT

@@ -141,9 +141,13 @@ MUTANTS = (
            'scope = {f"set_{f.name}": cls.__dict__[g.name].__set__\n'
            '             for f, g in zip(fs, fs[::-1])}',
            ("tests/test_isa.py::test_isa_records_store_each_argument_in_its_own_field",)),
-    Mutant("resumed_copy_skips_asking_again", "src/specsim/core.py",
-           "self._attempt_load(self.ready[self.resume[0] - 1])",
-           "self.ready[self.resume[0] - 1].status = WAITING",
+    Mutant("split_fork_skips_asking_again", "src/specsim/core.py",
+           "twin._attempt_load(twin.ready[after - 1])",
+           "twin.ready[after - 1].status = WAITING",
+           ("tests/test_shared_runs.py::"
+            "test_shared_runs_equal_independent_runs_on_the_oracle_pool",)),
+    Mutant("split_fork_skips_its_fetch", "src/specsim/core.py",
+           "twin._stage_fetch()", "pass",
            ("tests/test_shared_runs.py::"
             "test_shared_runs_equal_independent_runs_on_the_oracle_pool",)),
     Mutant("drain_budget_put_back", "src/specsim/core.py",

@@ -4,20 +4,22 @@ refuses a core with work in flight.
 A fork taken before any run of a matrix cell's schedule, or at any step of a
 random program's run, runs on exactly as its original does, and neither run
 changes the other: reports, traces, resident lines, whitelists and committed
-state are equal. A halted run leaves no wake list behind. A run that faulted
-or timed out leaves work in its ROB or store buffer, so the core cannot start
-again.
+state are equal. A halted run leaves no wake list behind, and a fork filed at
+a split is a core at a cycle boundary, its queues what scans of its ROB find.
+A run that faulted or timed out leaves work in its ROB or store buffer, so the
+core cannot start again.
 """
 
 from itertools import count
 
 import pytest
 
-from specsim import SimConfig, assemble
+from specsim import SimConfig, assemble, run_program
 from specsim.config import FORWARDING_POLICIES
 from specsim.core import Core
 from specsim.scenarios import MATRIX_SCENARIOS, MITIGATIONS, build_scenario, run_scenario
 from alone import run_alone, started_core
+from test_event_core import assert_queues_match_scans, assert_speculation_matches_rob
 from test_shared_runs import ORACLE, REGS, outcome as run_outcome, source
 
 # steps between forks of one run: a pool program runs only 49 to 92 steps
@@ -84,6 +86,22 @@ def test_a_fork_at_every_5th_step_runs_on_as_the_unforked_run(monkeypatch):
             forked = twin.run()
             assert outcome(forked) == want, (k, twin.cycle)
             assert_no_wake_list_left(forked)
+
+
+def test_a_filed_fork_is_a_core_at_a_cycle_boundary():
+    """A fork filed at a split finishes its cycle first, so its ready list,
+    wheel and live tags are what scans of its ROB find, as after any step.
+    The first call for each of the oracle pool's first 50 programs."""
+    filed = 0
+    for k in range(50):
+        program = assemble(source(k))
+        run_program(program, ORACLE, regs=REGS)
+        for core in {id(c): c for c in program.snapshots[1].values()}.values():
+            assert core.program is None, k
+            assert_queues_match_scans(core)
+            assert_speculation_matches_rob(core)
+            filed += 1
+    assert filed > 50
 
 
 LINE_59 = """

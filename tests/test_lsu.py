@@ -1,6 +1,6 @@
 import pytest
 
-from specsim import SimConfig, assemble
+from specsim import SimConfig, assemble, lsu
 from specsim.core import CALL, DONE, EXECUTING, STA, STD, Core
 from specsim.lsu import (ForwardDecision, ForwardingPolicy, StoreBuffer,
                          StoreBufferEntry, forward_decision)
@@ -113,6 +113,19 @@ def test_arctic_requires_whitelisted_load_pc():
     assert decide(5, 0x1000, 8, sb, policy="arctic_sloth", pc=0x40).kind == "wait"
     assert decide(5, 0x1000, 8, sb, policy="arctic_sloth", pc=0x40,
                   whitelist={0x40}).kind == "forward"
+
+
+def test_a_split_decides_nothing_and_names_the_peers_that_answer_otherwise(monkeypatch):
+    """Baseline lets a non-senior store forward and `slothbear_stores` does
+    not: the decision names the peer and builds no forward."""
+    def no_forward(*args):
+        raise AssertionError("a split decision built a forward")
+
+    monkeypatch.setattr(lsu, "_forward", no_forward)
+    sb = sb_with(entry(1, addr=0x1000, data=7, senior=False))
+    d = forward_decision(5, 0x1000, 8, False, 0x40, False, sb,
+                         ForwardingPolicy("baseline", peers=("slothbear_stores",)), "lazy")
+    assert d.kind == "split" and d.split == ("slothbear_stores",)
 
 
 def test_write_fault_store_lazy_forwards_data():
