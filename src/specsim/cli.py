@@ -1,16 +1,8 @@
 """Command-line front end: run one scenario, sweep the policy/mitigation
 matrix, or capture and pretty-print traces.
 
-Reports are line-delimited JSON with field names matching RunReport, so CI
-can assert on attack_success without parsing tables; `--table` adds a human
-layer. Exit codes: 0 run completed (attack outcome does not matter), 2 a
-malformed command line, unknown scenario, a mitigation the scenario has no
-site for, an option the scenario does not take, an unreadable or invalid
-scenario file, an invalid config value, or an unreadable or malformed
-SPECSIM_CONFIG, whitelist or trace file, 3 cycle-limit timeout, 4 unwritable
-output path.
-
-SPECSIM_CONFIG may name a key=value file applied before flags.
+The flags, the report fields, `SPECSIM_CONFIG` and the exit codes are
+README's "CLI" section, which `tests/test_docs.py` holds to this module.
 """
 
 from __future__ import annotations

@@ -120,9 +120,10 @@ def parse_int(text: str) -> int:      # config and scenario files, CLI number fl
 
 def read_key_values(text: str, convert: Callable[[str, str], object],
                     where: str = "config line ") -> dict:
-    """key=value lines -> {key: convert(key, value)}; '#' comments allowed.
-    `convert` raises KeyError for an unknown key and ValueError for a bad
-    value; the ValueError raised here names `where`, the line and the key."""
+    """key=value lines -> {key: (its line, convert(key, value))}, in file order;
+    '#' comments allowed. `convert` raises KeyError for an unknown key and
+    ValueError for a bad value; the ValueError raised here, for those and for
+    a key given twice (with its first line), names `where`, the line and the key."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -132,8 +133,11 @@ def read_key_values(text: str, convert: Callable[[str, str], object],
             raise ValueError(f"{where}{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key in out:
+            raise ValueError(f"{where}{lineno}: {key}: given again, first at line "
+                             f"{out[key][0]}")
         try:
-            out[key] = convert(key, value.strip())
+            out[key] = lineno, convert(key, value.strip())
         except KeyError:
             raise ValueError(f"{where}{lineno}: unknown key {key!r}") from None
         except ValueError as e:
@@ -144,4 +148,5 @@ def read_key_values(text: str, convert: Callable[[str, str], object],
 def parse_config_file(text: str) -> dict:
     """key=value lines -> override dict with typed values."""
     parsers = {f.name: str if f.name in CHOICES else parse_int for f in fields(SimConfig)}
-    return read_key_values(text, lambda key, value: parsers[key](value))
+    return {key: value for key, (_, value) in read_key_values(
+        text, lambda key, value: parsers[key](value)).items()}

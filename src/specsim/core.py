@@ -36,17 +36,8 @@ read at issue, and a store's store-buffer entry. The wake lists, which point
 the other way, are the core's. So no reference cycle is left for the garbage
 collector, and `fork` copies each entry and points each link at the copy.
 
-The forwarding policy enters the core only at the allows test of
-`forward_decision` and at retirement's `whitelist.add`, so runs of one program
-under different policies are identical up to the first load whose allows
-answer differs. `run_program` runs them as one: the policy carries as peers
-the names of the policies not asked for yet, and the group keeps one
-whitelist. At a load where some peers answer differently, the issue stage
-forks the core for them and finishes the cycle on the fork under their
-policies, then files it on the `Program` and asks the LSU again for the rest;
-peers that never split off get a fork of the end state. So every filed fork is
-a core at a cycle boundary, and a later call for one of its members runs it on
-instead of running the shared prefix again.
+Runs of one program under different forwarding policies are shared up to
+the first load whose allows answer differs: `run_program` tells how.
 
 A core may run its program again, as an attack's schedule does: `start` sets
 the registers and pc, and the clock, counts, memory, predictors and whitelist
@@ -767,16 +758,28 @@ def run_program(program: Program, cfg: SimConfig, regs: Optional[Dict[int, int]]
                 trace: Optional[list] = None) -> RunReport:
     """Assembled program -> deterministic report. Same inputs, same report.
 
-    The run starts from fresh state and is shared with the forwarding
-    policies not yet asked for on this `Program` under the same config apart
-    from the policy, the same `regs` and tracing (the key). Each load whose
-    allows answer splits them files a `Core.fork` on the program for the
-    policies that answer differently, and the policies left at the end get a
-    fork of the end state. A later call for one of them runs its fork on, so
-    the prefix runs once; its report and trace equal those of a `Core` run
-    alone. The program keeps the forks until they are taken up, a call with
-    another key replaces them, or the program is dropped. To run on given
-    memory, predictors or policy, build a `Core` and `start` it.
+    The run starts from fresh state and is shared with the forwarding policies
+    not yet asked for on this `Program`. A policy enters the core only at the
+    allows test of `forward_decision` and at retirement's `whitelist.add`, so
+    runs under different policies are identical up to the first load whose
+    allows answers differ. The run's policy carries the others as its peers,
+    and the group keeps one whitelist: since it formed, each member has learned
+    the same load pcs. At a load where some peers answer differently,
+    `forward_decision` decides nothing and its `split` decision names them.
+    `Core._split` files a `Core.fork` on the program for them and finishes the
+    cycle on it under their policies: the fork decides the load, where its
+    members all answer alike, issues on from the same place, fetches and
+    advances its clock, and only then drops its program. The core asks the LSU
+    again for the rest. The peers that never split off get a fork of the end
+    state. So every filed fork is an ordinary core at a cycle boundary.
+
+    A later call for one of a fork's members, with the same config apart from
+    the policy, the same `regs` and tracing on or off alike (the key), takes up
+    that fork and runs it on, so the prefix runs once; its report and trace
+    equal those of a `Core` run alone. Each fork is removed once taken up, a
+    call with another key replaces them all, and the program keeps the rest
+    until it is dropped. To run on given memory, predictors or policy, build a
+    `Core` and `start` it: such a core runs alone and files nothing.
     """
     key = (tuple(getattr(cfg, name) for name in _SHARED_CONFIG),
            tuple(sorted(regs.items())) if regs else (), trace is not None)

@@ -1,26 +1,8 @@
 """Toy RISC ISA: 32 x 64-bit registers, flat addressing, a textual assembler,
 and decode into micro-ops.
 
-Dialect summary (the full grammar is in the README's ISA reference):
-
-    ; comment to end of line
-    .label name           (or the sugar  name:)
-    .data ADDR PERM BYTE...   PERM in {rw, ro}; ADDR must be 8-byte aligned
-
-    movi rD, imm|label        mov rD, rA
-    add/sub/and/or/xor   rD, rA, rB
-    addi/subi/andi/ori/xori rD, rA, imm
-    shli/shri rD, rA, imm
-    cmp rA, rB  /  cmpi rA, imm      (unsigned compare, sets the flag register)
-    jb/jbe/jae/ja/je/jne label       (conditional on last cmp)
-    jmp label                        (unconditional)
-    csel.CC rD, rA, rB               rD = CC(flags) ? rA : rB; CC as for branches
-    ld.N rD, [rB+off]   st.N rS, [rB+off]    N in {1,2,4,8}
-    ld.N! / st.N!                    '!' marks the access forwardable
-    call label / ret / jr rA / fence / halt / nop
-
-Registers are r0..r31 (sp is an alias for r31). `call` pushes the return
-address at [sp-8] and decrements sp; `ret` loads it back and jumps.
+The dialect, its mnemonics and their operands are README's "ISA reference
+(normative)", which `tests/test_docs.py` holds to `_SIGNATURES`.
 
 The tables below are the semantics `decode` and the in-order reference
 share: `CONDITIONS` (condition code -> predicate on the flag register, from
@@ -202,9 +184,10 @@ class Program:
     # run it; not compared, printed or kept by `replace`
     decoded: Optional[Tuple[Tuple[MicroOp, ...], ...]] = field(
         default=None, init=False, compare=False, repr=False)
-    # (key, policy variant -> the filed core.Core it resumes): the pending
-    # copies of a run shared across forwarding policies (see core.run_program);
-    # one key at a time, each removed once resumed; not compared, printed or kept
+    # (key, policy variant -> the filed core.Core that runs on as its run): the
+    # pending forks of a run shared across forwarding policies (see
+    # core.run_program); one key at a time, each removed once taken up; not
+    # compared, printed or kept
     snapshots: Optional[tuple] = field(default=None, init=False, compare=False,
                                        repr=False)
 

@@ -1,28 +1,9 @@
 """Load-store unit: the store buffer and store-to-load forwarding decisions,
 including the policy family that restricts forwarding.
 
-Policies:
-  baseline          forward from the youngest older store with a fully matching
-                    address, store size >= load size, resolved data
-  slothbear_stores  baseline, but non-senior stores never forward
-  slothbear_loads   baseline, but loads still under unresolved branches never
-                    receive forwarded data
-  sloth_marked      forwarding only between accesses marked forwardable ('!')
-  arctic_sloth      forwarding only to load pcs on a whitelist learned from
-                    loads that consumed forwarded data on committed paths
-
-The whitelist persists via a text state file, one hexadecimal pc per line.
-A further design point would track whitelisted (store pc, load pc) pairs;
-this implementation keeps the simpler load-pc variant, accepting data from
-any store.
-
-A policy may carry peers: the names of other policies sharing its run
-because every forwarding decision so far came out the same under each of them
-(see `core.run_program`). At the allows test `forward_decision` asks every
-peer too. When some answer differently, it decides nothing: a `split`
-decision names them, the core finishes the cycle on a `Core.fork` for those
-and asks again without them. The group keeps one whitelist: since it formed,
-each member has learned the same load pcs.
+The policies are README's "Forwarding policies" table, which
+`tests/test_docs.py` holds to `POLICY_ALLOWS`. A policy's peers share its
+run (see `core.run_program`).
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ from functools import lru_cache, partial
 from importlib import resources
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import RunReport, SimConfig, parse_int, read_key_values
 from .core import Core
@@ -228,17 +228,17 @@ def _setup_memory(s: Scenario, cfg: SimConfig) -> MemorySystem:
     return mem
 
 
-def _run_schedule(s: Scenario, mem: MemorySystem,
-                 run: Callable[[Dict[int, int], Optional[int]], bool]) -> bool:
-    """Every scenario's run schedule: `priming` runs on the benign inputs, the
-    attacker's memory writes, then `attempts` runs on the attack inputs.
-    `run(regs, attempt)` performs one run (attempt is None while priming) and
-    returns False to end the schedule early; so does this function then."""
-    if not all(run(s.benign_regs, None) for _ in range(s.priming)):
-        return False
+def _schedule(s: Scenario, mem: MemorySystem):
+    """Every scenario's run schedule, one `(regs, attempt)` per run: `priming`
+    runs on the benign inputs (attempt None), then `attempts` runs on the
+    attack inputs. The attacker's memory writes land once priming is over; a
+    caller that stops early never reaches them."""
+    for _ in range(s.priming):
+        yield s.benign_regs, None
     for addr, size, value in s.attack_mem:
         mem.write_int(addr, size, value)
-    return all(run(s.attack_regs, attempt) for attempt in range(s.attempts))
+    for attempt in range(s.attempts):
+        yield s.attack_regs, attempt
 
 
 def run_scenario(s: Scenario, cfg: SimConfig,
@@ -247,16 +247,14 @@ def run_scenario(s: Scenario, cfg: SimConfig,
     """Prime, flush, attack (possibly repeatedly), then probe. Each run is
     started on one `Core` and may take the whole `cycle_limit`; the report is
     the last run's, whose counts are the core's, with the receiver's outcome
-    and the attempts' trace."""
+    and the attempts' trace. A run that faults or times out ends the schedule."""
     mem = _setup_memory(s, cfg)
     if policy is None:
         policy = ForwardingPolicy(cfg.forwarding_policy)
     core = Core(s.victim, cfg, mem, PredictorState(cfg.bht_size, cfg.rsb_depth), policy)
     trace = [] if collect_trace else None
     report = RunReport(s.name, cfg.digest(), core=core)     # if the schedule is empty
-
-    def run(regs: Dict[int, int], attempt: Optional[int]) -> bool:
-        nonlocal report
+    for regs, attempt in _schedule(s, mem):
         if attempt is not None:
             for pc, taken in s.prime_branches:
                 for _ in range(3):                  # saturate the counter
@@ -267,11 +265,12 @@ def run_scenario(s: Scenario, cfg: SimConfig,
                 mem.flush_line(addr)
         core.start(regs, None if attempt is None else trace)
         report = core.run()
-        return report.fault is None and not report.timed_out
-
-    if _run_schedule(s, mem, run) and s.probe:
-        report.inferred_secret = probe_receive(mem, s.probe, cfg)
-        report.attack_success = report.inferred_secret == s.secret_value
+        if report.fault is not None or report.timed_out:
+            break
+    else:
+        if s.probe:
+            report.inferred_secret = probe_receive(mem, s.probe, cfg)
+            report.attack_success = report.inferred_secret == s.secret_value
     report.scenario, report.trace = s.name, trace
     return report
 
@@ -281,15 +280,11 @@ def no_attack_state(s: Scenario, cfg: SimConfig):
     what the machine must commit when speculation leaves no trace."""
     mem = _setup_memory(s, cfg)
     regs = [0] * 32
-
-    def run(inputs: Dict[int, int], attempt: Optional[int]) -> bool:
+    for inputs, _ in _schedule(s, mem):
         ref = run_reference(s.victim, cfg, mem=mem, regs=inputs)
         if ref.fault is not None:
             raise RuntimeError(f"{s.name}: the in-order reference faulted: {ref.fault}")
-        regs[:] = ref.regs
-        return True
-
-    _run_schedule(s, mem, run)
+        regs = ref.regs
     return arch_state(regs, mem)
 
 
@@ -607,9 +602,15 @@ def _read_file(folder, filename: str, path: str) -> Tuple[dict, str, MitigationS
             ProbeSpec(**probe)
         return value
 
-    for key, value in read_key_values((folder / filename).read_text(), parsed,
-                                      f"{path}:").items():
+    regs = {}                   # (kind, register) -> its first line and key
+    for key, (line, value) in read_key_values((folder / filename).read_text(), parsed,
+                                              f"{path}:").items():
         kind = key.partition(".")[0]
+        if kind in ("reg", "benign_reg"):       # r31 and sp name one register
+            first, first_key = regs.setdefault((kind, value[0]), (line, key))
+            if first != line:
+                raise ValueError(f"{path}:{line}: {key}: given again, first at line "
+                                 f"{first} as {first_key}")
         if kind in _FILE_LISTS:
             opts.setdefault(_FILE_LISTS[kind], []).append(value)
         else:
@@ -678,23 +679,14 @@ def _build_bundled(name: str, mitigation: str = "none",
 
 def scenario_from_file(path: str, mitigation: str = "none",
                        secret: Optional[int] = None) -> Scenario:
-    """Load a custom scenario from key=value text. Recognized keys:
-
-    name, program (an .asm file, relative to the scenario file), secret_addr,
-    secret_value, priming, attempts, probe_base, probe_stride, probe_entries,
-    amplification, reg.rN / benign_reg.rN, mem.ADDR.SIZE / benign_mem...,
-    map.BASE.SIZE=perm, flush=addr[,addr...], prime.LABEL=taken|not_taken,
-    site.fence / site.fence_gadget = LABEL, site.coarse_mask = LABEL, rN,
-    SIZE | unchanged, site.exact_mask = LABEL, rN, rBOUND | unchanged, and
-    leaks=mitigation[,...]. reg and mem values may be @label or @label+N.
-
-    Any other key, and a value that does not parse or that no run can mean (an
-    address outside 0 to 2**64 - 1, a mem size other than 1, 2, 4 or 8, a map
-    size below 1, a probe stride below a line or a probe count below 1, a map
-    size or probe span over MAX_REGION_PAGES pages) raises ValueError naming
-    the file, line and key, before any page is mapped; a probe size key without
-    probe_base, and a mitigation the file gives no site for, raise ValueError
-    naming the file too.
+    """Load a custom scenario from key=value text. The keys, their values and
+    the errors are README's "Scenarios" section, whose example file
+    `tests/test_docs.py` holds to the reader. A key or value the reader does
+    not take, a key given twice and a probe size key without probe_base raise
+    ValueError naming the file, and for a line also its number and key, before
+    any page is mapped; so does a mitigation the file has no site for. An
+    unreadable file raises OSError, a program that does not assemble AsmError,
+    and a `secret` for a scenario with no probe TypeError.
     """
     file = Path(path)
     return _scenario(*_read_file(file.parent, file.name, path), mitigation, secret)

@@ -189,6 +189,10 @@ MUTANTS = (
            "first = spec.base & ~(LINE - 1)", "first = spec.base",
            ("tests/test_scenarios.py::"
             "test_an_unaligned_probe_is_flushed_from_the_line_holding_entry_0",)),
+    Mutant("mnemonic_without_a_readme_row", "src/specsim/isa.py",
+           '"jr": "r", "ret": "", "fence": "", "halt": "", "nop": "",',
+           '"jr": "r", "ret": "", "fence": "", "halt": "", "nop": "", "pause": "",',
+           ("tests/test_docs.py::test_isa_table_is_the_assemblers_signatures",)),
 )
 
 

@@ -476,6 +476,37 @@ def test_config_file_value_that_does_not_parse_names_line_and_key(
     assert "config line 3: mshr_count: " in err
 
 
+@pytest.mark.parametrize("added,key,first", [
+    ("flush = 0x20000", "flush", 21), ("reg.sp = 0x40000", "reg.sp", 8),
+    ("reg.r13 = 0", "reg.r13", 6), ("benign_reg.sp = 0", "benign_reg.sp", 11)])
+def test_scenario_file_key_given_twice_exits_2_naming_both_lines(
+        capsys, tmp_path, added, key, first):
+    # a copy of ghost.scenario, whose flush is at line 21, reg.r13 at 6,
+    # reg.r31 at 8 and benign_reg.r31 at 11, with one more line that sets the
+    # same key or register
+    data = Path(specsim.__file__).parent / "data"
+    for name in ("ghost.scenario", "ghost.asm"):
+        shutil.copy(data / name, tmp_path / name)
+    sf = tmp_path / "ghost.scenario"
+    lines = sf.read_text().splitlines() + [added]
+    sf.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "run", "--scenario-file", str(sf))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"ghost.scenario:{len(lines)}: {key}: given again, first at line {first}" in err
+
+
+def test_config_file_key_given_twice_exits_2_naming_both_lines(
+        capsys, monkeypatch, tmp_path):
+    cfgfile = tmp_path / "specsim.conf"
+    cfgfile.write_text("mshr_count = 4\nrob_capacity = 112\nmshr_count = 5\n")
+    monkeypatch.setenv("SPECSIM_CONFIG", str(cfgfile))
+    code, out, err = run_cli(capsys, "run", "spectre_1_0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "config line 3: mshr_count: given again, first at line 1" in err
+
+
 @pytest.mark.parametrize("command", ["run", "trace"])
 @pytest.mark.parametrize("flags,named", [
     pytest.param(["spectre_1_0"], "a scenario name", id="flags0-a scenario name"),

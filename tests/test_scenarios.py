@@ -144,6 +144,19 @@ def test_no_attack_state_refuses_a_victim_whose_reference_faults():
         no_attack_state(Scenario("faulty", victim), CFG)
 
 
+def test_no_attempts_still_writes_the_attackers_memory_once_priming_is_over():
+    # spectre_1_1_rop's attacker plants g2's address at the stack top, 0x40800
+    s = dataclasses.replace(build_scenario("spectre_1_1_rop"), attempts=0)
+    assert s.attack_mem == [(0x40800, 8, s.victim.labels["g2"])]
+    r = run_scenario(s, CFG)
+    assert r.fault is None and not r.timed_out and r.attack_success is False
+    regs, pages = no_attack_state(s, CFG)
+    assert arch_state(r.core.arch_regs, r.core.mem) == (regs, pages)
+    planted = s.victim.labels["g2"].to_bytes(8, "little")
+    assert pages[0x40000][0x800:0x808] == planted
+    assert r.core.mem.read_int(0x40800, 8) == s.victim.labels["g2"]
+
+
 @pytest.mark.parametrize("policy", ["slothbear_stores", "slothbear_loads",
                                     "sloth_marked", "arctic_sloth"])
 @pytest.mark.parametrize("name", STORE_ATTACKS)
