@@ -13,8 +13,8 @@ correct path.
 
 The loop is event-driven but cycle-exact. A cycle in which no stage changed
 any state is followed by identical idle cycles until the next event (an
-execution finishing, an MSHR fill, a senior store's write-back becoming due,
-or the cycle limit), so `run` and `_drain` jump straight to it. Blocked
+execution finishing, an MSHR fill, or the cycle limit; a write-back that
+misses falls due at its line's fill), so `run` and `_drain` jump to it. Blocked
 micro-ops wait on a count of producers not yet done, which completion
 decrements through `waiting` (producer seq -> the entries it wakes).
 Issue walks `ready`, the seq-ordered list of micro-ops whose producers are
@@ -55,8 +55,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .config import RunReport, SimConfig, TraceEvent
 from .isa import MASK64, NUM_REGS, MicroOp, Program, UopKind, decode
-from .lsu import (FORWARDING_POLICIES, ForwardingPolicy, StoreBuffer, StoreBufferEntry,
-                  forward_decision)
+from .lsu import (FORWARDING_POLICIES, MEMORY, ForwardingPolicy, StoreBuffer,
+                  StoreBufferEntry, forward_decision)
 from .memory import MemorySystem
 from .predictors import (PredictorState, predict_branch, rsb_pop, rsb_push,
                          train_branch)
@@ -248,13 +248,17 @@ class Core:
         state. A split decision decides nothing: it returns the peers that
         answer the other way, for the issue stage to split on."""
         uop = entry.uop
-        live_tags = self.live_tags
-        decision = forward_decision(entry.seq, entry.addr, uop.size,
-                                    bool(live_tags) and live_tags[0] < entry.seq,
-                                    uop.parent_pc, uop.forwardable, self.sb,
-                                    self.policy, self.cfg.tlb_enforcement)
-        if decision.split:
-            return decision.split
+        sb_entries = self.sb.entries
+        if sb_entries and sb_entries[0].seq < entry.seq:
+            live_tags = self.live_tags
+            decision = forward_decision(entry.seq, entry.addr, uop.size,
+                                        bool(live_tags) and live_tags[0] < entry.seq,
+                                        uop.parent_pc, uop.forwardable, self.sb,
+                                        self.policy, self.cfg.tlb_enforcement)
+            if decision.split:
+                return decision.split
+        else:           # no older store buffered: the LSU's answer under every policy
+            decision = MEMORY
         kind = decision.kind
         if kind == "forward" or kind == "forward_zero":
             self.progress = True
@@ -432,18 +436,18 @@ class Core:
             entry.addr = addr
             if uop.dst2 is not None:                      # ret: bump sp
                 entry.result2 = (addr + 8) & MASK64
-            if self.mem.permits(addr, write=False):
+            if self.mem.permits(addr, write=False, size=uop.size):
                 return True
             entry.fault = f"unmapped_load pc={uop.parent_pc:#x} addr={addr:#x}"
             entry.result = 0
         elif kind is STA:
             addr = entry.sbe.addr = (vals[0] + uop.imm) & MASK64
-            entry.sbe.write_fault = not self.mem.permits(addr, write=True)
+            entry.sbe.write_fault = not self.mem.permits(addr, write=True, size=uop.size)
         elif kind is STD:
             entry.sbe.data = vals[0] & MASK64
         elif kind is CALL:
             addr = entry.result = entry.sbe.addr = (vals[0] - 8) & MASK64
-            entry.sbe.write_fault = not self.mem.permits(addr, write=True)
+            entry.sbe.write_fault = not self.mem.permits(addr, write=True, size=uop.size)
             entry.sbe.data = (uop.parent_pc + 4) & MASK64
         # FENCE and HALT carry no operands and produce no result
         return False
@@ -667,23 +671,25 @@ class Core:
     def _skip_idle(self, limit: Optional[int] = None) -> None:
         """After a cycle that changed nothing, every cycle up to the next event
         is the same idle cycle: jump to the earliest of an execution finishing,
-        an MSHR fill, the oldest senior store's write-back, and `limit`."""
-        events = [] if limit is None else [limit]
+        an MSHR fill and `limit`. A pending write-back adds no event: a store
+        whose write-back missed falls due at its line's fill."""
+        event = limit
         if self.executing:
-            events.append(min(self.executing))
-        if self.mem.next_fill is not None:
-            events.append(self.mem.next_fill)
-        entries = self.sb.entries       # only a senior head has a write-back pending
-        if entries and entries[0].writeback_ready_cycle is not None:
-            events.append(entries[0].writeback_ready_cycle)
-        self.cycle = max(self.cycle, min(events))
+            done = min(self.executing)
+            if event is None or done < event:
+                event = done
+        fill = self.mem.next_fill
+        if fill is not None and (event is None or fill < event):
+            event = fill
+        if event > self.cycle:
+            self.cycle = event
 
     def _drain(self) -> None:
         """After halt or a fault, finish senior write-backs and let pending
         fills land. Fills are never cancelled, so a squashed miss still
         installs its line. It ends on its own, however long the DRAM latency:
-        a pass that changes nothing leaves a fill or the head's write-back
-        scheduled, and the skip jumps to it."""
+        a pass that changes nothing leaves a fill scheduled (a write-back that
+        missed waits on its line's), and the skip jumps to it."""
         mem = self.mem
         while self.sb.entries or mem.mshrs:
             self.progress = (mem.next_fill is not None and mem.next_fill <= self.cycle

@@ -4,6 +4,10 @@ including the policy family that restricts forwarding.
 The policies are README's "Forwarding policies" table, which
 `tests/test_docs.py` holds to `POLICY_ALLOWS`. A policy's peers share its
 run (see `core.run_program`).
+
+Only a store older than the load can forward to it or hold it back, so with
+none buffered `forward_decision` answers MEMORY under every policy and never
+splits; the core then does not ask it.
 """
 
 from __future__ import annotations

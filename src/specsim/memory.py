@@ -7,7 +7,7 @@ setup). Fills outstanding in an MSHR are never cancelled: a squashed load's
 line still installs, which is exactly the footprint the receiver measures.
 The receiver reads `lines`, the resident line set, directly: Flush+Reload
 observes which probe lines are resident, and that is the set itself. Its one
-primitive here is `check_readable`, one permission check per probe page.
+primitive here is `check_readable`, one TLB lookup per probe page.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ class MemFault(Exception):
     """Access to an unmapped page via a receiver-side primitive."""
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessResult:
     status: str                 # "hit" | "miss" | "mshr_full"
     ready_cycle: int = 0        # when the line is resident (hit or miss)
@@ -72,11 +72,15 @@ class MemorySystem:
             self.map_region(seg.addr, max(len(seg.data), 1), seg.perm)
             self.write_bytes(seg.addr, seg.data)
 
-    def permits(self, addr: int, write: bool) -> bool:
-        """Whether the TLB lets `addr` be written (`write`), else read; when
-        the caller acts on a refusal is the caller's contract."""
-        perm = self.tlb.get(addr & ~(PAGE - 1))
-        return perm is not None and perm[1 if write else 0]
+    def permits(self, addr: int, write: bool, size: int = 1) -> bool:
+        """Whether the TLB lets every page of the `size` bytes at `addr` be
+        written (`write`), else read; when the caller acts on a refusal is the
+        caller's contract."""
+        page = addr & ~(PAGE - 1)
+        perm = self.tlb.get(page)
+        if perm is not None and perm[write] and addr + size > page + PAGE:
+            perm = self.tlb.get(page + PAGE)        # the access runs onto the next page
+        return perm is not None and perm[write]
 
     # -- committed data ------------------------------------------------------
 
@@ -157,7 +161,8 @@ class MemorySystem:
         self.mshrs[line_addr] = ready
         if self.next_fill is None or ready < self.next_fill:
             self.next_fill = ready
-        self.mshr_peak = max(self.mshr_peak, len(self.mshrs))
+        if len(self.mshrs) > self.mshr_peak:
+            self.mshr_peak = len(self.mshrs)
         return AccessResult("miss", ready_cycle=ready, mshr_allocated=True)
 
     def tick(self, cycle: int) -> List[int]:
@@ -177,8 +182,10 @@ class MemorySystem:
         address. A step of a page or more puts each address on its own page."""
         pages = (addrs if addrs.step >= PAGE
                  else range(addrs[0] & ~(PAGE - 1), addrs[-1] + 1, PAGE))
+        tlb = self.tlb
         for page in pages:
-            if not self.permits(page, write=False):
+            perm = tlb.get(page & ~(PAGE - 1))
+            if perm is None or not perm[0]:
                 first = addrs[max(0, -((addrs.start - page) // addrs.step))]
                 raise MemFault(f"timed_read of unmapped/unreadable {first:#x}")
 

@@ -63,24 +63,24 @@ def run_reference(program: Program, cfg: SimConfig,
             r[ops[0].n] = r[ops[1].n] if SELECTS[m](r[REG_FLAGS]) else r[ops[2].n]
         elif m in LOAD_SIZES:
             addr = (r[ops[1].base] + ops[1].offset) & MASK64
-            if not mem.permits(addr, write=False):
+            if not mem.permits(addr, write=False, size=LOAD_SIZES[m]):
                 return RefResult(r, mem, f"unmapped_load pc={pc:#x} addr={addr:#x}")
             r[ops[0].n] = mem.read_int(addr, LOAD_SIZES[m])
         elif m in STORE_SIZES:
             addr = (r[ops[1].base] + ops[1].offset) & MASK64
-            if not mem.permits(addr, write=True):
+            if not mem.permits(addr, write=True, size=STORE_SIZES[m]):
                 return RefResult(r, mem, f"write_fault pc={pc:#x} addr={addr:#x}")
             mem.write_int(addr, STORE_SIZES[m], r[ops[0].n])
         elif m == "call":
             sp_val = (r[SP] - 8) & MASK64
-            if not mem.permits(sp_val, write=True):
+            if not mem.permits(sp_val, write=True, size=8):
                 return RefResult(r, mem, f"write_fault pc={pc:#x} addr={sp_val:#x}")
             mem.write_int(sp_val, 8, pc + 4)
             r[SP] = sp_val
             next_pc = ops[0].value
         elif m == "ret":
             addr = r[SP]
-            if not mem.permits(addr, write=False):
+            if not mem.permits(addr, write=False, size=8):
                 return RefResult(r, mem, f"unmapped_load pc={pc:#x} addr={addr:#x}")
             next_pc = mem.read_int(addr, 8)
             r[SP] = (addr + 8) & MASK64

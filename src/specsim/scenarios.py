@@ -602,16 +602,17 @@ def _read_file(folder, filename: str, path: str) -> Tuple[dict, str, MitigationS
             ProbeSpec(**probe)
         return value
 
-    regs = {}                   # (kind, register) -> its first line and key
+    # (list kind, the register, label or address its key names, parsed) -> its
+    # first line and key: r31 and sp are one register, 0x1000 and 4096 one address
+    given = {}
     for key, (line, value) in read_key_values((folder / filename).read_text(), parsed,
                                               f"{path}:").items():
         kind = key.partition(".")[0]
-        if kind in ("reg", "benign_reg"):       # r31 and sp name one register
-            first, first_key = regs.setdefault((kind, value[0]), (line, key))
+        if kind in _FILE_LISTS:
+            first, first_key = given.setdefault((kind, value[0]), (line, key))
             if first != line:
                 raise ValueError(f"{path}:{line}: {key}: given again, first at line "
                                  f"{first} as {first_key}")
-        if kind in _FILE_LISTS:
             opts.setdefault(_FILE_LISTS[kind], []).append(value)
         else:
             opts[key] = value

@@ -85,7 +85,7 @@ MUTANTS = (
            "if self.next_fill is None:",
            ("tests/test_memory.py::test_next_fill_is_the_earliest_mshr_fill",)),
     Mutant("load_check_accepts_a_merely_mapped_page", "src/specsim/core.py",
-           "if self.mem.permits(addr, write=False):",
+           "if self.mem.permits(addr, write=False, size=uop.size):",
            "if (addr & ~0xFFF) in self.mem.tlb:",
            ("tests/test_core.py::test_unreadable_load_faults_like_the_reference",)),
     Mutant("file_labels_resolve_against_the_unmitigated_victim",
@@ -189,6 +189,14 @@ MUTANTS = (
            "first = spec.base & ~(LINE - 1)", "first = spec.base",
            ("tests/test_scenarios.py::"
             "test_an_unaligned_probe_is_flushed_from_the_line_holding_entry_0",)),
+    Mutant("lsu_gate_tests_the_youngest_store", "src/specsim/core.py",
+           "if sb_entries and sb_entries[0].seq < entry.seq:",
+           "if sb_entries and sb_entries[-1].seq < entry.seq:",
+           ("tests/test_oracle.py::test_random_programs_match_reference",)),
+    Mutant("permission_check_skips_the_second_page", "src/specsim/memory.py",
+           "and addr + size > page + PAGE:", "and False:",
+           ("tests/test_oracle.py::"
+            "test_every_reference_fault_runs_and_the_core_agrees_where_it_faults",)),
     Mutant("mnemonic_without_a_readme_row", "src/specsim/isa.py",
            '"jr": "r", "ret": "", "fence": "", "halt": "", "nop": "",',
            '"jr": "r", "ret": "", "fence": "", "halt": "", "nop": "", "pause": "",',

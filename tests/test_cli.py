@@ -478,12 +478,18 @@ def test_config_file_value_that_does_not_parse_names_line_and_key(
 
 @pytest.mark.parametrize("added,key,first", [
     ("flush = 0x20000", "flush", 21), ("reg.sp = 0x40000", "reg.sp", 8),
-    ("reg.r13 = 0", "reg.r13", 6), ("benign_reg.sp = 0", "benign_reg.sp", 11)])
+    ("reg.r13 = 0", "reg.r13", 6), ("benign_reg.sp = 0", "benign_reg.sp", 11),
+    ("map.0x20000.8192 = ro", "map.0x20000.8192", "15 as map.0x20000.0x2000"),
+    ("map.131072.0x1000 = ro", "map.131072.0x1000", "15 as map.0x20000.0x2000"),
+    ("mem.0x40808.1 = 0", "mem.0x40808.1", "14 as mem.0x40808.8"),
+    ("benign_mem.65568.0x8 = 0", "benign_mem.65568.0x8", "12 as benign_mem.0x10020.8")])
 def test_scenario_file_key_given_twice_exits_2_naming_both_lines(
         capsys, tmp_path, added, key, first):
     # a copy of ghost.scenario, whose flush is at line 21, reg.r13 at 6,
-    # reg.r31 at 8 and benign_reg.r31 at 11, with one more line that sets the
-    # same key or register
+    # reg.r31 at 8, benign_reg.r31 at 11, benign_mem.0x10020.8 at 12,
+    # mem.0x40808.8 at 14 and map.0x20000.0x2000 at 15, with one more line
+    # that sets the same key, register or address, the last four spelled
+    # another way
     data = Path(specsim.__file__).parent / "data"
     for name in ("ghost.scenario", "ghost.asm"):
         shutil.copy(data / name, tmp_path / name)

@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import pytest
 
 from specsim import SimConfig, assemble, lsu
+from specsim.config import FORWARDING_POLICIES, TLB_ENFORCEMENT_MODES
 from specsim.core import CALL, DONE, EXECUTING, STA, STD, Core
 from specsim.lsu import (ForwardDecision, ForwardingPolicy, StoreBuffer,
                          StoreBufferEntry, forward_decision)
@@ -126,6 +129,32 @@ def test_a_split_decides_nothing_and_names_the_peers_that_answer_otherwise(monke
     d = forward_decision(5, 0x1000, 8, False, 0x40, False, sb,
                          ForwardingPolicy("baseline", peers=("slothbear_stores",)), "lazy")
     assert d.kind == "split" and d.split == ("slothbear_stores",)
+
+
+@pytest.mark.parametrize("policy", FORWARDING_POLICIES)
+def test_with_only_younger_stores_buffered_every_policy_answers_memory(policy):
+    """The core asks the LSU only when a store older than the load is
+    buffered. That is sound because, with every buffered store younger, the
+    answer is MEMORY under each policy and peer set and TLB mode, whatever
+    the stores hold: a matching address, a senior or marked store, a write
+    fault, an unresolved address, an overlap. Were it older, each store would
+    keep the load from memory."""
+    others = [p for p in FORWARDING_POLICIES if p != policy]
+    stores = [entry(6, addr=0x1000, data=7),
+              entry(6, addr=0x1000, data=7, senior=True, forwardable=True),
+              entry(6, addr=0x1000, data=7, write_fault=True),
+              entry(6), entry(6, addr=0x1004, size=1, data=1)]
+    for peers in (c for n in range(len(others) + 1) for c in combinations(others, n)):
+        for tlb in TLB_ENFORCEMENT_MODES:
+            for store in stores:
+                sb = sb_with(store, entry(9, addr=0x1000, data=8, senior=True))
+                pol = ForwardingPolicy(policy, {0x40}, peers)
+                assert forward_decision(5, 0x1000, 8, False, 0x40, True, sb, pol,
+                                        tlb) is lsu.MEMORY, (peers, tlb, store)
+                store.seq = 4           # now older than the load
+                assert forward_decision(5, 0x1000, 8, False, 0x40, True, sb, pol,
+                                        tlb) is not lsu.MEMORY, (peers, tlb, store)
+                store.seq = 6
 
 
 def test_write_fault_store_lazy_forwards_data():

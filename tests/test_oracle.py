@@ -159,7 +159,9 @@ def test_every_mnemonic_matches_reference(mnem):
 
 # a committed store the fault must not lose, then the faulting code at 0x10
 FAULT_PREFIX = "main:\n    movi r1, 0x60000\n    movi r2, 0x1234\n    st.8 r2, [r1]\n"
-FAULT_DATA = ".data 0x60000 rw 00\n.data 0x70000 ro 00\n"
+# a rw page ends at 0x61000, where nothing is mapped, and another at 0x70000,
+# where a read-only page begins
+FAULT_DATA = ".data 0x60000 rw 00\n.data 0x6fff8 rw 00\n.data 0x70000 ro 00\n"
 FAULTS = {  # name -> (code at pc 0xc, the reference's fault)
     "fetch_off_the_map": ("    movi r7, 0x400\n    jr r7\n", "fetch off map at 0x400"),
     "store_to_a_read_only_page": ("    movi r3, 0x70000\n    st.8 r2, [r3]\n"
@@ -171,6 +173,13 @@ FAULTS = {  # name -> (code at pc 0xc, the reference's fault)
                                    "unmapped_load pc=0x10 addr=0x900000"),
     "ret_with_an_unmapped_sp": ("    movi r31, 0x900000\n    ret\n",
                                 "unmapped_load pc=0x10 addr=0x900000"),
+    # an access that runs onto a second page needs its permission too
+    "store_onto_an_unmapped_page": ("    movi r3, 0x60ffc\n    st.8 r2, [r3]\n",
+                                    "write_fault pc=0x10 addr=0x60ffc"),
+    "load_onto_an_unmapped_page": ("    movi r3, 0x60ffc\n    ld.8 r4, [r3]\n",
+                                   "unmapped_load pc=0x10 addr=0x60ffc"),
+    "store_onto_a_read_only_page": ("    movi r3, 0x6fffc\n    st.8 r2, [r3]\n",
+                                    "write_fault pc=0x10 addr=0x6fffc"),
     "step_limit": ("top:\n    addi r5, r5, 1\n    jmp top\n", "step limit exceeded"),
 }
 

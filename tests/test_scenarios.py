@@ -284,6 +284,22 @@ def test_security_property_slothbear_never_uses_squashed_stores(monkeypatch):
     assert any(squashed_forwards(t) for t in runs)
 
 
+@pytest.mark.parametrize("mitigation", ["none", "fence", "coarse_mask", "exact_mask"])
+def test_spectre_1_0_never_asks_the_lsu(monkeypatch, mitigation):
+    """Spectre 1.0 has loads only, so no load ever has an older store
+    buffered, and the core sends every load to memory without asking the
+    forwarding decision, under every policy."""
+    def no_older_store(*args):
+        raise AssertionError("a load asked the LSU with no older store buffered")
+
+    monkeypatch.setattr(specsim.core, "forward_decision", no_older_store)
+    s = build_scenario("spectre_1_0", mitigation=mitigation)
+    for policy in specsim.config.FORWARDING_POLICIES:
+        r = run_scenario(s, CFG.replace(forwarding_policy=policy))
+        assert r.fault is None and not r.timed_out, policy
+        assert r.attack_success is (s.expected == "attack_succeeds"), policy
+
+
 def test_architectural_cleanliness():
     # failed attacks and squashed attempts leave committed state equal to the
     # in-order machine on the same inputs
