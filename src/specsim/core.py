@@ -14,27 +14,36 @@ correct path.
 The loop is event-driven but cycle-exact. A cycle in which no stage changed
 any state is followed by identical idle cycles until the next event (an
 execution finishing, an MSHR fill, or the cycle limit; a write-back that
-misses falls due at its line's fill), so `run` and `_drain` jump to it. Blocked
-micro-ops wait on a count of producers not yet done, which completion
-decrements through `waiting` (producer seq -> the entries it wakes).
-Issue walks `ready`, the seq-ordered list of micro-ops whose producers are
-all done (plus WAITING loads and an undone fence): fetch appends an entry
-with no pending producer, and completion inserts a consumer whose count
-reaches 0. `executing` is a wheel from done cycle to the entries finishing
-then, so completion pops one bucket, and the memory system keeps its earliest
-fill cycle, so fills are installed only when one is due. A step calls a stage
-only when it has work, and a program is decoded once, by the first core that
-runs it, into one tuple of micro-ops per instruction; fetch tells from the
-first micro-op's kind (STA or CALL) whether the instruction takes a
-store-buffer slot. With the trace off, no stage builds an event.
-Issue reads operands from the register file unless a source was renamed, and
-computes ALU and CMP results itself. Stores seniorize in retirement order, so
-write-back drains the head of the seq-ordered store buffer.
+misses falls due at its line's fill), so `run` and `_drain` jump to it.
+Blocked micro-ops wait on a count of producers not yet done, which completion
+decrements through `waiting` (producer seq -> the entries it wakes). Issue
+walks `ready`, the seq-ordered list of micro-ops whose producers are all done
+(plus WAITING loads and an undone fence): fetch appends an entry with no
+pending producer, and completion inserts a consumer whose count reaches 0. A
+load the LSU told to WAIT keeps its place in the walk, its load port and its
+issue slot, but sleeps on the store the answer names: it asks again only once
+that store's address, data or senior bit has changed or the store has drained,
+or the load has stopped being speculative (`_attempt_load`). Nothing else can
+change the answer: the stores between that one and the load are clear of it
+for good, fetch adds only younger ones, and no change of the policy turns a
+WAIT around (`_asleep_on`). `executing` is a wheel from done cycle to the
+entries finishing then, so completion pops one bucket, and the memory system
+keeps its earliest fill cycle, so fills are installed only when one is due. A
+step calls a stage only when it has work (write-back not while its head waits
+on a fill, fetch not while the ROB is full), and a program is decoded once, by
+the first core that runs it, into one tuple of micro-ops per instruction;
+fetch tells from the first micro-op's kind (STA or CALL) whether the
+instruction takes a store-buffer slot. With the trace off, no stage builds an
+event. Issue reads operands from the register file unless a source was
+renamed, and computes ALU and CMP results itself. Stores seniorize in
+retirement order, so write-back drains the head of the seq-ordered store
+buffer.
 
 A ROB entry links only to older entries: its operands' producers, dropped once
-read at issue, and a store's store-buffer entry. The wake lists, which point
-the other way, are the core's. So no reference cycle is left for the garbage
-collector, and `fork` copies each entry and points each link at the copy.
+read at issue, a store's store-buffer entry, and the store a sleeping load
+waits on. The wake lists, which point the other way, are the core's. So no
+reference cycle is left for the garbage collector, and `fork` copies each
+entry and points each link at the copy.
 
 Runs of one program under different forwarding policies are shared up to
 the first load whose allows answer differs: `run_program` tells how.
@@ -61,9 +70,10 @@ from .memory import MemorySystem
 from .predictors import (PredictorState, predict_branch, rsb_pop, rsb_push,
                          train_branch)
 
-# a micro-op's status: DISPATCHED; WAITING, a load that retries the store
-# buffer or the MSHRs next cycle; EXECUTING until its done cycle, or LOADING,
-# a load whose result is read from memory then; DONE; SQUASHED once removed
+# a micro-op's status: DISPATCHED; WAITING, a load that retries the MSHRs
+# next cycle or sleeps on the store that holds it back; EXECUTING until its
+# done cycle, or LOADING, a load whose result is read from memory then; DONE;
+# SQUASHED once removed
 DISPATCHED, WAITING, EXECUTING, LOADING, DONE, SQUASHED = range(6)
 
 # micro-op kinds as module globals: the stages test kinds on every micro-op,
@@ -94,6 +104,8 @@ class ROBEntry:
     forwarded_from: Optional[int] = None
     fault: Optional[str] = None
     pending: int = 0                    # source operands whose producer is not DONE
+    # a load the LSU told to WAIT: what the answer rested on (`Core._asleep_on`)
+    asleep: Optional[tuple] = None
 
 
 def _slot_copier(cls):
@@ -245,14 +257,20 @@ class Core:
     def _attempt_load(self, entry: ROBEntry) -> Optional[Tuple[str, ...]]:
         """Forward, access memory, or leave the load WAITING to retry next
         cycle, as the LSU decides. A retry that stays WAITING changes no
-        state. A split decision decides nothing: it returns the peers that
-        answer the other way, for the issue stage to split on."""
+        state, and a load the LSU told to WAIT sleeps: it asks again only once
+        what that answer rested on has changed. A split decision decides
+        nothing: it returns the peers that answer the other way, for the
+        issue stage to split on."""
         uop = entry.uop
         sb_entries = self.sb.entries
         if sb_entries and sb_entries[0].seq < entry.seq:
             live_tags = self.live_tags
-            decision = forward_decision(entry.seq, entry.addr, uop.size,
-                                        bool(live_tags) and live_tags[0] < entry.seq,
+            speculative = bool(live_tags) and live_tags[0] < entry.seq
+            asleep = entry.asleep
+            if (asleep is not None and sb_entries[0].seq <= asleep[0].seq
+                    and asleep == self._asleep_on(asleep[0], speculative)):
+                return None
+            decision = forward_decision(entry.seq, entry.addr, uop.size, speculative,
                                         uop.parent_pc, uop.forwardable, self.sb,
                                         self.policy, self.cfg.tlb_enforcement)
             if decision.split:
@@ -263,14 +281,14 @@ class Core:
         if kind == "forward" or kind == "forward_zero":
             self.progress = True
             entry.result = decision.value
-            entry.forwarded_from = decision.store_seq
+            entry.forwarded_from = decision.store.seq
             entry.status = EXECUTING
             entry.done_cycle = self.cycle + 1
             self.executing.setdefault(entry.done_cycle, []).append(entry)
             self.forward_count += 1
             if self.trace is not None:
                 self._ev("forward", entry.seq, uop.parent_pc,
-                         f"value={decision.value:#x} from_seq={decision.store_seq}")
+                         f"value={decision.value:#x} from_seq={decision.store.seq}")
         elif kind == "memory":
             res = self.mem.access(entry.addr, self.cycle)
             if res.status == "mshr_full":
@@ -285,7 +303,20 @@ class Core:
             self.executing.setdefault(entry.done_cycle, []).append(entry)
         else:
             entry.status = WAITING
+            entry.asleep = self._asleep_on(decision.store, speculative)
         return None
+
+    @staticmethod
+    def _asleep_on(store: StoreBufferEntry, speculative: bool) -> tuple:
+        """What a WAIT held back by `store` rests on, besides that store's
+        being buffered: its address, data and senior bit, and the load's
+        speculation. Each changes only one way, so once the load has asked
+        again its old key never matches. The policy need not be watched: its
+        whitelist grows only by the pc of a load that forwarded, which
+        arctic_sloth allows only for a pc already listed, and its variant and
+        peers change only at a split or a take-up, to members of its group,
+        which all gave the load this answer."""
+        return store, store.addr, store.data, store.senior, speculative
 
     def _split(self, entry: ROBEntry, members: Tuple[str, ...], issued: int,
                loads: int, stds: int, branches: int) -> None:
@@ -631,10 +662,12 @@ class Core:
                 return
         sb_entries = self.sb.entries
         if sb_entries and sb_entries[0].senior:
-            self._stage_writeback()
+            ready_cycle = sb_entries[0].writeback_ready_cycle
+            if ready_cycle is None or ready_cycle <= self.cycle:
+                self._stage_writeback()
         if self.ready:
             self._stage_issue()
-        if self.fetch_pc is not None:
+        if self.fetch_pc is not None and len(self.rob) < self.cfg.rob_capacity:
             self._stage_fetch()
         self.cycle += 1
 
@@ -726,6 +759,9 @@ class Core:
                 e.producers = [None if p is None else entries[p.seq] for p in e.producers]
             if e.sbe is not None:           # a retired producer's store may have drained
                 e.sbe = stores.get(e.sbe.seq)
+            if e.asleep is not None:        # its store may have drained: then ask again
+                store = stores.get(e.asleep[0].seq)
+                e.asleep = None if store is None else (store,) + e.asleep[1:]
         twin.rob = [entries[e.seq] for e in rob]
         twin.ready = [entries[e.seq] for e in self.ready]
         twin.executing = {cycle: [entries[e.seq] for e in bucket]

@@ -7,7 +7,11 @@ run (see `core.run_program`).
 
 Only a store older than the load can forward to it or hold it back, so with
 none buffered `forward_decision` answers MEMORY under every policy and never
-splits; the core then does not ask it.
+splits; the core then does not ask it. A WAIT names the store that holds the
+load back, the one its youngest-first scan stopped at: every store between
+that one and the load has a resolved address clear of the load's, which never
+changes, so the answer can change only when that store, the load's
+speculation or the policy does (see `core.Core._attempt_load`).
 """
 
 from __future__ import annotations
@@ -40,7 +44,9 @@ class StoreBufferEntry:
     writeback_ready_cycle: Optional[int] = None
 
     def overlaps(self, addr: int, size: int) -> bool:
-        return self.addr is not None and self.addr < addr + size and addr < self.addr + self.size
+        """Whether this store, its address resolved, shares a byte with the
+        `size` bytes at `addr`."""
+        return self.addr < addr + size and addr < self.addr + self.size
 
 
 @dataclass
@@ -66,18 +72,20 @@ class ForwardingPolicy:
             return {int(line.strip(), 16) for line in f if line.strip()}
 
 
-@dataclass(frozen=True)
+# not frozen: a frozen dataclass is three times as dear to build, and each
+# WAIT is built anew
+@dataclass(slots=True)
 class ForwardDecision:
     kind: str                     # forward | forward_zero | wait | memory | split
+    # the store that forwards, or for kind wait the one that holds the load back
+    store: Optional[StoreBufferEntry] = None
     value: int = 0
-    store_seq: int = -1
     # for kind split only: the policy's peers that answer the allows test the
     # other way, so the policy's run must split
     split: Tuple[str, ...] = ()
 
 
-# the decisions that carry no value, shared by every load attempt
-WAIT = ForwardDecision("wait")
+# the decision that carries nothing, shared by every load attempt
 MEMORY = ForwardDecision("memory")
 
 
@@ -105,21 +113,16 @@ def forward_decision(load_seq: int, load_addr: int, load_size: int,
     Scans older stores youngest-first. An older store with an unresolved
     address conservatively blocks the load (no memory disambiguation
     speculation). Partial overlaps and size mismatches wait until the store
-    drains, then fall through to memory. Only the allows test depends on the
-    policy: when some of its peers answer it differently, a `split` decision
-    names them and decides nothing. They all answer it alike, so asked under
-    any one of them, with the others as its peers, it splits no further.
+    drains, then fall through to memory. A WAIT names the store it stopped
+    at. Only the allows test depends on the policy: when some of its peers
+    answer it differently, a `split` decision names them and decides
+    nothing. They all answer it alike, so asked under any one of them, with
+    the others as its peers, it splits no further.
     """
     for entry in reversed(sb.entries):
         if entry.seq > load_seq:
             continue
-        if entry.addr is None:
-            return WAIT
-        if entry.addr == load_addr:
-            if entry.size < load_size:
-                return WAIT
-            if entry.data is None:
-                return WAIT
+        if entry.addr == load_addr and entry.size >= load_size and entry.data is not None:
             allows = bool(POLICY_ALLOWS[policy.variant](
                 entry, load_speculative, load_pc, load_forwardable, policy.whitelist))
             if policy.peers:
@@ -129,9 +132,11 @@ def forward_decision(load_seq: int, load_addr: int, load_size: int,
                                   policy.whitelist)) is not allows)
                 if split:
                     return ForwardDecision("split", split=split)
-            return _forward(entry, load_size, tlb_mode) if allows else WAIT
-        if entry.overlaps(load_addr, load_size):
-            return WAIT
+            if allows:
+                return _forward(entry, load_size, tlb_mode)
+        elif entry.addr is not None and not entry.overlaps(load_addr, load_size):
+            continue                        # clear of the load for good
+        return ForwardDecision("wait", entry)
     return MEMORY
 
 
@@ -139,9 +144,9 @@ def _forward(store: StoreBufferEntry, load_size: int, tlb_mode: str) -> ForwardD
     """The decision for a load that its matching store is allowed to forward to."""
     if store.write_fault:
         if tlb_mode == "forward_zero":
-            return ForwardDecision("forward_zero", 0, store.seq)
+            return ForwardDecision("forward_zero", store)
         if tlb_mode == "eager":
-            return WAIT
+            return ForwardDecision("wait", store)
         # lazy: the fault is acted on only at retire; data flows now
     value = store.data & ((1 << (8 * load_size)) - 1)
-    return ForwardDecision("forward", value, store.seq)
+    return ForwardDecision("forward", store, value)

@@ -76,10 +76,9 @@ class MemorySystem:
         """Whether the TLB lets every page of the `size` bytes at `addr` be
         written (`write`), else read; when the caller acts on a refusal is the
         caller's contract."""
-        page = addr & ~(PAGE - 1)
-        perm = self.tlb.get(page)
-        if perm is not None and perm[write] and addr + size > page + PAGE:
-            perm = self.tlb.get(page + PAGE)        # the access runs onto the next page
+        perm = self.tlb.get(addr & ~(PAGE - 1))
+        if (addr & (PAGE - 1)) + size > PAGE and perm is not None and perm[write]:
+            perm = self.tlb.get((addr & ~(PAGE - 1)) + PAGE)   # it runs onto the next page
         return perm is not None and perm[write]
 
     # -- committed data ------------------------------------------------------

@@ -194,9 +194,34 @@ MUTANTS = (
            "if sb_entries and sb_entries[-1].seq < entry.seq:",
            ("tests/test_oracle.py::test_random_programs_match_reference",)),
     Mutant("permission_check_skips_the_second_page", "src/specsim/memory.py",
-           "and addr + size > page + PAGE:", "and False:",
+           "if (addr & (PAGE - 1)) + size > PAGE and", "if False and",
            ("tests/test_oracle.py::"
             "test_every_reference_fault_runs_and_the_core_agrees_where_it_faults",)),
+    Mutant("sleeping_load_asks_every_cycle", "src/specsim/core.py",
+           "and asleep == self._asleep_on(asleep[0], speculative)):", "and False):",
+           ("tests/test_lsu.py::"
+            "test_a_load_held_back_on_busy_cycles_asks_once_per_change_of_its_store",)),
+    *(Mutant(f"sleeping_load_ignores_its_{name}", "src/specsim/core.py",
+             "return store, store.addr, store.data, store.senior, speculative",
+             "return store, " + key,
+             ("tests/test_lsu.py::test_a_sleeping_load_wakes_when_what_its_wait_rested_on_"
+              f"changes[{wake}]",
+              "tests/test_lsu.py::test_a_sleeping_load_would_get_the_wait_it_sleeps_on"))
+      for name, wake, key in (
+          ("stores_address", "address", "None, store.data, store.senior, speculative"),
+          ("stores_data", "data", "store.addr, None, store.senior, speculative"),
+          ("stores_senior_bit", "senior", "store.addr, store.data, None, speculative"),
+          ("speculation", "speculation", "store.addr, store.data, store.senior, None"))),
+    Mutant("sleeping_load_ignores_its_stores_drain", "src/specsim/core.py",
+           "if (asleep is not None and sb_entries[0].seq <= asleep[0].seq",
+           "if (asleep is not None",
+           ("tests/test_lsu.py::"
+            "test_a_sleeping_load_wakes_when_what_its_wait_rested_on_changes[drain]",
+            "tests/test_lsu.py::test_a_sleeping_load_would_get_the_wait_it_sleeps_on")),
+    Mutant("fork_keeps_the_originals_sleeping_store", "src/specsim/core.py",
+           "e.asleep = None if store is None else (store,) + e.asleep[1:]", "pass",
+           ("tests/test_fork.py::test_a_fork_taken_while_a_load_sleeps_wakes_on_its_own_"
+            "copy_of_the_store[address]",)),
     Mutant("mnemonic_without_a_readme_row", "src/specsim/isa.py",
            '"jr": "r", "ret": "", "fence": "", "halt": "", "nop": "",',
            '"jr": "r", "ret": "", "fence": "", "halt": "", "nop": "", "pause": "",',

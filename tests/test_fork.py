@@ -6,8 +6,9 @@ random program's run, runs on exactly as its original does, and neither run
 changes the other: reports, traces, resident lines, whitelists and committed
 state are equal. A halted run leaves no wake list behind, and a fork filed at
 a split is a core at a cycle boundary, its queues what scans of its ROB find.
-A run that faulted or timed out leaves work in its ROB or store buffer, so the
-core cannot start again.
+A fork taken while a load sleeps wakes that load on its own copy of the
+store. A run that faulted or timed out leaves work in its ROB or store buffer,
+so the core cannot start again.
 """
 
 from itertools import count
@@ -20,6 +21,7 @@ from specsim.core import Core
 from specsim.scenarios import MATRIX_SCENARIOS, MITIGATIONS, build_scenario, run_scenario
 from alone import run_alone, started_core
 from test_event_core import assert_queues_match_scans, assert_speculation_matches_rob
+from test_lsu import FAST, WAKES
 from test_shared_runs import ORACLE, REGS, outcome as run_outcome, source
 
 # steps between forks of one run: a pool program runs only 49 to 92 steps
@@ -131,3 +133,30 @@ def test_start_refuses_a_core_with_work_in_flight(src, cycle_limit, left):
     assert (core.fault is not None, bool(core.rob), bool(core.sb.entries)) == left
     with pytest.raises(ValueError, match="work in flight"):
         core.start({})
+
+
+@pytest.mark.parametrize("wake", ["address", "drain"])
+def test_a_fork_taken_while_a_load_sleeps_wakes_on_its_own_copy_of_the_store(
+        wake, monkeypatch):
+    """A fork at each cycle boundary where a load sleeps, run to its end
+    before its original goes on, runs as the original does: its sleeping
+    load wakes when the fork's own copy of the store changes. In the drain
+    program three loads share two load ports, so after the store drains one
+    of them still sleeps on it: its fork, having no copy of the store, asks
+    again."""
+    policy, src, _, _ = WAKES[wake]
+    trunk = started_core(assemble(src), FAST.replace(forwarding_policy=policy), trace=[])
+    step, forked, drained = Core.step, [], []
+
+    def forking_step(core):
+        if core is trunk and any(e.asleep for e in core.rob):
+            twin = core.fork()
+            drained.extend(e.seq for e, t in zip(core.rob, twin.rob)
+                           if e.asleep and not t.asleep)
+            forked.append(outcome(twin.run()))
+        step(core)
+
+    monkeypatch.setattr(Core, "step", forking_step)
+    want = outcome(trunk.run())
+    assert len(forked) > 3 and all(got == want for got in forked)
+    assert bool(drained) is (wake == "drain")
